@@ -22,7 +22,7 @@ from .pipeline import (
 )
 from .signals import MultichannelRecording, Waveform, read_wav, write_wav
 
-REPORT_FORMAT_VERSION = 1
+REPORT_FORMAT_VERSION = 2
 FINAL_OUTPUTS_FROM = "stage1_masked"
 SIR_CONVENTION = "10*log10 of an energy ratio"
 
@@ -46,6 +46,7 @@ def _separation_block(result: SeparationResult) -> dict:
             "initial_cost": trace[0],
             "final_cost": trace[-1],
             "iterations": result.solver_state.iterations,
+            "termination": result.solver_state.termination,
         },
         "isolated_fraction_binary": list(result.isolated_fraction_binary),
         "isolated_fraction_smoothed": list(result.isolated_fraction_smoothed),

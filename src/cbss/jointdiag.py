@@ -26,6 +26,7 @@ from .stft import Spectrogram
 HERMITIAN_TOL = 1e-12
 PSD_EIG_TOL = 1e-9
 SUPPORT_TOL = 1e-10
+TERMINATIONS = ("tolerance", "max_iters", "line_search_stalled", "zero_cost")
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,18 +128,27 @@ class SolverParams:
 
 @dataclass(eq=False)
 class SolverState:
-    """Final solver snapshot: unmixing, targets, residuals, cost history."""
+    """Final solver snapshot: unmixing, targets, residuals, cost history.
+
+    `termination` says why the descent stopped: the relative cost drop fell
+    below the tolerance, the iteration cap was reached, sixty line-search
+    tries with halving step sizes all raised the cost, or the cost reached
+    exactly zero.
+    """
 
     unmixing: UnmixingSystem
     diagonal_targets: np.ndarray
     residuals: np.ndarray
     cost_trace: list[float]
     iterations: int
+    termination: str
 
     def __post_init__(self) -> None:
         trace = [float(c) for c in self.cost_trace]
         if any(not np.isfinite(c) or c < 0 for c in trace):
             raise ValueError("cost trace must contain finite non-negative values")
+        if self.termination not in TERMINATIONS:
+            raise ValueError(f"termination must be one of {TERMINATIONS}")
         self.cost_trace = trace
 
 
@@ -172,29 +182,51 @@ def estimate_block_covariances(
     return CovarianceSet(r, tuple(len(idx) for idx in splits))
 
 
+def _products(w: np.ndarray, r: np.ndarray):
+    """Entries of P = W R and of W R W^H, as (..., k) arrays over blocks.
+
+    `w` broadcasts as (..., 2, 2) against covariance blocks (..., k, 2, 2).
+    Returns ((P00, P01, P10, P11), d0, d1, e) where d is the real diagonal
+    of W R W^H and e its (0, 1) entry; R is Hermitian, so the (1, 0) entry
+    is conj(e).
+    """
+    w00, w01, w10, w11 = (w[..., i, j, None] for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)))
+    r00, r01, r10, r11 = r[..., 0, 0], r[..., 0, 1], r[..., 1, 0], r[..., 1, 1]
+    p00 = w00 * r00 + w01 * r10
+    p01 = w00 * r01 + w01 * r11
+    p10 = w10 * r00 + w11 * r10
+    p11 = w10 * r01 + w11 * r11
+    d0 = np.real(p00 * np.conj(w00) + p01 * np.conj(w01))
+    d1 = np.real(p10 * np.conj(w10) + p11 * np.conj(w11))
+    e = p00 * np.conj(w10) + p01 * np.conj(w11)
+    return (p00, p01, p10, p11), d0, d1, e
+
+
+def _stack2x2(a00, a01, a10, a11) -> np.ndarray:
+    return np.stack([np.stack([a00, a01], axis=-1), np.stack([a10, a11], axis=-1)], axis=-2)
+
+
 def diag_target(w: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Optimal diagonal model: real diagonal of W R W^H, floored at zero.
 
     `w` broadcasts as (..., 2, 2) against covariance blocks (..., k, 2, 2);
     the result drops the matrix axes to (..., k, 2).
     """
-    wrw = np.einsum("...ij,...kjl,...ml->...kim", w, r, np.conj(w))
-    diag = np.real(np.einsum("...ii->...i", wrw))
-    return np.maximum(diag, 0.0)
+    _, d0, d1, _ = _products(w, r)
+    return np.maximum(np.stack([d0, d1], axis=-1), 0.0)
 
 
 def _residual(w: np.ndarray, r: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    e = np.einsum("...ij,...kjl,...ml->...kim", w, r, np.conj(w))
-    e = e.copy()
-    e[..., 0, 0] -= lam[..., 0]
-    e[..., 1, 1] -= lam[..., 1]
-    return e
+    """E = W R W^H - Lambda, shape (..., k, 2, 2)."""
+    _, d0, d1, e = _products(w, r)
+    return _stack2x2(d0 - lam[..., 0], e, np.conj(e), d1 - lam[..., 1])
 
 
 def cost(w: np.ndarray, r: np.ndarray, lam: np.ndarray) -> float:
     """Squared Frobenius norm of W R W^H - Lambda, summed over bins and blocks."""
-    e = _residual(w, r, lam)
-    return float(np.sum(np.abs(e) ** 2))
+    _, d0, d1, e = _products(w, r)
+    off = e.real**2 + e.imag**2
+    return float(np.sum((d0 - lam[..., 0]) ** 2 + (d1 - lam[..., 1]) ** 2 + 2.0 * off))
 
 
 def cost_gradient(w: np.ndarray, r: np.ndarray, lam: np.ndarray) -> np.ndarray:
@@ -202,18 +234,31 @@ def cost_gradient(w: np.ndarray, r: np.ndarray, lam: np.ndarray) -> np.ndarray:
 
     The returned G satisfies dJ/dRe(W) = 2 Re(G) and dJ/dIm(W) = 2 Im(G),
     which is what a central-finite-difference probe of `cost` measures.
+    All four entries are returned, the diagonal included.
     """
-    e = _residual(w, r, lam)
-    return 2.0 * np.einsum("...kim,...mj,...kjl->...il", e, w, r)
+    (p00, p01, p10, p11), d0, d1, e01 = _products(w, r)
+    e00 = d0 - lam[..., 0]
+    e11 = d1 - lam[..., 1]
+    e10 = np.conj(e01)
+    return 2.0 * _stack2x2(
+        np.sum(e00 * p00 + e01 * p10, axis=-1),
+        np.sum(e00 * p01 + e01 * p11, axis=-1),
+        np.sum(e10 * p00 + e11 * p10, axis=-1),
+        np.sum(e10 * p01 + e11 * p11, axis=-1),
+    )
 
 
 def _project_support(w: np.ndarray, filter_support: int, dft_length: int) -> np.ndarray:
-    """Project per-bin matrices onto real filters with taps in [0, Q], unit diagonal."""
-    taps = np.fft.irfft(w, n=dft_length, axis=0)
+    """Project per-bin matrices onto real filters with taps in [0, Q], unit diagonal.
+
+    Only the off-diagonal entries are filtered; the diagonal is set to 1.
+    """
+    taps = np.fft.irfft(np.stack([w[:, 0, 1], w[:, 1, 0]], axis=-1), n=dft_length, axis=0)
     taps[filter_support + 1 :] = 0.0
-    out = np.fft.rfft(taps, axis=0)
-    out[:, 0, 0] = 1.0
-    out[:, 1, 1] = 1.0
+    off = np.fft.rfft(taps, axis=0)
+    out = np.ones_like(w)
+    out[:, 0, 1] = off[:, 0]
+    out[:, 1, 0] = off[:, 1]
     return out
 
 
@@ -267,6 +312,7 @@ def solve_unmixing(
     eta = params.step_size
     accepted_since_reset = 0
     iterations = 0
+    termination = "max_iters"
     for _ in range(params.max_iters):
         lam = diag_target(w, r)
         grad = cost_gradient(w, r, lam)
@@ -285,6 +331,7 @@ def solve_unmixing(
                 break
             eta_try *= 0.5
         if not accepted:
+            termination = "line_search_stalled"
             break
 
         if eta_try < eta:
@@ -302,7 +349,11 @@ def solve_unmixing(
         current_cost = new_cost
         trace.append(current_cost)
         iterations += 1
-        if current_cost == 0.0 or relative < params.tolerance:
+        if current_cost == 0.0:
+            termination = "zero_cost"
+            break
+        if relative < params.tolerance:
+            termination = "tolerance"
             break
 
     system = UnmixingSystem(w, q, dft_length)
@@ -313,6 +364,7 @@ def solve_unmixing(
         residuals=_residual(w, r, lam),
         cost_trace=trace,
         iterations=iterations,
+        termination=termination,
     )
     return system, state
 

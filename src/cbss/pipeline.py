@@ -26,7 +26,9 @@ from .masking import (
     estimate_binary_masks,
     isolated_unit_fraction,
 )
-from .roomsim import ImpulseResponseBank, convolve_mix, source_images
+# convolve_mix is unused here but stays importable as pipeline.convolve_mix:
+# bench/tracer.py wraps it by that name.
+from .roomsim import ImpulseResponseBank, convolve_mix, mix_images, source_images  # noqa: F401
 from .signals import MultichannelRecording, Waveform, gen_am_source
 from .stft import Spectrogram, analyze, synthesize
 
@@ -123,7 +125,7 @@ def simulate_scene(
     room = config.room_spec(rate, rt60_ms)
     bank = ImpulseResponseBank.from_room(room)
     images = source_images(sources, bank)
-    mixture = convolve_mix(sources, bank)
+    mixture = mix_images(images)
     return SimulatedScene(
         mixture=mixture,
         sources=sources,

@@ -220,6 +220,15 @@ def source_images(
     )
 
 
+def mix_images(
+    images: tuple[tuple[Waveform, Waveform], tuple[Waveform, Waveform]]
+) -> MultichannelRecording:
+    """Two-channel mixture from per-mic source images: channel m sums images[m]."""
+    return MultichannelRecording(
+        tuple(Waveform(a.samples + b.samples, a.sample_rate) for a, b in images)
+    )
+
+
 def convolve_mix(
     sources: tuple[Waveform, Waveform], bank: ImpulseResponseBank
 ) -> MultichannelRecording:
@@ -228,9 +237,4 @@ def convolve_mix(
     The shorter source is zero-padded; outputs have length
     max(source length) + RIR length - 1.
     """
-    images = source_images(sources, bank)
-    channels = tuple(
-        Waveform(images[mic][0].samples + images[mic][1].samples, bank.sample_rate)
-        for mic in (0, 1)
-    )
-    return MultichannelRecording(channels)
+    return mix_images(source_images(sources, bank))

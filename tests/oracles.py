@@ -71,6 +71,36 @@ def diag_target_direct(w: np.ndarray, r: np.ndarray) -> np.ndarray:
     return lam
 
 
+# The solver kernels as generic 4-index einsums over full 2x2 matrices: the
+# package's first implementation, kept as the reference for its closed-form
+# 2x2 kernels.  Same broadcasting: `w` (..., 2, 2) against `r` (..., k, 2, 2).
+
+
+def diag_target_einsum(w: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Real diagonal of W R W^H floored at 0, shape (..., k, 2)."""
+    wrw = np.einsum("...ij,...kjl,...ml->...kim", w, r, np.conj(w))
+    diag = np.real(np.einsum("...ii->...i", wrw))
+    return np.maximum(diag, 0.0)
+
+
+def _residual_einsum(w: np.ndarray, r: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    e = np.einsum("...ij,...kjl,...ml->...kim", w, r, np.conj(w))
+    e[..., 0, 0] -= lam[..., 0]
+    e[..., 1, 1] -= lam[..., 1]
+    return e
+
+
+def cost_einsum(w: np.ndarray, r: np.ndarray, lam: np.ndarray) -> float:
+    """Squared Frobenius norm of W R W^H - Lambda over bins and blocks."""
+    return float(np.sum(np.abs(_residual_einsum(w, r, lam)) ** 2))
+
+
+def cost_gradient_einsum(w: np.ndarray, r: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """Wirtinger gradient 2 * sum_k E W R with Lambda held fixed."""
+    e = _residual_einsum(w, r, lam)
+    return 2.0 * np.einsum("...kim,...mj,...kjl->...il", e, w, r)
+
+
 def apply_unmixing_direct(w: np.ndarray, x1: np.ndarray, x2: np.ndarray):
     """Per-bin 2x2 matrix application by scalar loops."""
     n_bins, n_frames = x1.shape

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cbss.cli import main
+from cbss.jointdiag import TERMINATIONS
 from cbss.signals import MultichannelRecording, Waveform, read_wav, write_wav
 
 FAST_CONFIG = """
@@ -107,6 +108,8 @@ def test_separate_happy_path_is_deterministic(tmp_path, fast_cfg):
     report = json.loads((outs[0] / "report.json").read_text())
     assert report["kind"] == "separation"
     assert report["solver"]["final_cost"] <= report["solver"]["initial_cost"]
+    assert report["report_format_version"] == 2
+    assert report["solver"]["termination"] in TERMINATIONS
     assert report["outputs"]["stage1"] == ["stage1_1.wav", "stage1_2.wav"]
     assert report["outputs"]["final"] == ["final_1.wav", "final_2.wav"]
 

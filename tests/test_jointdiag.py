@@ -1,9 +1,15 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cbss import jointdiag
 from cbss.jointdiag import (
     CovarianceSet,
     SolverParams,
+    SolverState,
     UnmixingSystem,
     apply_unmixing,
     constrain_filter_support,
@@ -19,14 +25,17 @@ from cbss.stft import StftConfig, analyze
 from oracles import (
     apply_unmixing_direct,
     block_covariances_direct,
+    cost_einsum,
+    cost_gradient_einsum,
     diag_target_direct,
+    diag_target_einsum,
     jd_cost_direct,
 )
 
 
-def _random_psd_stack(rng, n_bins, n_blocks):
-    a = rng.standard_normal((n_bins, n_blocks, 2, 2)) + 1j * rng.standard_normal(
-        (n_bins, n_blocks, 2, 2)
+def _random_psd_stack(rng, n_bins, n_blocks, rank=2):
+    a = rng.standard_normal((n_bins, n_blocks, 2, rank)) + 1j * rng.standard_normal(
+        (n_bins, n_blocks, 2, rank)
     )
     return np.einsum("kbij,kblj->kbil", a, a.conj())
 
@@ -139,6 +148,64 @@ def test_gradient_matches_finite_differences():
                         fd[k, i, j] += d * unit
         # real-parameter derivatives equal twice the returned complex gradient
         assert np.linalg.norm(fd - 2.0 * g) / np.linalg.norm(fd) <= 1e-6
+
+
+def _relative_error(got, want) -> float:
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    return float(np.linalg.norm(got - want) / np.linalg.norm(want))
+
+
+# Leading axes of `w` for covariances of shape (n_bins, n_blocks, 2, 2):
+# one matrix per bin, one shared by all bins, a bare 2x2, and an extra
+# outer batch axis.
+W_BATCHES = {
+    "per_bin": lambda n_bins: (n_bins,),
+    "shared": lambda n_bins: (1,),
+    "bare": lambda n_bins: (),
+    "outer": lambda n_bins: (3, n_bins),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_bins=st.integers(1, 5),
+    n_blocks=st.integers(1, 6),
+    rank=st.integers(1, 2),
+    batch=st.sampled_from(sorted(W_BATCHES)),
+    r_exponent=st.floats(-3.0, 3.0),
+    lam_scale=st.floats(0.0, 10.0),
+)
+def test_closed_form_kernels_match_einsum_oracles(
+    seed, n_bins, n_blocks, rank, batch, r_exponent, lam_scale
+):
+    rng = np.random.default_rng(seed)
+    r = 10.0**r_exponent * _random_psd_stack(rng, n_bins, n_blocks, rank)
+    w_shape = W_BATCHES[batch](n_bins) + (2, 2)
+    w = np.eye(2) + rng.standard_normal(w_shape) + 1j * rng.standard_normal(w_shape)
+    lam_ref = diag_target_einsum(w, r)
+    # Lambda is not floored or tied to W here: any real values, negatives too.
+    lam = lam_ref + lam_scale * 10.0**r_exponent * rng.standard_normal(lam_ref.shape)
+
+    assert _relative_error(diag_target(w, r), lam_ref) <= 1e-12
+    assert _relative_error(cost(w, r, lam), cost_einsum(w, r, lam)) <= 1e-12
+    assert _relative_error(cost_gradient(w, r, lam), cost_gradient_einsum(w, r, lam)) <= 1e-12
+
+
+def test_solver_trace_matches_einsum_kernels(monkeypatch):
+    cov, params = _instantaneous_case()
+    _, closed_form = solve_unmixing(cov, params)
+
+    monkeypatch.setattr(jointdiag, "diag_target", diag_target_einsum)
+    monkeypatch.setattr(jointdiag, "cost", cost_einsum)
+    monkeypatch.setattr(jointdiag, "cost_gradient", cost_gradient_einsum)
+    _, reference = solve_unmixing(cov, params)
+
+    assert closed_form.iterations == reference.iterations
+    assert closed_form.termination == reference.termination
+    a, b = np.array(closed_form.cost_trace), np.array(reference.cost_trace)
+    assert np.max(np.abs(a - b) / b) <= 1e-12
 
 
 def test_unmixing_system_validates():
@@ -280,3 +347,39 @@ def test_solve_unmixing_survives_silent_channel():
     system, _ = solve_unmixing(cov, params)
     assert np.all(system.matrices[:, 0, 0] == 1.0)
     assert np.all(system.matrices[:, 1, 1] == 1.0)
+
+
+def test_solver_stops_at_max_iters():
+    cov, params = _instantaneous_case()
+    capped = dataclasses.replace(params, max_iters=3, tolerance=0.0)
+    _, state = solve_unmixing(cov, capped)
+    assert state.termination == "max_iters"
+    assert state.iterations == 3
+    assert len(state.cost_trace) == 4
+
+
+def test_solver_stops_at_tolerance():
+    cov, params = _instantaneous_case()
+    loose = dataclasses.replace(params, tolerance=1e-2)
+    _, state = solve_unmixing(cov, loose)
+    assert state.termination == "tolerance"
+    assert state.iterations < loose.max_iters
+    drops = [(a - b) / a for a, b in zip(state.cost_trace, state.cost_trace[1:])]
+    assert drops[-1] < loose.tolerance
+    assert all(d >= loose.tolerance for d in drops[:-1])
+
+
+def test_solver_stops_at_zero_cost_and_validates_termination():
+    rng = np.random.default_rng(10)
+    n_bins, n_blocks = 9, 4
+    r = np.zeros((n_bins, n_blocks, 2, 2), dtype=complex)
+    r[..., 0, 0] = rng.uniform(0.5, 2.0, (n_bins, n_blocks))
+    r[..., 1, 1] = rng.uniform(0.5, 2.0, (n_bins, n_blocks))
+    cov = CovarianceSet(r, (3,) * n_blocks)
+    _, state = solve_unmixing(cov, SolverParams(filter_support=4, block_count=n_blocks))
+    assert state.termination == "zero_cost"
+    assert state.cost_trace == [0.0, 0.0]
+
+    fields = {f.name: getattr(state, f.name) for f in dataclasses.fields(state)}
+    with pytest.raises(ValueError):
+        SolverState(**{**fields, "termination": "diverged"})

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from cbss import pipeline, roomsim
+from cbss.config import default_config
 from cbss.roomsim import (
     ImpulseResponseBank,
     RoomSpec,
@@ -213,6 +215,31 @@ def test_convolve_mix_is_sum_of_source_images():
     for mic in (0, 1):
         total = images[mic][0].samples + images[mic][1].samples
         assert np.array_equal(mix.channels[mic].samples, total)
+
+
+def test_simulate_scene_convolves_each_source_once(monkeypatch):
+    calls = []
+    for module in (pipeline, roomsim):
+        original = module.source_images
+
+        def counted(*args, _original=original):
+            calls.append(1)
+            return _original(*args)
+
+        monkeypatch.setattr(module, "source_images", counted)
+
+    rng = np.random.default_rng(5)
+    sources = (
+        Waveform(rng.standard_normal(2000), 10000),
+        Waveform(rng.standard_normal(1500), 10000),
+    )
+    scene = pipeline.simulate_scene(default_config(), 200.0, sources=sources)
+    assert len(calls) == 1
+
+    monkeypatch.undo()
+    mix = convolve_mix(sources, scene.bank)
+    for mic in (0, 1):
+        assert np.array_equal(scene.mixture.channels[mic].samples, mix.channels[mic].samples)
 
 
 def test_bank_from_room_shapes():
