@@ -16,15 +16,10 @@ from .bsseval import (
     sir_db,
 )
 from .cepsmooth import (
-    CepstralFrame,
     SmoothingParams,
-    beta_for_quefrency,
-    cepstrum_to_mask,
     estimate_pitch_quefrency,
     magnitude_cepstrum,
-    mask_frame_to_cepstrum,
     smooth_mask,
-    smooth_step,
 )
 from .config import ConfigError, PipelineConfig, default_config, load_config
 from .jointdiag import (

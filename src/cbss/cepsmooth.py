@@ -13,9 +13,16 @@ Working in the cepstrum separates those concerns by quefrency:
 
 Each region gets its own first-order recursive smoothing factor, usually
 none for the envelope, mild for the pitch bin, and strong elsewhere.
-The mask column is floored, log-transformed, expanded to an even spectrum,
-moved to the cepstrum, smoothed across frames per quefrency, and moved
-back; outputs are clamped to [floor, 1].
+
+`smooth_mask` works on all frames at once.  A floored log half-spectrum
+(bins 0..K/2) stands for an even length-K spectrum, so its real cepstrum
+is even too and quefrencies 0..K/2 hold all of it.  Between those halves
+the length-K DFT is a type-I DCT (scaled by 1/K going to the cepstrum),
+which needs neither the mirrored half nor complex buffers.  One DCT each
+gives the cepstra of the mask and of the separated magnitudes, one
+`argmax` picks every frame's pitch quefrency, the recursion across frames
+is the only loop, and one DCT takes the smoothed cepstra back to a log
+mask, which is exponentiated and clamped to [floor, 1].
 """
 
 from __future__ import annotations
@@ -23,11 +30,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.fft import dct
 
 from .masking import SpectralMask
 from .stft import Spectrogram
-
-SYMMETRY_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -70,119 +76,34 @@ class SmoothingParams:
         return cls(l_low=l_low, l_high=l_high, **kwargs)
 
 
-@dataclass(frozen=True, eq=False)
-class CepstralFrame:
-    """Real, even-symmetric cepstral coefficients for one frame."""
-
-    coefficients: np.ndarray
-    frame_index: int = 0
-
-    def __post_init__(self) -> None:
-        c = np.array(self.coefficients, dtype=np.float64)
-        if c.ndim != 1 or c.shape[0] < 2 or c.shape[0] % 2 != 0:
-            raise ValueError("coefficients must be a 1-D array of even length")
-        if not np.all(np.isfinite(c)):
-            raise ValueError("coefficients must be finite")
-        mirror = np.concatenate(([c[0]], c[:0:-1]))
-        scale = max(1.0, float(np.max(np.abs(c))))
-        if np.max(np.abs(c - mirror)) > SYMMETRY_TOL * scale:
-            raise ValueError("coefficients must satisfy c(l) = c(K - l)")
-        c.flags.writeable = False
-        object.__setattr__(self, "coefficients", c)
-
-    @property
-    def dft_length(self) -> int:
-        return self.coefficients.shape[0]
+def _cepstra(half: np.ndarray, floor: float) -> np.ndarray:
+    """Real cepstra (quefrencies 0..K/2) of floored half-spectra on the last axis."""
+    cep = dct(np.log(np.maximum(half, floor)), type=1, axis=-1, overwrite_x=True)
+    cep /= 2 * (half.shape[-1] - 1)
+    return cep
 
 
-def _even_spectrum(half: np.ndarray) -> np.ndarray:
-    """Expand bins [0, K/2] to the full even spectrum of length K."""
-    return np.concatenate([half, half[-2:0:-1]])
-
-
-def _cepstrum_from_half(half: np.ndarray, floor: float) -> np.ndarray:
-    full = _even_spectrum(np.maximum(half, floor))
-    return np.real(np.fft.ifft(np.log(full)))
-
-
-def mask_frame_to_cepstrum(
-    column: np.ndarray, mask_floor: float, frame_index: int = 0
-) -> CepstralFrame:
-    """Cepstrum of one mask column (bins 0..K/2, values in [0, 1])."""
-    column = np.asarray(column, dtype=np.float64)
-    if column.ndim != 1 or column.shape[0] < 2:
-        raise ValueError("mask column must be 1-D with at least two bins")
-    if np.any(column < 0.0) or np.any(column > 1.0):
-        raise ValueError("mask values must lie in [0, 1]")
-    return CepstralFrame(_cepstrum_from_half(column, mask_floor), frame_index)
-
-
-def magnitude_cepstrum(
-    magnitudes: np.ndarray, floor: float, frame_index: int = 0
-) -> CepstralFrame:
-    """Cepstrum of arbitrary non-negative half-spectrum magnitudes."""
+def magnitude_cepstrum(magnitudes: np.ndarray, floor: float) -> np.ndarray:
+    """Real cepstrum (quefrencies 0..K/2) of non-negative magnitudes at bins 0..K/2."""
     magnitudes = np.asarray(magnitudes, dtype=np.float64)
     if magnitudes.ndim != 1 or magnitudes.shape[0] < 2:
         raise ValueError("magnitudes must be 1-D with at least two bins")
     if np.any(magnitudes < 0.0):
         raise ValueError("magnitudes must be non-negative")
-    return CepstralFrame(_cepstrum_from_half(magnitudes, floor), frame_index)
+    return _cepstra(magnitudes, floor)
 
 
-def estimate_pitch_quefrency(frame: CepstralFrame, l_low: int, l_high: int) -> int:
-    """Arg-max of the cepstrum over [l_low, l_high]; ties pick the smallest l."""
-    k = frame.dft_length
-    if not 0 <= l_low <= l_high < k // 2:
-        raise ValueError("need 0 <= l_low <= l_high < K/2")
-    window = frame.coefficients[l_low : l_high + 1]
-    return l_low + int(np.argmax(window))
+def estimate_pitch_quefrency(
+    cepstrum: np.ndarray, l_low: int, l_high: int
+) -> int | np.ndarray:
+    """Arg-max over [l_low, l_high] of cepstra (quefrencies 0..K/2) on the last axis.
 
-
-def beta_for_quefrency(l: int, l_pitch: int, params: SmoothingParams) -> float:
-    """Smoothing factor for quefrency l given the current pitch quefrency.
-
-    The mirrored quefrency K - l receives the same factor as l, keeping the
-    smoothed cepstrum even-symmetric.
+    Ties pick the smallest l.  A single cepstrum gives one index, a stack
+    of them one index per cepstrum.
     """
-    k = params.dft_length
-    if not 0 <= l < k:
-        raise ValueError("quefrency out of range")
-    folded = min(l, k - l)
-    if folded <= params.l_env:
-        return params.beta_env
-    if folded == l_pitch:
-        return params.beta_pitch
-    return params.beta_peak
-
-
-def _beta_schedule(l_pitch: int, params: SmoothingParams) -> np.ndarray:
-    k = params.dft_length
-    l = np.arange(k)
-    folded = np.minimum(l, k - l)
-    betas = np.full(k, params.beta_peak)
-    betas[folded == l_pitch] = params.beta_pitch
-    betas[folded <= params.l_env] = params.beta_env
-    return betas
-
-
-def smooth_step(
-    prev: CepstralFrame, current: CepstralFrame, l_pitch: int, params: SmoothingParams
-) -> CepstralFrame:
-    """One recursion step: beta(l) * prev + (1 - beta(l)) * current."""
-    if prev.dft_length != current.dft_length or prev.dft_length != params.dft_length:
-        raise ValueError("frames and params must agree on the DFT length")
-    if not 0 <= l_pitch < params.dft_length // 2:
-        raise ValueError("l_pitch out of range")
-    betas = _beta_schedule(l_pitch, params)
-    mixed = betas * prev.coefficients + (1.0 - betas) * current.coefficients
-    return CepstralFrame(mixed, current.frame_index)
-
-
-def cepstrum_to_mask(frame: CepstralFrame, mask_floor: float) -> np.ndarray:
-    """Back to a mask column: exponentiate the log spectrum, clamp to [floor, 1]."""
-    log_spectrum = np.real(np.fft.fft(frame.coefficients))
-    column = np.exp(log_spectrum)
-    return np.clip(column[: frame.dft_length // 2 + 1], mask_floor, 1.0)
+    if not 0 <= l_low <= l_high < np.shape(cepstrum)[-1] - 1:
+        raise ValueError("need 0 <= l_low <= l_high < K/2")
+    return l_low + np.argmax(cepstrum[..., l_low : l_high + 1], axis=-1)
 
 
 def smooth_mask(
@@ -197,28 +118,23 @@ def smooth_mask(
     """
     if mask.values.shape != separated.values.shape:
         raise ValueError("mask and spectrogram shapes differ")
-    k = params.dft_length
-    if separated.config.frame_length != k:
+    if separated.config.frame_length != params.dft_length:
         raise ValueError("params.dft_length must match the spectrogram frame length")
 
     floor = params.mask_floor
-    magnitudes = np.abs(separated.values)
-    n_bins, n_frames = mask.values.shape
-    out = np.empty((n_bins, n_frames))
+    n_frames = mask.values.shape[1]
+    # Frames on the first axis, quefrencies 0..K/2 on the second.
+    l_pitch = estimate_pitch_quefrency(
+        _cepstra(np.abs(separated.values.T), floor), params.l_low, params.l_high
+    )
+    cep = _cepstra(mask.values.T, floor)
+    betas = np.full(cep.shape, params.beta_peak)
+    betas[np.arange(n_frames), l_pitch] = params.beta_pitch
+    betas[:, : params.l_env + 1] = params.beta_env
 
-    state: np.ndarray | None = None
-    for m in range(n_frames):
-        signal_cep = _cepstrum_from_half(magnitudes[:, m], floor)
-        l_pitch = params.l_low + int(
-            np.argmax(signal_cep[params.l_low : params.l_high + 1])
-        )
-        current = _cepstrum_from_half(mask.values[:, m], floor)
-        if state is None:
-            state = current
-        else:
-            betas = _beta_schedule(l_pitch, params)
-            state = betas * state + (1.0 - betas) * current
-        log_spectrum = np.real(np.fft.fft(state))
-        out[:, m] = np.clip(np.exp(log_spectrum[: n_bins]), floor, 1.0)
+    for m in range(1, n_frames):
+        cep[m] = betas[m] * cep[m - 1] + (1.0 - betas[m]) * cep[m]
 
-    return SpectralMask(out, "smoothed")
+    mask_values = dct(cep, type=1, axis=-1, overwrite_x=True)
+    np.exp(mask_values, out=mask_values)
+    return SpectralMask(np.clip(mask_values, floor, 1.0, out=mask_values).T, "smoothed")

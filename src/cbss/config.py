@@ -4,13 +4,15 @@ Config files are plain text: one `key = value` per line, `#` comments,
 blank lines ignored.  Unknown keys and duplicates are rejected so a typo
 cannot silently fall back to a default.  `pitch_min_hz`/`pitch_max_hz` of
 0 mean "use the literal quefrency bins l_low/l_high"; positive values
-override those bins per sample rate at run time.
+override those bins per sample rate at run time.  The STFT, solver,
+masking and smoothing defaults are the field defaults of the parameter
+classes those settings build.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .cepsmooth import SmoothingParams
 from .jointdiag import SolverParams
@@ -23,27 +25,23 @@ class ConfigError(ValueError):
     """Malformed config text, unknown key, or invalid value."""
 
 
+def _field_defaults(cls) -> dict[str, object]:
+    """Constructor defaults of a parameter dataclass, by field name."""
+    return {f.name: f.default for f in fields(cls) if f.init}
+
+
+# Config key -> StftConfig field; the solver and smoothing keys are their
+# field names.  Smoothing takes its dft_length from the STFT key.
+_STFT_FIELDS = {"dft_length": "frame_length", "overlap_factor": "overlap_fraction", "window": "window"}
+_SOLVER_DEFAULTS = _field_defaults(SolverParams)
+_SMOOTHING_DEFAULTS = _field_defaults(SmoothingParams)
+
 DEFAULTS: dict[str, object] = {
-    # STFT
-    "dft_length": 2048,
-    "overlap_factor": 0.75,
-    "window": "sqrt_hann",
-    # Separation solver
-    "filter_support": 512,
-    "block_count": 8,
-    "max_iters": 200,
-    "step_size": 0.5,
-    "tolerance": 1e-6,
-    # Masking
-    "mask_threshold": 1.0,
-    # Cepstral smoothing
-    "beta_env": 0.0,
-    "beta_pitch": 0.4,
-    "beta_peak": 0.9,
-    "l_env": 8,
-    "l_low": 16,
-    "l_high": 120,
-    "mask_floor": 1e-3,
+    **{key: _field_defaults(StftConfig)[name] for key, name in _STFT_FIELDS.items()},
+    **_SOLVER_DEFAULTS,
+    "mask_threshold": _field_defaults(MaskThreshold)["value"],
+    **{key: value for key, value in _SMOOTHING_DEFAULTS.items() if key != "dft_length"},
+    # Pitch search range in Hz; 0 keeps l_low/l_high
     "pitch_min_hz": 0.0,
     "pitch_max_hz": 0.0,
     # Room geometry and placement
@@ -121,18 +119,8 @@ class PipelineConfig:
             settings[key] = value
         object.__setattr__(self, "settings", settings)
         try:
-            stft = StftConfig(
-                frame_length=settings["dft_length"],
-                overlap_fraction=settings["overlap_factor"],
-                window=settings["window"],
-            )
-            solver = SolverParams(
-                filter_support=settings["filter_support"],
-                block_count=settings["block_count"],
-                max_iters=settings["max_iters"],
-                step_size=settings["step_size"],
-                tolerance=settings["tolerance"],
-            )
+            stft = StftConfig(**{name: settings[key] for key, name in _STFT_FIELDS.items()})
+            solver = SolverParams(**{name: settings[name] for name in _SOLVER_DEFAULTS})
             threshold = MaskThreshold(settings["mask_threshold"])
             if settings["filter_support"] >= settings["dft_length"]:
                 raise ValueError("filter_support must be smaller than dft_length")
@@ -158,23 +146,15 @@ class PipelineConfig:
     def smoothing_params(self, sample_rate: int) -> SmoothingParams:
         """Resolve smoothing knobs; a positive Hz pitch range overrides bins."""
         s = self.settings
-        l_low, l_high = int(s["l_low"]), int(s["l_high"])
+        kwargs = {name: type(default)(s[name]) for name, default in _SMOOTHING_DEFAULTS.items()}
         f_min, f_max = float(s["pitch_min_hz"]), float(s["pitch_max_hz"])
         if f_min > 0 or f_max > 0:
-            if not 0 < f_min < f_max:
-                raise ConfigError("need 0 < pitch_min_hz < pitch_max_hz")
-            l_low = int(round(sample_rate / f_max))
-            l_high = int(round(sample_rate / f_min))
-        return SmoothingParams(
-            dft_length=int(s["dft_length"]),
-            beta_env=float(s["beta_env"]),
-            beta_pitch=float(s["beta_pitch"]),
-            beta_peak=float(s["beta_peak"]),
-            l_env=int(s["l_env"]),
-            l_low=l_low,
-            l_high=l_high,
-            mask_floor=float(s["mask_floor"]),
-        )
+            del kwargs["l_low"], kwargs["l_high"]
+            try:
+                return SmoothingParams.from_pitch_range_hz(f_min, f_max, sample_rate, **kwargs)
+            except ValueError as exc:
+                raise ConfigError(f"pitch_min_hz/pitch_max_hz: {exc}") from exc
+        return SmoothingParams(**kwargs)
 
     def room_spec(self, sample_rate: int, rt60_ms: float | None = None) -> RoomSpec:
         """Build the simulation geometry: mics at room center, sources at +/-angle."""

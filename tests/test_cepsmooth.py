@@ -1,21 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cbss.cepsmooth import (
-    CepstralFrame,
     SmoothingParams,
-    beta_for_quefrency,
-    cepstrum_to_mask,
     estimate_pitch_quefrency,
     magnitude_cepstrum,
-    mask_frame_to_cepstrum,
     smooth_mask,
-    smooth_step,
 )
 from cbss.masking import SpectralMask, isolated_unit_fraction
 from cbss.stft import Spectrogram, StftConfig
 
-from oracles import dft_direct, idft_direct, smooth_mask_direct
+from oracles import idft_direct, smooth_mask_direct
 
 SMALL = SmoothingParams(dft_length=32, l_env=2, l_low=4, l_high=10)
 
@@ -49,41 +46,31 @@ def test_params_from_pitch_range_hz():
         SmoothingParams.from_pitch_range_hz(500.0, 50.0, 16000)
 
 
-def test_cepstral_frame_requires_even_symmetry():
-    sym = np.zeros(32)
-    sym[1] = sym[31] = 0.5
-    CepstralFrame(sym, 0)
-    broken = sym.copy()
-    broken[31] = 0.7
-    with pytest.raises(ValueError):
-        CepstralFrame(broken, 0)
-    with pytest.raises(ValueError):
-        CepstralFrame(np.zeros(33), 0)
-
-
 def test_mask_cepstrum_known_columns():
     ones = np.ones(17)
-    frame = mask_frame_to_cepstrum(ones, 1e-3)
-    assert np.max(np.abs(frame.coefficients)) <= 1e-12
+    cep = magnitude_cepstrum(ones, 1e-3)
+    assert cep.shape == (17,)
+    assert np.max(np.abs(cep)) <= 1e-12
 
     const = np.full(17, 0.5)
-    frame = mask_frame_to_cepstrum(const, 1e-3)
-    assert frame.coefficients[0] == pytest.approx(np.log(0.5), abs=1e-12)
-    assert np.max(np.abs(frame.coefficients[1:])) <= 1e-12
+    cep = magnitude_cepstrum(const, 1e-3)
+    assert cep[0] == pytest.approx(np.log(0.5), abs=1e-12)
+    assert np.max(np.abs(cep[1:])) <= 1e-12
 
     with pytest.raises(ValueError):
-        mask_frame_to_cepstrum(np.full(17, 1.5), 1e-3)
+        magnitude_cepstrum(np.ones((17, 2)), 1e-3)
 
 
 def test_mask_cepstrum_matches_direct_dft():
     rng = np.random.default_rng(0)
     for _ in range(5):
         column = rng.uniform(0.0, 1.0, 17)
-        frame = mask_frame_to_cepstrum(column, 1e-3)
+        cep = magnitude_cepstrum(column, 1e-3)
         floored = np.maximum(column, 1e-3)
         full = np.concatenate([floored, floored[-2:0:-1]])
         ref = np.real(idft_direct(np.log(full)))
-        assert np.max(np.abs(frame.coefficients - ref)) <= 1e-9
+        assert np.max(np.abs(ref[17:] - ref[15:0:-1])) <= 1e-9  # even: 0..K/2 hold it all
+        assert np.max(np.abs(cep - ref[:17])) <= 1e-9
 
 
 def test_magnitude_cepstrum_rejects_negative():
@@ -92,74 +79,36 @@ def test_magnitude_cepstrum_rejects_negative():
 
 
 def test_pitch_estimate_argmax_and_ties():
-    coeffs = np.zeros(32)
+    coeffs = np.zeros(17)  # quefrencies 0..K/2 for K = 32
     coeffs[7] = 1.0
-    coeffs[32 - 7] = 1.0  # keep symmetry
-    frame = CepstralFrame(coeffs, 0)
-    assert estimate_pitch_quefrency(frame, 4, 10) == 7
+    assert estimate_pitch_quefrency(coeffs, 4, 10) == 7
 
-    tied = np.zeros(32)
-    tied[5] = tied[32 - 5] = 2.0
-    tied[9] = tied[32 - 9] = 2.0
-    frame = CepstralFrame(tied, 0)
-    assert estimate_pitch_quefrency(frame, 4, 10) == 5
+    tied = np.zeros(17)
+    tied[5] = tied[9] = 2.0
+    assert estimate_pitch_quefrency(tied, 4, 10) == 5
+
+    # a stack of cepstra gives one index per row
+    assert estimate_pitch_quefrency(np.stack([coeffs, tied]), 4, 10).tolist() == [7, 5]
 
     with pytest.raises(ValueError):
-        estimate_pitch_quefrency(frame, 4, 16)
+        estimate_pitch_quefrency(tied, 4, 16)
 
 
-def test_beta_schedule_bands_and_mirror():
-    p = SMALL
-    assert beta_for_quefrency(0, 7, p) == p.beta_env
-    assert beta_for_quefrency(2, 7, p) == p.beta_env
-    assert beta_for_quefrency(7, 7, p) == p.beta_pitch
-    assert beta_for_quefrency(3, 7, p) == p.beta_peak
-    # mirrored quefrencies get the same constants
-    assert beta_for_quefrency(32 - 7, 7, p) == p.beta_pitch
-    assert beta_for_quefrency(32 - 2, 7, p) == p.beta_env
-    assert beta_for_quefrency(32 - 3, 7, p) == p.beta_peak
-
-
-def test_smooth_step_limit_cases():
+def test_smooth_mask_limit_cases():
     rng = np.random.default_rng(1)
-    half_a = rng.uniform(0.1, 1.0, 17)
-    half_b = rng.uniform(0.1, 1.0, 17)
-    prev = mask_frame_to_cepstrum(half_a, 1e-3)
-    cur = mask_frame_to_cepstrum(half_b, 1e-3)
+    n_frames = 6
+    mask_vals = (rng.uniform(size=(17, n_frames)) > 0.5).astype(float)
+    mask = SpectralMask(mask_vals, "binary")
+    spec = _spec(rng.uniform(0.1, 2.0, (17, n_frames)))
 
+    # with all betas one the recursion never leaves frame 0
     frozen = SmoothingParams(
         dft_length=32, l_env=2, l_low=4, l_high=10,
         beta_env=1.0, beta_pitch=1.0, beta_peak=1.0,
     )
-    out = smooth_step(prev, cur, 7, frozen)
-    assert np.allclose(out.coefficients, prev.coefficients, atol=1e-12)
-
-    passthrough = SmoothingParams(
-        dft_length=32, l_env=2, l_low=4, l_high=10,
-        beta_env=0.0, beta_pitch=0.0, beta_peak=0.0,
-    )
-    out = smooth_step(prev, cur, 7, passthrough)
-    assert np.allclose(out.coefficients, cur.coefficients, atol=1e-12)
-
-    fixed = smooth_step(prev, prev, 7, SMALL)
-    assert np.allclose(fixed.coefficients, prev.coefficients, atol=1e-12)
-
-
-def test_cepstrum_to_mask_known_frames():
-    zero = CepstralFrame(np.zeros(32), 0)
-    assert np.allclose(cepstrum_to_mask(zero, 1e-3), 1.0, atol=1e-12)
-
-    dc = np.zeros(32)
-    dc[0] = np.log(0.5)
-    col = cepstrum_to_mask(CepstralFrame(dc, 0), 1e-3)
-    assert np.allclose(col, 0.5, atol=1e-12)
-
-
-def test_cepstrum_round_trip_recovers_floored_mask():
-    rng = np.random.default_rng(2)
-    column = rng.uniform(0.0, 1.0, 17)
-    back = cepstrum_to_mask(mask_frame_to_cepstrum(column, 1e-3), 1e-3)
-    assert np.max(np.abs(back - np.maximum(column, 1e-3))) <= 1e-9
+    out = smooth_mask(mask, spec, frozen)
+    first = np.maximum(mask_vals[:, :1], frozen.mask_floor)
+    assert np.max(np.abs(out.values - first)) <= 1e-9
 
 
 def test_smooth_mask_passthrough_cases():
@@ -211,6 +160,38 @@ def test_smooth_mask_matches_straight_line_reference():
             SMALL.l_env, SMALL.l_low, SMALL.l_high, SMALL.mask_floor,
         )
         assert np.max(np.abs(out.values - ref)) <= 1e-9
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), k=st.sampled_from([16, 32, 64]), n_frames=st.integers(1, 12))
+def test_smooth_mask_matches_direct_reference_property(data, k, n_frames):
+    half = k // 2
+    l_env = data.draw(st.integers(1, half - 3))
+    l_low = data.draw(st.integers(l_env + 1, half - 2))
+    l_high = data.draw(st.integers(l_low + 1, half - 1))
+    unit = st.floats(0.0, 1.0)
+    params = SmoothingParams(
+        dft_length=k, beta_env=data.draw(unit), beta_pitch=data.draw(unit),
+        beta_peak=data.draw(unit), l_env=l_env, l_low=l_low, l_high=l_high,
+    )
+    n_bins = half + 1
+    bits = data.draw(st.lists(st.booleans(), min_size=n_bins * n_frames, max_size=n_bins * n_frames))
+    mask_vals = np.array(bits, dtype=float).reshape(n_bins, n_frames)
+    # Magnitudes come from a continuous distribution: where two cepstral
+    # values tie, the pitch arg-max is decided by round-off alone.
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    mags = rng.uniform(0.0, 3.0, (n_bins, n_frames))
+    spec = _spec(mags * np.exp(1j * rng.uniform(0, 2 * np.pi, (n_bins, n_frames))), k)
+
+    out = smooth_mask(SpectralMask(mask_vals, "binary"), spec, params).values
+    ref = smooth_mask_direct(
+        mask_vals, mags, k,
+        params.beta_env, params.beta_pitch, params.beta_peak,
+        l_env, l_low, l_high, params.mask_floor,
+    )
+    assert np.max(np.abs(out - ref)) <= 1e-9
+    assert np.all(out >= params.mask_floor) and np.all(out <= 1.0)
+    assert np.max(np.abs(out[:, 0] - np.maximum(mask_vals[:, 0], params.mask_floor))) <= 1e-9
 
 
 def test_smoothing_reduces_log_mask_total_variation():

@@ -1,5 +1,8 @@
+from dataclasses import fields
+
 import pytest
 
+from cbss.cepsmooth import SmoothingParams
 from cbss.config import (
     DEFAULTS,
     ConfigError,
@@ -8,6 +11,9 @@ from cbss.config import (
     load_config,
     parse_config_text,
 )
+from cbss.jointdiag import SolverParams
+from cbss.masking import MaskThreshold
+from cbss.stft import StftConfig
 
 
 def test_defaults_mirror_reference_setup():
@@ -25,6 +31,25 @@ def test_defaults_mirror_reference_setup():
     assert s["l_low"] == 16
     assert s["l_high"] == 120
     assert (s["room_height"], s["room_width"], s["room_depth"]) == (3.4, 3.8, 5.2)
+
+
+def test_derived_defaults_equal_dataclass_defaults():
+    def defaults(cls):
+        return {f.name: f.default for f in fields(cls) if f.init}
+
+    stft = defaults(StftConfig)
+    expected = {
+        "dft_length": stft["frame_length"],
+        "overlap_factor": stft["overlap_fraction"],
+        "window": stft["window"],
+        "mask_threshold": defaults(MaskThreshold)["value"],
+        **defaults(SolverParams),
+        **defaults(SmoothingParams),
+    }
+    assert len(expected) == 16
+    for key, value in expected.items():
+        assert DEFAULTS[key] == value, key
+        assert type(DEFAULTS[key]) is type(value), key
 
 
 def test_parse_config_text_happy_path():
@@ -62,6 +87,12 @@ def test_pipeline_config_validates_combinations():
         PipelineConfig({"overlap_factor": 0.9})  # fractional hop
     with pytest.raises(ConfigError):
         PipelineConfig({"beta_peak": 2.0})
+    with pytest.raises(ConfigError):
+        PipelineConfig({"pitch_min_hz": 500.0, "pitch_max_hz": 50.0})
+    with pytest.raises(ConfigError):
+        PipelineConfig({"pitch_max_hz": 500.0})  # f_min left at 0
+    with pytest.raises(ConfigError):
+        PipelineConfig({"pitch_min_hz": 5.0, "pitch_max_hz": 500.0})  # l_high >= K/2
     with pytest.raises(ConfigError):
         PipelineConfig({"nonsense": 1})
 
