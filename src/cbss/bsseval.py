@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import toeplitz
-from scipy.signal import fftconvolve
+from scipy.fft import irfft, next_fast_len, rfft
+from scipy.linalg import LinAlgError, cho_factor, cho_solve, toeplitz
 
 from .signals import Waveform
 
@@ -58,18 +58,100 @@ class SegmentAnnotation:
         object.__setattr__(self, "second", (int(self.second[0]), int(self.second[1])))
 
 
-def _correlation(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """c[N - 1 + t] = sum_n x[n + t] y[n] for t in [-(N-1), N-1], zero-extended."""
-    return fftconvolve(x, y[::-1])
-
-
-def _solve(gram: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, bool]:
+def _factor(gram: np.ndarray) -> tuple[tuple[np.ndarray, bool], bool]:
+    """Cholesky factor of a Gram matrix, diagonally loaded if it is not positive definite."""
     try:
-        return np.linalg.solve(gram, rhs), False
-    except np.linalg.LinAlgError:
+        return cho_factor(gram), False
+    except LinAlgError:
         n = gram.shape[0]
-        loading = DIAGONAL_LOADING * max(1.0, float(np.trace(gram).real) / n)
-        return np.linalg.solve(gram + loading * np.eye(n), rhs), True
+        loading = DIAGONAL_LOADING * max(1.0, float(np.trace(gram)) / n)
+        return cho_factor(gram + loading * np.eye(n)), True
+
+
+class ReferenceProjector:
+    """Projections onto the delayed copies of one reference pair, factored once.
+
+    The 2L x 2L Gram of the L delayed copies of both references depends on
+    the references alone, so it is built and Cholesky-factored here, with
+    the references' spectra, and every `decompose` call needs one FFT of
+    the estimate, triangular solves and a few FFT products.  The joint
+    projection does not depend on which reference is the target; the
+    target-only Gram of reference 0 is the leading block of the joint one,
+    so its factor is the leading block of the joint factor, and reference
+    1's block is factored on its own.  A Gram that is not positive definite
+    (degenerate references) is diagonally loaded, and every decomposition
+    from it is flagged `regularized`.
+    """
+
+    def __init__(self, references: tuple[Waveform, Waveform], filter_taps: int = 512) -> None:
+        ref_a, ref_b = references
+        n = len(ref_a)
+        if len(ref_b) != n:
+            raise ValueError("references must share one length")
+        if ref_a.sample_rate != ref_b.sample_rate:
+            raise ValueError("references must share one sample rate")
+        taps = int(filter_taps)
+        if not 1 <= taps <= n:
+            raise ValueError("filter_taps must lie in [1, signal length]")
+        self.length = n
+        self.sample_rate = ref_a.sample_rate
+        self.filter_taps = taps
+        # Correlations up to lag L - 1 and convolutions with L taps, both
+        # without wrap-around, fit in n + L - 1 points.
+        self._nfft = next_fast_len(n + taps - 1, real=True)
+        self._spectra = rfft(np.stack([ref_a.samples, ref_b.samples]), self._nfft)
+
+        # Block (a, b) of the Gram: <delay_i ref_a, delay_j ref_b> = c_ab[j - i],
+        # with c_ab[t] = sum_m ref_a[m + t] ref_b[m] (negative t wraps around).
+        a, b = self._spectra
+        corr = irfft(np.stack([a * a.conj(), b * b.conj(), a * b.conj()]), self._nfft)
+        lags = np.arange(taps)
+        gram_aa = toeplitz(corr[0, :taps])
+        gram_bb = toeplitz(corr[1, :taps])
+        gram_ab = toeplitz(corr[2, -lags], corr[2, :taps])
+        joint, reg_joint = _factor(np.block([[gram_aa, gram_ab], [gram_ab.T, gram_bb]]))
+        factor_b, reg_b = _factor(gram_bb)
+        self._joint_factor = joint
+        self._target_factors = ((joint[0][:taps, :taps], joint[1]), factor_b)
+        self._regularized = (reg_joint, reg_joint or reg_b)
+
+    def decompose(self, estimate: Waveform, target: int) -> Decomposition:
+        """Split an estimate with references[target] as the target, the other as interferer.
+
+        The target component is the projection onto the target's L delayed
+        copies alone; interference is what the joint two-reference
+        projection adds on top; the artifact is the remainder.  Components
+        live on a zero-extended domain of length N + L - 1.
+        """
+        if target not in (0, 1):
+            raise ValueError(f"target must be 0 or 1, got {target!r}")
+        target = int(target)
+        if len(estimate) != self.length:
+            raise ValueError("estimate and references must share one length")
+        if estimate.sample_rate != self.sample_rate:
+            raise ValueError("estimate and references must share one sample rate")
+        taps = self.filter_taps
+        est = estimate.samples
+
+        # rhs[r, i] = <estimate, delay_i ref_r> = sum_m est[m + i] ref_r[m]
+        rhs = irfft(rfft(est, self._nfft) * self._spectra.conj(), self._nfft)[:, :taps]
+        coef_joint = cho_solve(self._joint_factor, rhs.ravel()).reshape(2, taps)
+        coef_target = cho_solve(self._target_factors[target], rhs[target])
+
+        coef_spectra = rfft(np.vstack([coef_joint, coef_target]), self._nfft)
+        padded = self.length + taps - 1
+        joint = irfft((coef_spectra[:2] * self._spectra).sum(axis=0), self._nfft)[:padded]
+        target_part = irfft(coef_spectra[2] * self._spectra[target], self._nfft)[:padded]
+        est_padded = np.pad(est, (0, taps - 1))
+
+        rate = self.sample_rate
+        return Decomposition(
+            target=Waveform(target_part, rate),
+            interference=Waveform(joint - target_part, rate),
+            artifact=Waveform(est_padded - joint, rate),
+            filter_taps=taps,
+            regularized=self._regularized[target],
+        )
 
 
 def project_decompose(
@@ -79,60 +161,12 @@ def project_decompose(
 ) -> Decomposition:
     """Least-squares split of an estimate against (target, interferer) references.
 
-    references[0] is the target.  The target component is the projection
-    onto the target's L delayed copies alone; interference is what the
-    joint two-reference projection adds on top; the artifact is the
-    remainder.  Components live on a zero-extended domain of length
-    N + L - 1.  Singular normal equations (degenerate references) fall
-    back to a diagonally loaded solve, flagged on the result.
+    references[0] is the target.  One-off form of
+    `ReferenceProjector(references, filter_taps).decompose(estimate, 0)`;
+    build the projector directly to score several estimates against one
+    reference pair.
     """
-    ref_t, ref_i = references
-    n = len(estimate)
-    if len(ref_t) != n or len(ref_i) != n:
-        raise ValueError("estimate and references must share one length")
-    if not estimate.sample_rate == ref_t.sample_rate == ref_i.sample_rate:
-        raise ValueError("estimate and references must share one sample rate")
-    taps = int(filter_taps)
-    if not 1 <= taps <= n:
-        raise ValueError("filter_taps must lie in [1, signal length]")
-
-    est = estimate.samples
-    refs = [ref_t.samples, ref_i.samples]
-    lags = np.arange(taps)
-
-    # Gram blocks: <delay_i ref_a, delay_j ref_b> = corr(ref_b, ref_a)[i - j].
-    blocks = [[None, None], [None, None]]
-    for a in (0, 1):
-        for b in (0, 1):
-            c_ba = _correlation(refs[b], refs[a])
-            col = c_ba[n - 1 + lags]
-            c_ab = _correlation(refs[a], refs[b])
-            row = c_ab[n - 1 + lags]
-            blocks[a][b] = toeplitz(col, row)
-    gram = np.block(blocks)
-
-    rhs = np.empty(2 * taps)
-    for a in (0, 1):
-        c_ea = _correlation(est, refs[a])
-        rhs[a * taps : (a + 1) * taps] = c_ea[n - 1 + lags]
-
-    coef_joint, reg_joint = _solve(gram, rhs)
-    coef_target, reg_target = _solve(blocks[0][0], rhs[:taps])
-
-    padded = n + taps - 1
-    target = fftconvolve(refs[0], coef_target)[:padded]
-    joint = (
-        fftconvolve(refs[0], coef_joint[:taps]) + fftconvolve(refs[1], coef_joint[taps:])
-    )[:padded]
-    est_padded = np.pad(est, (0, taps - 1))
-
-    return Decomposition(
-        target=Waveform(target, estimate.sample_rate),
-        interference=Waveform(joint - target, estimate.sample_rate),
-        artifact=Waveform(est_padded - joint, estimate.sample_rate),
-        filter_taps=taps,
-        regularized=reg_joint or reg_target,
-    )
+    return ReferenceProjector(references, filter_taps).decompose(estimate, 0)
 
 
 def _ratio_db(numerator: float, denominator: float) -> float:

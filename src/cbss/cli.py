@@ -11,7 +11,17 @@ import json
 import sys
 from pathlib import Path
 
-from .bsseval import SegmentAnnotation, project_decompose, sar_db, sdr_db, segment_sir, sir_db
+# project_decompose is unused here but stays importable as cli.project_decompose:
+# bench/tracer.py wraps it by that name.
+from .bsseval import (  # noqa: F401
+    ReferenceProjector,
+    SegmentAnnotation,
+    project_decompose,
+    sar_db,
+    sdr_db,
+    segment_sir,
+    sir_db,
+)
 from .config import PipelineConfig, default_config, load_config
 from .pipeline import (
     SeparationResult,
@@ -194,10 +204,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
                 raise ValueError(f"reference {path} must be mono")
             refs.append(rec.channels[0])
         taps = config.decomp_filter_taps
-        decomps = [
-            project_decompose(est, (refs[i], refs[1 - i]), taps)
-            for i, est in enumerate(estimates)
-        ]
+        projector = ReferenceProjector(tuple(refs), taps)
+        decomps = [projector.decompose(est, i) for i, est in enumerate(estimates)]
         report["mode"] = "reference"
         report["filter_taps"] = taps
         report["sir_db"] = [sir_db(d) for d in decomps]

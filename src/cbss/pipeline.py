@@ -11,7 +11,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bsseval import Decomposition, project_decompose, sar_db, sdr_db, sir_db
+# project_decompose is unused here but stays importable as
+# pipeline.project_decompose: bench/tracer.py wraps it by that name.
+from .bsseval import (  # noqa: F401
+    Decomposition,
+    ReferenceProjector,
+    project_decompose,
+    sar_db,
+    sdr_db,
+    sir_db,
+)
 from .cepsmooth import smooth_mask
 from .config import PipelineConfig
 from .jointdiag import (
@@ -151,20 +160,7 @@ class PairEvaluation:
         return 0.5 * (self.sir[0] + self.sir[1])
 
 
-def _decompose_pair(
-    estimates: tuple[Waveform, Waveform],
-    images: tuple[tuple[Waveform, Waveform], tuple[Waveform, Waveform]],
-    permutation: tuple[int, int],
-    taps: int,
-) -> tuple[Decomposition, Decomposition]:
-    return tuple(
-        project_decompose(
-            estimates[out],
-            (images[out][permutation[out]], images[out][1 - permutation[out]]),
-            taps,
-        )
-        for out in (0, 1)
-    )
+PERMUTATIONS = ((0, 1), (1, 0))
 
 
 def evaluate_outputs(
@@ -175,22 +171,34 @@ def evaluate_outputs(
 ) -> PairEvaluation:
     """Score outputs against per-mic source images.
 
-    Output j is decomposed against the images at mic j.  When no
-    permutation is pinned, both source assignments are tried and the one
-    with the higher average SIR wins; pinning exists so stage-1 and final
-    outputs of one run are scored under the same assignment.
+    Output j is decomposed against the images at mic j, with source
+    permutation[j] as its target.  When no permutation is pinned, both
+    source assignments are tried and the one with the higher average SIR
+    wins; pinning exists so stage-1 and final outputs of one run are
+    scored under the same assignment.  Each mic's image pair is factored
+    once, whichever assignments are tried.
     """
     if permutation is None:
-        candidates = [
-            (perm, _decompose_pair(estimates, images, perm, taps))
-            for perm in ((0, 1), (1, 0))
-        ]
-        scored = [
-            (0.5 * (sir_db(d[0]) + sir_db(d[1])), perm, d) for perm, d in candidates
-        ]
-        _, permutation, decomps = max(scored, key=lambda item: item[0])
+        candidates = PERMUTATIONS
     else:
-        decomps = _decompose_pair(estimates, images, permutation, taps)
+        candidates = tuple(p for p in PERMUTATIONS if p == tuple(permutation))
+        if not candidates:
+            raise ValueError(f"permutation must be (0, 1) or (1, 0), got {permutation!r}")
+
+    # by_target[mic][source]: output `mic` decomposed with `source` as its target
+    by_target = []
+    for mic in (0, 1):
+        projector = ReferenceProjector(images[mic], taps)
+        targets = sorted({perm[mic] for perm in candidates})
+        by_target.append({t: projector.decompose(estimates[mic], t) for t in targets})
+        # Free this mic's Gram factors before the next mic's are built.
+        del projector
+
+    def pair(perm: tuple[int, int]) -> tuple[Decomposition, Decomposition]:
+        return by_target[0][perm[0]], by_target[1][perm[1]]
+
+    permutation = max(candidates, key=lambda perm: sum(sir_db(d) for d in pair(perm)))
+    decomps = pair(permutation)
 
     return PairEvaluation(
         permutation=permutation,

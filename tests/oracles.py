@@ -6,6 +6,8 @@ numpy.fft.  Slow is fine; these only ever run on small instances.
 """
 
 import numpy as np
+from scipy.linalg import toeplitz
+from scipy.signal import fftconvolve
 
 
 def dft_direct(x: np.ndarray) -> np.ndarray:
@@ -225,3 +227,57 @@ def schroeder_decay_time(rir: np.ndarray, sample_rate: int, drop_db: float = 60.
     if len(below) == 0:
         raise ValueError("decay never reaches the requested drop")
     return float(below[0]) / sample_rate
+
+
+# The package's first projection scorer: every call builds the 2L x 2L Gram
+# from full-length FFT correlations and LU-solves it, the joint and the
+# target-only system separately.  Kept as the reference for
+# `bsseval.ReferenceProjector`, which factors the Gram once per reference pair.
+
+DIAGONAL_LOADING = 1e-9
+
+
+def _correlation_fft(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """c[N - 1 + t] = sum_n x[n + t] y[n] for t in [-(N-1), N-1], zero-extended."""
+    return fftconvolve(x, y[::-1])
+
+
+def _solve_lu(gram: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, bool]:
+    try:
+        return np.linalg.solve(gram, rhs), False
+    except np.linalg.LinAlgError:
+        n = gram.shape[0]
+        loading = DIAGONAL_LOADING * max(1.0, float(np.trace(gram).real) / n)
+        return np.linalg.solve(gram + loading * np.eye(n), rhs), True
+
+
+def project_decompose_lu(est: np.ndarray, ref_t: np.ndarray, ref_i: np.ndarray, taps: int):
+    """(target, interference, artifact, regularized) of `est` against
+    (target, interferer) references, components of length N + taps - 1."""
+    n = len(est)
+    refs = [np.asarray(ref_t, dtype=np.float64), np.asarray(ref_i, dtype=np.float64)]
+    lags = np.arange(taps)
+
+    # Gram blocks: <delay_i ref_a, delay_j ref_b> = corr(ref_b, ref_a)[i - j].
+    blocks = [[None, None], [None, None]]
+    for a in (0, 1):
+        for b in (0, 1):
+            col = _correlation_fft(refs[b], refs[a])[n - 1 + lags]
+            row = _correlation_fft(refs[a], refs[b])[n - 1 + lags]
+            blocks[a][b] = toeplitz(col, row)
+    gram = np.block(blocks)
+
+    rhs = np.empty(2 * taps)
+    for a in (0, 1):
+        rhs[a * taps : (a + 1) * taps] = _correlation_fft(est, refs[a])[n - 1 + lags]
+
+    coef_joint, reg_joint = _solve_lu(gram, rhs)
+    coef_target, reg_target = _solve_lu(blocks[0][0], rhs[:taps])
+
+    padded = n + taps - 1
+    target = fftconvolve(refs[0], coef_target)[:padded]
+    joint = (
+        fftconvolve(refs[0], coef_joint[:taps]) + fftconvolve(refs[1], coef_joint[taps:])
+    )[:padded]
+    est_padded = np.pad(est, (0, taps - 1))
+    return target, joint - target, est_padded - joint, reg_joint or reg_target
