@@ -75,7 +75,8 @@ class ReferenceProjector:
     the references alone, so it is built and Cholesky-factored here, with
     the references' spectra, and every `decompose` call needs one FFT of
     the estimate, triangular solves and a few FFT products.  The joint
-    projection does not depend on which reference is the target; the
+    projection does not depend on which reference is the target, so
+    `decompose_all` computes it once for both targets; the
     target-only Gram of reference 0 is the leading block of the joint one,
     so its factor is the leading block of the joint factor, and reference
     1's block is factored on its own.  A Gram that is not positive definite
@@ -126,6 +127,19 @@ class ReferenceProjector:
         if target not in (0, 1):
             raise ValueError(f"target must be 0 or 1, got {target!r}")
         target = int(target)
+        (decomposition,) = self._decompose(estimate, slice(target, target + 1))
+        return decomposition
+
+    def decompose_all(self, estimate: Waveform) -> tuple[Decomposition, Decomposition]:
+        """`decompose(estimate, t)` for t = 0 and 1, indexed by target.
+
+        The joint projection and the artifact do not depend on the target,
+        so they are computed once and shared by both decompositions.
+        """
+        return self._decompose(estimate, slice(0, 2))
+
+    def _decompose(self, estimate: Waveform, targets: slice) -> tuple[Decomposition, ...]:
+        """Decompositions for the targets `targets` selects from (0, 1), in order."""
         if len(estimate) != self.length:
             raise ValueError("estimate and references must share one length")
         if estimate.sample_rate != self.sample_rate:
@@ -136,21 +150,26 @@ class ReferenceProjector:
         # rhs[r, i] = <estimate, delay_i ref_r> = sum_m est[m + i] ref_r[m]
         rhs = irfft(rfft(est, self._nfft) * self._spectra.conj(), self._nfft)[:, :taps]
         coef_joint = cho_solve(self._joint_factor, rhs.ravel()).reshape(2, taps)
-        coef_target = cho_solve(self._target_factors[target], rhs[target])
+        indices = range(2)[targets]
+        coef_targets = [cho_solve(self._target_factors[t], rhs[t]) for t in indices]
 
-        coef_spectra = rfft(np.vstack([coef_joint, coef_target]), self._nfft)
+        coef_spectra = rfft(np.vstack([coef_joint, *coef_targets]), self._nfft)
         padded = self.length + taps - 1
         joint = irfft((coef_spectra[:2] * self._spectra).sum(axis=0), self._nfft)[:padded]
-        target_part = irfft(coef_spectra[2] * self._spectra[target], self._nfft)[:padded]
-        est_padded = np.pad(est, (0, taps - 1))
-
+        # A slice keeps the spectra a view; numpy's product with a realigned
+        # copy can round differently in the last bit.
+        target_parts = irfft(coef_spectra[2:] * self._spectra[targets], self._nfft)[:, :padded]
         rate = self.sample_rate
-        return Decomposition(
-            target=Waveform(target_part, rate),
-            interference=Waveform(joint - target_part, rate),
-            artifact=Waveform(est_padded - joint, rate),
-            filter_taps=taps,
-            regularized=self._regularized[target],
+        artifact = Waveform(np.pad(est, (0, taps - 1)) - joint, rate)
+        return tuple(
+            Decomposition(
+                target=Waveform(part, rate),
+                interference=Waveform(joint - part, rate),
+                artifact=artifact,
+                filter_taps=taps,
+                regularized=self._regularized[t],
+            )
+            for t, part in zip(indices, target_parts)
         )
 
 

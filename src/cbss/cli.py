@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -23,10 +24,14 @@ from .bsseval import (  # noqa: F401
     sir_db,
 )
 from .config import PipelineConfig, default_config, load_config
-from .pipeline import (
+# evaluate_outputs is unused here but stays importable as cli.evaluate_outputs:
+# bench/tracer.py wraps it by that name.
+from .pipeline import (  # noqa: F401
     SeparationResult,
     SimulatedScene,
+    decompose_pairs,
     evaluate_outputs,
+    resolve_permutation,
     separate_recording,
     simulate_scene,
 )
@@ -172,12 +177,31 @@ def _parse_segments(raw: str) -> SegmentAnnotation:
         ) from exc
 
 
+def _rt_dir_name(rt60: float) -> str:
+    return f"rt{int(round(rt60)):03d}"
+
+
 def _parse_rt60_list(raw: str) -> list[float]:
     parts = [part.strip() for part in raw.split(",")]
     try:
-        return [float(part) for part in parts]
+        values = [float(part) for part in parts]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad rt60 list {raw!r}") from exc
+    # Each row writes into its own rtNNN directory, so two values that round
+    # alike would overwrite one another's files.
+    seen: dict[str, float] = {}
+    for value in values:
+        if not math.isfinite(value) or value < 0:
+            raise argparse.ArgumentTypeError(
+                f"bad rt60 {value!r} in {raw!r}; each must be a finite, non-negative ms value"
+            )
+        name = _rt_dir_name(value)
+        if name in seen:
+            raise argparse.ArgumentTypeError(
+                f"rt60 values {seen[name]:g} and {value:g} in {raw!r} would both write {name}/"
+            )
+        seen[name] = value
+    return values
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
@@ -231,6 +255,56 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _sir_block(pair: tuple[float, float]) -> dict:
+    return {
+        "signal_1": pair[0],
+        "signal_2": pair[1],
+        "average": 0.5 * (pair[0] + pair[1]),
+    }
+
+
+def _sweep_row(config: PipelineConfig, rt60: float, rt_dir: Path, seed: int | None) -> dict:
+    """Simulate, separate, score and write one RT60's scene; returns its report row.
+
+    Its own function so that the row's scene, outputs and decompositions are
+    released before the next row is simulated.
+    """
+    scene = simulate_scene(config, rt60_ms=rt60, seed=seed)
+    _write_scene(scene, config, rt_dir)
+    result = separate_recording(scene.mixture, config)
+    outputs = _write_outputs(result, rt_dir)
+
+    stage1_table, final_table, input_table = decompose_pairs(
+        (result.stage1, result.final, tuple(scene.mixture.channels)),
+        scene.images,
+        config.decomp_filter_taps,
+    )
+    stage1_eval = resolve_permutation(stage1_table)
+    final_eval = resolve_permutation(final_table, stage1_eval.permutation)
+    input_eval = resolve_permutation(input_table, (0, 1))
+
+    row = {
+        "rt60_ms": rt60,
+        "permutation": list(stage1_eval.permutation),
+        "input_sir_db": _sir_block(input_eval.sir),
+        "stage1_sir_db": _sir_block(stage1_eval.sir),
+        "final_sir_db": _sir_block(final_eval.sir),
+        "final_sdr_db": _sir_block(final_eval.sdr),
+        "final_sar_db": _sir_block(final_eval.sar),
+        "outputs": outputs,
+    }
+    row.update(_separation_block(result))
+
+    report = _base_report("separation", config)
+    report.update(_separation_block(result))
+    report["outputs"] = outputs
+    report["rt60_ms"] = rt60
+    report["stage1_sir_db"] = row["stage1_sir_db"]
+    report["final_sir_db"] = row["final_sir_db"]
+    _write_report(report, rt_dir / "report.json")
+    return row
+
+
 def run_sweep(
     config: PipelineConfig,
     rt60_values: list[float],
@@ -239,52 +313,7 @@ def run_sweep(
 ) -> dict:
     """Simulate, separate, and evaluate one synthetic scene per RT60 value."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    rows = []
-    for rt60 in rt60_values:
-        rt_dir = out_dir / f"rt{int(round(rt60)):03d}"
-        scene = simulate_scene(config, rt60_ms=rt60, seed=seed)
-        _write_scene(scene, config, rt_dir)
-        result = separate_recording(scene.mixture, config)
-        outputs = _write_outputs(result, rt_dir)
-
-        taps = config.decomp_filter_taps
-        mixture_pair = tuple(scene.mixture.channels)
-        stage1_eval = evaluate_outputs(result.stage1, scene.images, taps)
-        final_eval = evaluate_outputs(
-            result.final, scene.images, taps, permutation=stage1_eval.permutation
-        )
-        input_eval = evaluate_outputs(
-            mixture_pair, scene.images, taps, permutation=(0, 1)
-        )
-
-        def _sir_block(pair: tuple[float, float]) -> dict:
-            return {
-                "signal_1": pair[0],
-                "signal_2": pair[1],
-                "average": 0.5 * (pair[0] + pair[1]),
-            }
-
-        row = {
-            "rt60_ms": rt60,
-            "permutation": list(stage1_eval.permutation),
-            "input_sir_db": _sir_block(input_eval.sir),
-            "stage1_sir_db": _sir_block(stage1_eval.sir),
-            "final_sir_db": _sir_block(final_eval.sir),
-            "final_sdr_db": _sir_block(final_eval.sdr),
-            "final_sar_db": _sir_block(final_eval.sar),
-            "outputs": outputs,
-        }
-        row.update(_separation_block(result))
-        rows.append(row)
-
-        report = _base_report("separation", config)
-        report.update(_separation_block(result))
-        report["outputs"] = outputs
-        report["rt60_ms"] = rt60
-        report["stage1_sir_db"] = row["stage1_sir_db"]
-        report["final_sir_db"] = row["final_sir_db"]
-        _write_report(report, rt_dir / "report.json")
-
+    rows = [_sweep_row(config, rt60, out_dir / _rt_dir_name(rt60), seed) for rt60 in rt60_values]
     sweep_report = _base_report("sweep", config)
     sweep_report["sir_convention"] = SIR_CONVENTION
     sweep_report["rows"] = rows

@@ -9,6 +9,7 @@ spectrograms, and resynthesized.  Raw mixtures never feed the masks.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 # project_decompose is unused here but stays importable as
@@ -162,6 +163,65 @@ class PairEvaluation:
 
 PERMUTATIONS = ((0, 1), (1, 0))
 
+# table[mic][source]: output `mic` of an estimate pair decomposed against the
+# images at that mic, with `source` as its target.
+DecompositionTable = tuple[tuple[Decomposition, Decomposition], tuple[Decomposition, Decomposition]]
+
+
+def _candidates(permutation: tuple[int, int] | None) -> tuple[tuple[int, int], ...]:
+    if permutation is None:
+        return PERMUTATIONS
+    candidates = tuple(p for p in PERMUTATIONS if p == tuple(permutation))
+    if not candidates:
+        raise ValueError(f"permutation must be (0, 1) or (1, 0), got {permutation!r}")
+    return candidates
+
+
+def decompose_pairs(
+    estimate_pairs: Sequence[tuple[Waveform, Waveform]],
+    images: tuple[tuple[Waveform, Waveform], tuple[Waveform, Waveform]],
+    taps: int,
+) -> list[DecompositionTable]:
+    """Decompose several output pairs against one scene's per-mic source images.
+
+    Output j of every pair is decomposed against the images at mic j, once
+    for both sources as the target.  Each mic's image pair is factored once
+    for all pairs, and its projector is released before the next mic's is
+    built.  Returns one table per pair, indexed [mic][source].
+    """
+    by_mic = []
+    for mic in (0, 1):
+        projector = ReferenceProjector(images[mic], taps)
+        by_mic.append([projector.decompose_all(pair[mic]) for pair in estimate_pairs])
+        # Free this mic's Gram factors before the next mic's are built.
+        del projector
+    return list(zip(*by_mic))
+
+
+def resolve_permutation(
+    table: DecompositionTable, permutation: tuple[int, int] | None = None
+) -> PairEvaluation:
+    """Score a decomposed pair under the pinned source assignment, or the best one.
+
+    Output j takes source permutation[j] as its target.  When no
+    permutation is pinned, the assignment with the higher average SIR wins.
+    """
+    candidates = _candidates(permutation)
+
+    def pair(perm: tuple[int, int]) -> tuple[Decomposition, Decomposition]:
+        return table[0][perm[0]], table[1][perm[1]]
+
+    permutation = max(candidates, key=lambda perm: sum(sir_db(d) for d in pair(perm)))
+    decomps = pair(permutation)
+
+    return PairEvaluation(
+        permutation=permutation,
+        decompositions=decomps,
+        sir=tuple(sir_db(d) for d in decomps),
+        sdr=tuple(sdr_db(d) for d in decomps),
+        sar=tuple(sar_db(d) for d in decomps),
+    )
+
 
 def evaluate_outputs(
     estimates: tuple[Waveform, Waveform],
@@ -175,35 +235,9 @@ def evaluate_outputs(
     permutation[j] as its target.  When no permutation is pinned, both
     source assignments are tried and the one with the higher average SIR
     wins; pinning exists so stage-1 and final outputs of one run are
-    scored under the same assignment.  Each mic's image pair is factored
-    once, whichever assignments are tried.
+    scored under the same assignment.  To score several pairs of one
+    scene, call `decompose_pairs` once and `resolve_permutation` per pair.
     """
-    if permutation is None:
-        candidates = PERMUTATIONS
-    else:
-        candidates = tuple(p for p in PERMUTATIONS if p == tuple(permutation))
-        if not candidates:
-            raise ValueError(f"permutation must be (0, 1) or (1, 0), got {permutation!r}")
-
-    # by_target[mic][source]: output `mic` decomposed with `source` as its target
-    by_target = []
-    for mic in (0, 1):
-        projector = ReferenceProjector(images[mic], taps)
-        targets = sorted({perm[mic] for perm in candidates})
-        by_target.append({t: projector.decompose(estimates[mic], t) for t in targets})
-        # Free this mic's Gram factors before the next mic's are built.
-        del projector
-
-    def pair(perm: tuple[int, int]) -> tuple[Decomposition, Decomposition]:
-        return by_target[0][perm[0]], by_target[1][perm[1]]
-
-    permutation = max(candidates, key=lambda perm: sum(sir_db(d) for d in pair(perm)))
-    decomps = pair(permutation)
-
-    return PairEvaluation(
-        permutation=permutation,
-        decompositions=decomps,
-        sir=tuple(sir_db(d) for d in decomps),
-        sdr=tuple(sdr_db(d) for d in decomps),
-        sar=tuple(sar_db(d) for d in decomps),
-    )
+    _candidates(permutation)  # reject a bad permutation before any work
+    (table,) = decompose_pairs([estimates], images, taps)
+    return resolve_permutation(table, permutation)

@@ -153,6 +153,10 @@ def _metrics(d):
     return np.array([sir_db(d), sdr_db(d), sar_db(d)])
 
 
+def _components(d):
+    return d.target.samples, d.interference.samples, d.artifact.samples
+
+
 def _delay_matrix(x, taps):
     """Columns are x delayed by 0..taps-1 samples, zero-extended to N + taps - 1."""
     return toeplitz(np.concatenate([x, np.zeros(taps - 1)]), np.r_[x[0], np.zeros(taps - 1)])
@@ -164,17 +168,18 @@ def _delay_matrix(x, taps):
     n=st.integers(2, 300),
     taps_fraction=st.floats(0.0, 1.0),
     log_scales=st.tuples(*[st.floats(-3.0, 3.0)] * 3),
-    target=st.sampled_from([0, 1]),
 )
-def test_projector_matches_lu_oracle_property(seed, n, taps_fraction, log_scales, target):
+def test_projector_matches_lu_oracle_property(seed, n, taps_fraction, log_scales):
     taps = 1 + int(taps_fraction * (n - 2))
     rng = np.random.default_rng(seed)
     est_scale, *ref_scales = 10.0 ** np.array(log_scales)
     refs = [s * rng.standard_normal(n) for s in ref_scales]
-    est = est_scale * rng.standard_normal(n)
-    d = ReferenceProjector((_wave(refs[0]), _wave(refs[1])), taps).decompose(_wave(est), target)
-    *parts, oracle_regularized = project_decompose_lu(est, refs[target], refs[1 - target], taps)
-    assume(not d.regularized and not oracle_regularized)
+    est = _wave(est_scale * rng.standard_normal(n))
+    projector = ReferenceProjector((_wave(refs[0]), _wave(refs[1])), taps)
+    single = [projector.decompose(est, target) for target in (0, 1)]
+    both = projector.decompose_all(est)
+    oracles = [project_decompose_lu(est.samples, refs[t], refs[1 - t], taps) for t in (0, 1)]
+    assume(not any(d.regularized for d in both) and not any(o[-1] for o in oracles))
     # Both solvers err by about cond(Gram) * 1e-16 of the peak, so the 1e-9
     # comparison is meaningful only for Grams conditioned better than ~1e6
     # (taps = N - 1 is a square system, often worse).  The projections do
@@ -183,11 +188,17 @@ def test_projector_matches_lu_oracle_property(seed, n, taps_fraction, log_scales
     delays = np.hstack([_delay_matrix(r / np.linalg.norm(r), taps) for r in refs])
     assume(np.linalg.cond(delays) ** 2 <= 1e6)
 
-    peak = np.max(np.abs(est))
-    for got, want in zip((d.target, d.interference, d.artifact), parts):
-        assert np.max(np.abs(got.samples - want)) <= 1e-9 * peak
-    oracle = Decomposition(*(_wave(p) for p in parts), taps)
-    assert np.max(np.abs(_metrics(d) - _metrics(oracle))) <= 1e-9
+    peak = np.max(np.abs(est.samples))
+    for target, (*parts, _) in enumerate(oracles):
+        oracle = Decomposition(*(_wave(p) for p in parts), taps)
+        for d in (single[target], both[target]):
+            assert not d.regularized
+            for got, want in zip(_components(d), parts):
+                assert np.max(np.abs(got - want)) <= 1e-9 * peak
+            assert np.max(np.abs(_metrics(d) - _metrics(oracle))) <= 1e-9
+        # decompose_all shares one joint projection between the targets
+        for got, want in zip(_components(both[target]), _components(single[target])):
+            assert np.max(np.abs(got - want)) <= 1e-12 * peak
 
 
 @settings(max_examples=30, deadline=None)

@@ -223,6 +223,25 @@ def test_sweep_empty_rt60_is_usage_error(tmp_path, fast_cfg):
         assert info.value.code == 2
 
 
+@pytest.mark.parametrize(
+    ("bad", "message"),
+    [
+        ("nan", "finite"),
+        ("150,inf", "finite"),
+        ("150,-20", "non-negative"),
+        ("100,100.2", "would both write rt100/"),
+    ],
+    ids=["nan", "inf", "negative", "same-directory"],
+)
+def test_sweep_rejects_bad_rt60_values(tmp_path, fast_cfg, capsys, bad, message):
+    out = tmp_path / "s"
+    with pytest.raises(SystemExit) as info:
+        _run(["sweep", "--rt60", bad, "--config", fast_cfg, "--out", str(out)])
+    assert info.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_writes_report_and_outputs(tmp_path, fast_cfg):
     out = tmp_path / "sweep"
     code = _run(["sweep", "--rt60", "150", "--config", fast_cfg, "--out", str(out)])

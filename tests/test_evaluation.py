@@ -1,4 +1,4 @@
-"""Both reference-based scoring entry points: one Gram factorization per
+"""The reference-based scoring entry points: one Gram factorization per
 reference pair, results equal to the per-call LU oracle."""
 
 import json
@@ -10,6 +10,7 @@ from oracles import project_decompose_lu
 
 from cbss import cli, pipeline
 from cbss.bsseval import Decomposition, ReferenceProjector, sar_db, sdr_db, sir_db
+from cbss.config import load_config
 from cbss.signals import MultichannelRecording, Waveform, read_wav, write_wav
 
 RATE = 8000
@@ -111,3 +112,61 @@ def test_cli_evaluate_factors_the_reference_pair_once(built_projectors, tmp_path
         got = np.array([report["sir_db"][i], report["sdr_db"][i], report["sar_db"][i]])
         assert np.max(np.abs(got - want)) <= 1e-9
     assert report["regularized"] == [False, False]
+
+
+# the configuration of tests/test_acceptance.py::test_sweep_command_is_bit_identical_across_runs
+SWEEP_FAST_CONFIG = """
+dft_length = 512
+overlap_factor = 0.75
+filter_support = 128
+block_count = 4
+max_iters = 40
+room_height = 3.0
+room_width = 3.0
+room_depth = 3.0
+synth_duration_s = 2.0
+synth_sample_rate = 8000
+seed = 7
+"""
+
+
+def test_sweep_factors_each_mic_once_per_row(built_projectors, tmp_path, monkeypatch):
+    """A sweep row scores its input, stage-1 and final pairs with one projector
+    per mic, and reports what separate `evaluate_outputs` calls would."""
+    scenes, results = [], []
+
+    def recording(fn, into):
+        def wrapper(*args, **kwargs):
+            into.append(fn(*args, **kwargs))
+            return into[-1]
+
+        return wrapper
+
+    monkeypatch.setattr(cli, "simulate_scene", recording(cli.simulate_scene, scenes))
+    monkeypatch.setattr(cli, "separate_recording", recording(cli.separate_recording, results))
+    config = tmp_path / "fast.cfg"
+    config.write_text(SWEEP_FAST_CONFIG)
+    out = tmp_path / "sweep"
+    assert cli.main(["sweep", "--rt60", "150,250", "--config", str(config), "--out", str(out)]) == 0
+    rows = json.loads((out / "sweep_report.json").read_text())["rows"]
+
+    assert len(rows) == len(scenes) == len(results) == 2
+    # one projector per mic and row, for the input, stage-1 and final pairs together
+    assert built_projectors == [images for scene in scenes for images in scene.images]
+
+    taps = load_config(str(config)).decomp_filter_taps
+    for row, scene, result in zip(rows, scenes, results):
+        stage1 = pipeline.evaluate_outputs(result.stage1, scene.images, taps)
+        final = pipeline.evaluate_outputs(result.final, scene.images, taps, stage1.permutation)
+        mixture = tuple(scene.mixture.channels)
+        given = pipeline.evaluate_outputs(mixture, scene.images, taps, permutation=(0, 1))
+        assert row["permutation"] == list(stage1.permutation)
+        for key, values in (
+            ("input_sir_db", given.sir),
+            ("stage1_sir_db", stage1.sir),
+            ("final_sir_db", final.sir),
+            ("final_sdr_db", final.sdr),
+            ("final_sar_db", final.sar),
+        ):
+            got = [row[key]["signal_1"], row[key]["signal_2"]]
+            assert np.max(np.abs(np.subtract(got, values))) <= 1e-9, key
