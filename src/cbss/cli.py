@@ -37,7 +37,7 @@ from .pipeline import (  # noqa: F401
 )
 from .signals import MultichannelRecording, Waveform, read_wav, write_wav
 
-REPORT_FORMAT_VERSION = 2
+REPORT_FORMAT_VERSION = 3
 FINAL_OUTPUTS_FROM = "stage1_masked"
 SIR_CONVENTION = "10*log10 of an energy ratio"
 

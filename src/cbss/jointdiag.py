@@ -12,7 +12,8 @@ covariance simultaneously diagonal:
 Two constraints tie the per-bin problems together and kill the scaling /
 permutation ambiguities: W has unit diagonal in every bin, and every entry
 of W, read across bins as the DFT of a real filter, must be supported on
-taps [0, Q].  Minimization is projected gradient descent with step halving.
+taps [0, Q].  That leaves the 2(Q+1) real taps of the two cross filters
+free, and the solver's gradient descent with step halving runs on them.
 """
 
 from __future__ import annotations
@@ -27,6 +28,9 @@ HERMITIAN_TOL = 1e-12
 PSD_EIG_TOL = 1e-9
 SUPPORT_TOL = 1e-10
 TERMINATIONS = ("tolerance", "max_iters", "line_search_stalled", "zero_cost")
+# Base step of the descent; each bin's covariances are normalized by their
+# mean trace, so one value fits every scene.
+STEP_SIZE = 0.5
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,7 +114,6 @@ class SolverParams:
     filter_support: int = 512
     block_count: int = 8
     max_iters: int = 200
-    step_size: float = 0.5
     tolerance: float = 1e-6
 
     def __post_init__(self) -> None:
@@ -120,15 +123,13 @@ class SolverParams:
             raise ValueError("block_count must be at least 2")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
-        if self.step_size <= 0:
-            raise ValueError("step_size must be positive")
         if self.tolerance < 0:
             raise ValueError("tolerance must be non-negative")
 
 
 @dataclass(eq=False)
 class SolverState:
-    """Final solver snapshot: unmixing, targets, residuals, cost history.
+    """How the descent went: cost history, iteration count, stopping reason.
 
     `termination` says why the descent stopped: the relative cost drop fell
     below the tolerance, the iteration cap was reached, sixty line-search
@@ -136,9 +137,6 @@ class SolverState:
     exactly zero.
     """
 
-    unmixing: UnmixingSystem
-    diagonal_targets: np.ndarray
-    residuals: np.ndarray
     cost_trace: list[float]
     iterations: int
     termination: str
@@ -202,8 +200,25 @@ def _products(w: np.ndarray, r: np.ndarray):
     return (p00, p01, p10, p11), d0, d1, e
 
 
-def _stack2x2(a00, a01, a10, a11) -> np.ndarray:
-    return np.stack([np.stack([a00, a01], axis=-1), np.stack([a10, a11], axis=-1)], axis=-2)
+def _floored_diagonal(products) -> np.ndarray:
+    _, d0, d1, _ = products
+    return np.maximum(np.stack([d0, d1], axis=-1), 0.0)
+
+
+def _cost_of(products, lam: np.ndarray) -> float:
+    _, d0, d1, e = products
+    off = e.real**2 + e.imag**2
+    return float(np.sum((d0 - lam[..., 0]) ** 2 + (d1 - lam[..., 1]) ** 2 + 2.0 * off))
+
+
+def _gradient_of(products, lam: np.ndarray) -> np.ndarray:
+    (p00, p01, p10, p11), d0, d1, e01 = products
+    e00 = d0 - lam[..., 0]
+    e11 = d1 - lam[..., 1]
+    e10 = np.conj(e01)
+    top = [np.sum(e00 * p00 + e01 * p10, axis=-1), np.sum(e00 * p01 + e01 * p11, axis=-1)]
+    bottom = [np.sum(e10 * p00 + e11 * p10, axis=-1), np.sum(e10 * p01 + e11 * p11, axis=-1)]
+    return 2.0 * np.stack([np.stack(top, axis=-1), np.stack(bottom, axis=-1)], axis=-2)
 
 
 def diag_target(w: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -212,21 +227,12 @@ def diag_target(w: np.ndarray, r: np.ndarray) -> np.ndarray:
     `w` broadcasts as (..., 2, 2) against covariance blocks (..., k, 2, 2);
     the result drops the matrix axes to (..., k, 2).
     """
-    _, d0, d1, _ = _products(w, r)
-    return np.maximum(np.stack([d0, d1], axis=-1), 0.0)
-
-
-def _residual(w: np.ndarray, r: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """E = W R W^H - Lambda, shape (..., k, 2, 2)."""
-    _, d0, d1, e = _products(w, r)
-    return _stack2x2(d0 - lam[..., 0], e, np.conj(e), d1 - lam[..., 1])
+    return _floored_diagonal(_products(w, r))
 
 
 def cost(w: np.ndarray, r: np.ndarray, lam: np.ndarray) -> float:
     """Squared Frobenius norm of W R W^H - Lambda, summed over bins and blocks."""
-    _, d0, d1, e = _products(w, r)
-    off = e.real**2 + e.imag**2
-    return float(np.sum((d0 - lam[..., 0]) ** 2 + (d1 - lam[..., 1]) ** 2 + 2.0 * off))
+    return _cost_of(_products(w, r), lam)
 
 
 def cost_gradient(w: np.ndarray, r: np.ndarray, lam: np.ndarray) -> np.ndarray:
@@ -236,30 +242,34 @@ def cost_gradient(w: np.ndarray, r: np.ndarray, lam: np.ndarray) -> np.ndarray:
     which is what a central-finite-difference probe of `cost` measures.
     All four entries are returned, the diagonal included.
     """
-    (p00, p01, p10, p11), d0, d1, e01 = _products(w, r)
-    e00 = d0 - lam[..., 0]
-    e11 = d1 - lam[..., 1]
-    e10 = np.conj(e01)
-    return 2.0 * _stack2x2(
-        np.sum(e00 * p00 + e01 * p10, axis=-1),
-        np.sum(e00 * p01 + e01 * p11, axis=-1),
-        np.sum(e10 * p00 + e11 * p10, axis=-1),
-        np.sum(e10 * p01 + e11 * p11, axis=-1),
-    )
+    return _gradient_of(_products(w, r), lam)
 
 
-def _project_support(w: np.ndarray, filter_support: int, dft_length: int) -> np.ndarray:
-    """Project per-bin matrices onto real filters with taps in [0, Q], unit diagonal.
+def _unmixing_from_taps(taps: np.ndarray, dft_length: int) -> np.ndarray:
+    """Per-bin W with unit diagonal and cross filters rfft(taps), taps (2, Q+1)."""
+    off = np.fft.rfft(taps, n=dft_length, axis=-1)
+    w = np.ones((off.shape[-1], 2, 2), dtype=np.complex128)
+    w[:, 0, 1] = off[0]
+    w[:, 1, 0] = off[1]
+    return w
 
-    Only the off-diagonal entries are filtered; the diagonal is set to 1.
+
+def _cross_taps(m: np.ndarray, dft_length: int, n_taps: int) -> np.ndarray:
+    """First taps of the real filters whose rffts are m's (0, 1) and (1, 0) entries."""
+    taps = np.fft.irfft(np.stack([m[:, 0, 1], m[:, 1, 0]]), n=dft_length, axis=-1)
+    return taps[:, :n_taps]
+
+
+def _cost_and_step(taps: np.ndarray, r: np.ndarray, dft_length: int) -> tuple[float, np.ndarray]:
+    """Cost at the optimal Lambda, and the gradient's cross entries as taps.
+
+    Moving W by -eta G and projecting back onto the constraint set is the
+    same as moving the taps by -eta times the returned step.
     """
-    taps = np.fft.irfft(np.stack([w[:, 0, 1], w[:, 1, 0]], axis=-1), n=dft_length, axis=0)
-    taps[filter_support + 1 :] = 0.0
-    off = np.fft.rfft(taps, axis=0)
-    out = np.ones_like(w)
-    out[:, 0, 1] = off[:, 0]
-    out[:, 1, 0] = off[:, 1]
-    return out
+    products = _products(_unmixing_from_taps(taps, dft_length), r)
+    lam = _floored_diagonal(products)
+    step = _cross_taps(_gradient_of(products, lam), dft_length, taps.shape[-1])
+    return _cost_of(products, lam), step
 
 
 def constrain_filter_support(system: UnmixingSystem) -> UnmixingSystem:
@@ -269,23 +279,21 @@ def constrain_filter_support(system: UnmixingSystem) -> UnmixingSystem:
     is removed entirely, while a bin-constant entry (a tap-0 filter)
     passes through unchanged.
     """
-    w = _project_support(
-        np.array(system.matrices), system.filter_support, system.dft_length
-    )
-    return UnmixingSystem(w, system.filter_support, system.dft_length)
+    q, k = system.filter_support, system.dft_length
+    return UnmixingSystem(_unmixing_from_taps(_cross_taps(system.matrices, k, q + 1), k), q, k)
 
 
 def solve_unmixing(
     covariances: CovarianceSet, params: SolverParams
 ) -> tuple[UnmixingSystem, SolverState]:
-    """Minimize the joint-diagonalization cost by projected gradient descent.
+    """Minimize the joint-diagonalization cost by gradient descent over the taps.
 
-    Starts from identity, alternates the diagonal-target update with a
-    gradient step, and projects back onto the constraint set after every
-    step.  A step that increases the cost is retried with half the step
-    size; after five accepted steps the step size resets to its base
-    value.  Each bin's covariances are pre-scaled by their mean trace, so
-    `params.step_size` acts on a normalized problem.
+    Starts from identity (all cross taps zero) and takes gradient steps,
+    with Lambda at its optimum for every candidate.  A step that increases
+    the cost is retried with half the step size; after five accepted steps
+    the step size resets to STEP_SIZE.  Each bin's covariances are
+    pre-scaled by their mean trace, so STEP_SIZE acts on a normalized
+    problem.
     """
     r_raw = covariances.matrices
     n_bins = covariances.n_bins
@@ -300,37 +308,28 @@ def solve_unmixing(
     scale = np.where(trace_mean > 0.0, trace_mean, 1.0)
     r = r_raw / scale[:, None, None, None]
 
-    w = np.zeros((n_bins, 2, 2), dtype=np.complex128)
-    w[:, 0, 0] = 1.0
-    w[:, 1, 1] = 1.0
-
-    current_cost = cost(w, r, diag_target(w, r))
+    taps = np.zeros((2, q + 1))
+    current_cost, step = _cost_and_step(taps, r, dft_length)
     if not np.isfinite(current_cost):
         raise RuntimeError("initial cost is non-finite; covariances are unusable")
     trace = [current_cost]
 
-    eta = params.step_size
+    eta = STEP_SIZE
     accepted_since_reset = 0
-    iterations = 0
     termination = "max_iters"
     for _ in range(params.max_iters):
-        lam = diag_target(w, r)
-        grad = cost_gradient(w, r, lam)
-
-        accepted = False
         eta_try = eta
         for _ in range(60):
-            w_new = _project_support(w - eta_try * grad, q, dft_length)
-            new_cost = cost(w_new, r, diag_target(w_new, r))
+            candidate = taps - eta_try * step
+            new_cost, new_step = _cost_and_step(candidate, r, dft_length)
             if not np.isfinite(new_cost):
                 raise RuntimeError(
                     f"cost became non-finite during descent (step size {eta_try})"
                 )
             if new_cost <= current_cost:
-                accepted = True
                 break
             eta_try *= 0.5
-        if not accepted:
+        else:
             termination = "line_search_stalled"
             break
 
@@ -339,16 +338,15 @@ def solve_unmixing(
             accepted_since_reset = 0
         else:
             accepted_since_reset += 1
-            if eta < params.step_size and accepted_since_reset >= 5:
-                eta = params.step_size
+            if eta < STEP_SIZE and accepted_since_reset >= 5:
+                eta = STEP_SIZE
                 accepted_since_reset = 0
 
         drop = current_cost - new_cost
         relative = drop / current_cost if current_cost > 0 else 0.0
-        w = w_new
+        taps, step = candidate, new_step
         current_cost = new_cost
         trace.append(current_cost)
-        iterations += 1
         if current_cost == 0.0:
             termination = "zero_cost"
             break
@@ -356,16 +354,8 @@ def solve_unmixing(
             termination = "tolerance"
             break
 
-    system = UnmixingSystem(w, q, dft_length)
-    lam = diag_target(w, r)
-    state = SolverState(
-        unmixing=system,
-        diagonal_targets=lam,
-        residuals=_residual(w, r, lam),
-        cost_trace=trace,
-        iterations=iterations,
-        termination=termination,
-    )
+    system = UnmixingSystem(_unmixing_from_taps(taps, dft_length), q, dft_length)
+    state = SolverState(cost_trace=trace, iterations=len(trace) - 1, termination=termination)
     return system, state
 
 

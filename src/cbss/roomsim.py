@@ -18,6 +18,8 @@ from scipy.signal import fftconvolve
 from .signals import MultichannelRecording, Waveform
 
 SABINE_COEFF = 0.161
+# Longest RIR a RoomSpec may ask for: the default length grows with RT60.
+MAX_RIR_SECONDS = 20
 
 
 @dataclass(frozen=True)
@@ -25,7 +27,7 @@ class RoomSpec:
     """Box room geometry, 2 sources, 2 mics, and a target RT60.
 
     `max_rir_length` of None derives a length covering the direct path
-    plus 1.5x the nominal decay.
+    plus 1.5x the nominal decay; neither may exceed MAX_RIR_SECONDS.
     """
 
     dimensions: tuple[float, float, float]
@@ -46,8 +48,8 @@ class RoomSpec:
             for p in positions:
                 if len(p) != 3 or any(not 0 < c < d for c, d in zip(p, dims)):
                     raise ValueError(f"{label} position {p} is not strictly inside the room")
-        if self.rt60_ms < 0:
-            raise ValueError("rt60_ms must be non-negative")
+        if not (np.isfinite(self.rt60_ms) and self.rt60_ms >= 0):
+            raise ValueError("rt60_ms must be finite and non-negative")
         if self.sample_rate <= 0:
             raise ValueError("sample_rate must be positive")
         if self.speed_of_sound <= 0:
@@ -61,6 +63,12 @@ class RoomSpec:
         object.__setattr__(
             self, "mic_positions", tuple(tuple(float(c) for c in p) for p in self.mic_positions)
         )
+        cap = MAX_RIR_SECONDS * self.sample_rate
+        if self.rir_length > cap:
+            raise ValueError(
+                f"rt60 {self.rt60_ms:g} ms needs a {self.rir_length}-sample RIR, over the "
+                f"{MAX_RIR_SECONDS} s cap of {cap} samples at {self.sample_rate} Hz"
+            )
 
     @property
     def rir_length(self) -> int:

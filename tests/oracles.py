@@ -103,6 +103,85 @@ def cost_gradient_einsum(w: np.ndarray, r: np.ndarray, lam: np.ndarray) -> np.nd
     return 2.0 * np.einsum("...kim,...mj,...kjl->...il", e, w, r)
 
 
+def _project_support_direct(w: np.ndarray, filter_support: int, dft_length: int) -> np.ndarray:
+    """Unit diagonal, and each cross entry replaced by the DFT of taps [0, Q]
+    of the real filter whose half spectrum it is.
+
+    The inverse of a half spectrum X is x[t] = Re(sum_k c_k X[k] e^{2 pi i k t / K}) / K
+    with c_k = 1 at DC and Nyquist and 2 elsewhere, so the imaginary parts
+    of the DC and Nyquist bins do not reach the taps.
+    """
+    n_bins = w.shape[0]
+    bins = np.arange(n_bins)
+    taps = np.arange(filter_support + 1)
+    weights = np.full(n_bins, 2.0)
+    weights[0] = weights[-1] = 1.0
+    inverse = weights * np.exp(2j * np.pi * np.outer(taps, bins) / dft_length) / dft_length
+    forward = np.exp(-2j * np.pi * np.outer(bins, taps) / dft_length)
+    out = np.zeros_like(w)
+    out[:, 0, 0] = out[:, 1, 1] = 1.0
+    for i, j in ((0, 1), (1, 0)):
+        out[:, i, j] = forward @ np.real(inverse @ w[:, i, j])
+    return out
+
+
+def solve_unmixing_projected(
+    r_raw: np.ndarray,
+    filter_support: int,
+    max_iters: int,
+    tolerance: float,
+    step_size: float = 0.5,
+):
+    """The solver's descent written over the full per-bin W: a gradient step
+    on W, then projection back onto the constraint set, every step.
+
+    Same normalization, step halving, five-step reset and termination rules
+    as `cbss.jointdiag.solve_unmixing`; returns (w, cost_trace, iterations,
+    termination).
+    """
+    n_bins = r_raw.shape[0]
+    dft_length = 2 * (n_bins - 1)
+    trace_mean = np.real(r_raw[..., 0, 0] + r_raw[..., 1, 1]).mean(axis=1)
+    r = r_raw / np.where(trace_mean > 0.0, trace_mean, 1.0)[:, None, None, None]
+
+    w = np.eye(2, dtype=np.complex128)[None].repeat(n_bins, axis=0)
+    current = cost_einsum(w, r, diag_target_einsum(w, r))
+    trace = [current]
+    eta = step_size
+    accepted_since_reset = 0
+    termination = "max_iters"
+    for _ in range(max_iters):
+        grad = cost_gradient_einsum(w, r, diag_target_einsum(w, r))
+        eta_try = eta
+        for _ in range(60):
+            w_new = _project_support_direct(w - eta_try * grad, filter_support, dft_length)
+            new = cost_einsum(w_new, r, diag_target_einsum(w_new, r))
+            if new <= current:
+                break
+            eta_try *= 0.5
+        else:
+            termination = "line_search_stalled"
+            break
+        if eta_try < eta:
+            eta = eta_try
+            accepted_since_reset = 0
+        else:
+            accepted_since_reset += 1
+            if eta < step_size and accepted_since_reset >= 5:
+                eta = step_size
+                accepted_since_reset = 0
+        relative = (current - new) / current if current > 0 else 0.0
+        w, current = w_new, new
+        trace.append(current)
+        if current == 0.0:
+            termination = "zero_cost"
+            break
+        if relative < tolerance:
+            termination = "tolerance"
+            break
+    return w, trace, len(trace) - 1, termination
+
+
 def apply_unmixing_direct(w: np.ndarray, x1: np.ndarray, x2: np.ndarray):
     """Per-bin 2x2 matrix application by scalar loops."""
     n_bins, n_frames = x1.shape

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -71,6 +72,21 @@ def test_simulate_rejects_source_file_conflicts(tmp_path, fast_cfg):
     assert code == 1
 
 
+def test_simulate_rejects_oversized_rir(tmp_path, capsys):
+    tracemalloc.start()
+    try:
+        code = _run(["simulate", "--synthetic", "--rt60", "1e9", "--out", str(tmp_path / "s")])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert "rt60 1e+09 ms" in err[0] and "cap" in err[0]
+    # only the two 5 s synthetic sources exist, no part of the 1.5e10-sample RIR
+    assert peak < 16e6
+
+
 def test_separate_happy_path_is_deterministic(tmp_path, fast_cfg):
     scene = tmp_path / "scene"
     assert (
@@ -108,7 +124,7 @@ def test_separate_happy_path_is_deterministic(tmp_path, fast_cfg):
     report = json.loads((outs[0] / "report.json").read_text())
     assert report["kind"] == "separation"
     assert report["solver"]["final_cost"] <= report["solver"]["initial_cost"]
-    assert report["report_format_version"] == 2
+    assert report["report_format_version"] == 3
     assert report["solver"]["termination"] in TERMINATIONS
     assert report["outputs"]["stage1"] == ["stage1_1.wav", "stage1_2.wav"]
     assert report["outputs"]["final"] == ["final_1.wav", "final_2.wav"]

@@ -46,7 +46,7 @@ def test_derived_defaults_equal_dataclass_defaults():
         **defaults(SolverParams),
         **defaults(SmoothingParams),
     }
-    assert len(expected) == 16
+    assert len(expected) == 15
     for key, value in expected.items():
         assert DEFAULTS[key] == value, key
         assert type(DEFAULTS[key]) is type(value), key
@@ -77,6 +77,8 @@ def test_parse_config_text_rejects_bad_lines():
         parse_config_text("dft_length")
     with pytest.raises(ConfigError):
         parse_config_text("dft_length = not_a_number")
+    with pytest.raises(ConfigError, match="unknown key 'step_size'"):
+        parse_config_text("step_size = 0.5")
 
 
 def test_pipeline_config_validates_combinations():

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cbss import jointdiag
 from cbss.jointdiag import (
+    TERMINATIONS,
     CovarianceSet,
     SolverParams,
     SolverState,
@@ -20,7 +20,7 @@ from cbss.jointdiag import (
     solve_unmixing,
 )
 from cbss.signals import Waveform, gen_am_source
-from cbss.stft import StftConfig, analyze
+from cbss.stft import Spectrogram, StftConfig, analyze
 
 from oracles import (
     apply_unmixing_direct,
@@ -30,6 +30,7 @@ from oracles import (
     diag_target_direct,
     diag_target_einsum,
     jd_cost_direct,
+    solve_unmixing_projected,
 )
 
 
@@ -52,8 +53,6 @@ def _spectrogram_pair(rng, k=32, n_frames=20):
     shape = (cfg.n_bins, n_frames)
     values1 = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     values2 = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    from cbss.stft import Spectrogram
-
     n = (n_frames - 1) * cfg.hop + k
     return (
         Spectrogram(values1, cfg, 8000, n),
@@ -193,21 +192,6 @@ def test_closed_form_kernels_match_einsum_oracles(
     assert _relative_error(cost_gradient(w, r, lam), cost_gradient_einsum(w, r, lam)) <= 1e-12
 
 
-def test_solver_trace_matches_einsum_kernels(monkeypatch):
-    cov, params = _instantaneous_case()
-    _, closed_form = solve_unmixing(cov, params)
-
-    monkeypatch.setattr(jointdiag, "diag_target", diag_target_einsum)
-    monkeypatch.setattr(jointdiag, "cost", cost_einsum)
-    monkeypatch.setattr(jointdiag, "cost_gradient", cost_gradient_einsum)
-    _, reference = solve_unmixing(cov, params)
-
-    assert closed_form.iterations == reference.iterations
-    assert closed_form.termination == reference.termination
-    a, b = np.array(closed_form.cost_trace), np.array(reference.cost_trace)
-    assert np.max(np.abs(a - b) / b) <= 1e-12
-
-
 def test_unmixing_system_validates():
     rng = np.random.default_rng(6)
     k = 32
@@ -285,8 +269,6 @@ def test_solver_params_validate():
     with pytest.raises(ValueError):
         SolverParams(max_iters=0)
     with pytest.raises(ValueError):
-        SolverParams(step_size=0.0)
-    with pytest.raises(ValueError):
         SolverParams(tolerance=-1e-9)
 
 
@@ -331,28 +313,68 @@ def test_solve_unmixing_deterministic():
 
 
 def test_solve_unmixing_survives_silent_channel():
+    system, _ = solve_unmixing(*_silent_channel_case())
+    assert np.all(system.matrices[:, 0, 0] == 1.0)
+    assert np.all(system.matrices[:, 1, 1] == 1.0)
+
+
+def _random_spectrogram_case(seed):
+    """The acceptance suite's random solves: white spectrograms, K = 64."""
+    cfg = StftConfig(64, 0.5)
+    params = SolverParams(filter_support=16, block_count=4, max_iters=60)
+    gen = np.random.default_rng(seed)
+    shape = (cfg.n_bins, 40)
+    n = (shape[1] - 1) * cfg.hop + cfg.frame_length
+    pair = tuple(
+        Spectrogram(gen.standard_normal(shape) + 1j * gen.standard_normal(shape), cfg, 8000, n)
+        for _ in range(2)
+    )
+    return estimate_block_covariances(pair, params.block_count), params
+
+
+def _silent_channel_case():
     rng = np.random.default_rng(9)
     cfg = StftConfig(64, 0.5)
     n_frames = 24
     shape = (cfg.n_bins, n_frames)
-    from cbss.stft import Spectrogram
-
     n = (n_frames - 1) * cfg.hop + 64
     live = Spectrogram(
         rng.standard_normal(shape) + 1j * rng.standard_normal(shape), cfg, 8000, n
     )
     silent = live.with_values(np.zeros(shape, dtype=complex))
     cov = estimate_block_covariances((live, silent), 4)
-    params = SolverParams(filter_support=16, block_count=4, max_iters=20)
-    system, _ = solve_unmixing(cov, params)
-    assert np.all(system.matrices[:, 0, 0] == 1.0)
-    assert np.all(system.matrices[:, 1, 1] == 1.0)
+    return cov, SolverParams(filter_support=16, block_count=4, max_iters=20)
+
+
+def _capped_instantaneous_case():
+    cov, params = _instantaneous_case()
+    return cov, dataclasses.replace(params, max_iters=3, tolerance=0.0)
+
+
+SOLVER_CASES = {
+    "instantaneous": _instantaneous_case,
+    "instantaneous_capped": _capped_instantaneous_case,
+    "silent_channel": _silent_channel_case,
+    **{f"random_{seed}": (lambda seed=seed: _random_spectrogram_case(seed)) for seed in range(5)},
+}
+
+
+@pytest.mark.parametrize("case", sorted(SOLVER_CASES))
+def test_solver_matches_projected_descent_over_w(case):
+    cov, params = SOLVER_CASES[case]()
+    system, state = solve_unmixing(cov, params)
+    w, trace, iterations, termination = solve_unmixing_projected(
+        cov.matrices, params.filter_support, params.max_iters, params.tolerance
+    )
+    assert state.iterations == iterations
+    assert state.termination == termination
+    a, b = np.array(state.cost_trace), np.array(trace)
+    assert np.all(np.abs(a - b) <= 1e-12 * b)
+    assert _relative_error(system.matrices, w) <= 1e-10
 
 
 def test_solver_stops_at_max_iters():
-    cov, params = _instantaneous_case()
-    capped = dataclasses.replace(params, max_iters=3, tolerance=0.0)
-    _, state = solve_unmixing(cov, capped)
+    _, state = solve_unmixing(*_capped_instantaneous_case())
     assert state.termination == "max_iters"
     assert state.iterations == 3
     assert len(state.cost_trace) == 4
@@ -383,3 +405,33 @@ def test_solver_stops_at_zero_cost_and_validates_termination():
     fields = {f.name: getattr(state, f.name) for f in dataclasses.fields(state)}
     with pytest.raises(ValueError):
         SolverState(**{**fields, "termination": "diverged"})
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dft_length=st.sampled_from([16, 32, 64]),
+    support_fraction=st.floats(0.0, 1.0, exclude_max=True),
+    n_blocks=st.integers(2, 8),
+    rank=st.integers(1, 2),
+    exponent=st.floats(-3.0, 3.0),
+    max_iters=st.integers(1, 20),
+)
+def test_solver_invariants_on_random_psd_sets(
+    seed, dft_length, support_fraction, n_blocks, rank, exponent, max_iters
+):
+    rng = np.random.default_rng(seed)
+    n_bins = dft_length // 2 + 1
+    q = int(support_fraction * dft_length / 2)
+    r = 10.0**exponent * _random_psd_stack(rng, n_bins, n_blocks, rank)
+    params = SolverParams(filter_support=q, block_count=n_blocks, max_iters=max_iters)
+    system, state = solve_unmixing(CovarianceSet(r, (1,) * n_blocks), params)
+
+    assert np.all(system.matrices[:, 0, 0] == 1.0)
+    assert np.all(system.matrices[:, 1, 1] == 1.0)
+    moved = np.max(np.abs(constrain_filter_support(system).matrices - system.matrices))
+    assert moved <= 1e-10
+    trace = np.array(state.cost_trace)
+    assert np.all(np.isfinite(trace))
+    assert np.all(np.diff(trace) <= 0.0)
+    assert state.termination in TERMINATIONS

@@ -125,6 +125,19 @@ def test_rir_length_override_and_default():
     assert auto.rir_length == max(256, direct + tail)
 
 
+def test_rir_length_is_capped():
+    cap = roomsim.MAX_RIR_SECONDS * 10000
+    assert _room(0.0, max_rir_length=cap).rir_length == cap
+    with pytest.raises(ValueError, match="over the 20 s cap"):
+        _room(0.0, max_rir_length=cap + 1)
+    # 1.5x a 1e9 ms decay is 1.5e10 samples at 10 kHz; nothing is allocated
+    with pytest.raises(ValueError, match=r"rt60 1e\+09 ms needs a 15000000\d+-sample RIR"):
+        _room(1e9)
+    for bad in (float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            _room(bad)
+
+
 def _delta_bank(rate=8000, length=16, delays=((0, None), (None, 0))):
     rows = []
     for mic in (0, 1):
