@@ -14,7 +14,10 @@ Working in the cepstrum separates those concerns by quefrency:
 Each region gets its own first-order recursive smoothing factor, usually
 none for the envelope, mild for the pitch bin, and strong elsewhere.
 
-`smooth_mask` works on all frames at once.  A floored log half-spectrum
+`smooth_mask` works on all frames of a mask at once, or on one block of
+consecutive frames at a time, with a `CepstrumCarry` handing the last
+smoothed cepstrum of one block to the recursion of the next.  A floored log
+half-spectrum
 (bins 0..K/2) stands for an even length-K spectrum, so its real cepstrum
 is even too and quefrencies 0..K/2 hold all of it.  Between those halves
 the length-K DFT is a type-I DCT (scaled by 1/K going to the cepstrum),
@@ -106,8 +109,18 @@ def estimate_pitch_quefrency(
     return l_low + np.argmax(cepstrum[..., l_low : l_high + 1], axis=-1)
 
 
+class CepstrumCarry:
+    """The smoothed cepstrum of the last frame one mask's recursion has reached."""
+
+    def __init__(self) -> None:
+        self.previous: np.ndarray | None = None
+
+
 def smooth_mask(
-    mask: SpectralMask, separated: Spectrogram, params: SmoothingParams
+    mask: SpectralMask,
+    separated: Spectrogram,
+    params: SmoothingParams,
+    carry: CepstrumCarry | None = None,
 ) -> SpectralMask:
     """Smooth a mask across frames in the cepstral domain.
 
@@ -115,6 +128,9 @@ def smooth_mask(
     signal the mask belongs to, so the pitch-adaptive band tracks that
     speaker.  The recursion is seeded with the first frame's own cepstrum,
     which makes frame 0 pass through (floored and clamped) unchanged.
+    Given a `carry`, the block's first frame instead continues from the
+    carried cepstrum (if any), and the carry is left holding the block's
+    last one, so feeding a mask block by block gives the whole-mask result.
     """
     if mask.values.shape != separated.values.shape:
         raise ValueError("mask and spectrogram shapes differ")
@@ -132,8 +148,13 @@ def smooth_mask(
     betas[np.arange(n_frames), l_pitch] = params.beta_pitch
     betas[:, : params.l_env + 1] = params.beta_env
 
-    for m in range(1, n_frames):
-        cep[m] = betas[m] * cep[m - 1] + (1.0 - betas[m]) * cep[m]
+    previous = None if carry is None else carry.previous
+    for m in range(n_frames):
+        if previous is not None:
+            cep[m] = betas[m] * previous + (1.0 - betas[m]) * cep[m]
+        previous = cep[m]
+    if carry is not None and previous is not None:
+        carry.previous = previous.copy()  # the DCT below overwrites cep
 
     mask_values = dct(cep, type=1, axis=-1, overwrite_x=True)
     np.exp(mask_values, out=mask_values)

@@ -150,34 +150,80 @@ class SolverState:
         self.cost_trace = trace
 
 
+class CovarianceSums:
+    """Running per-bin sums of x x^H over the frames of each covariance block.
+
+    Frames [0, n_frames) are partitioned into `block_count` blocks as
+    evenly as possible, earlier blocks take the remainder.  `add` takes the
+    channel spectrograms of each run of consecutive frames in turn;
+    `covariance_set` averages the sums once every frame is in.  Each sum
+    runs frame by frame in order, in real arithmetic, so any split of the
+    frames into runs gives the same bits.
+    """
+
+    def __init__(self, n_bins: int, n_frames: int, block_count: int) -> None:
+        if block_count < 2:
+            raise ValueError("block_count must be at least 2")
+        if n_frames < block_count:
+            raise ValueError(f"{n_frames} frames cannot fill {block_count} blocks")
+        sizes = [len(idx) for idx in np.array_split(np.arange(n_frames), block_count)]
+        self.frames_per_block = tuple(sizes)
+        self.edges = np.cumsum([0, *sizes])
+        # Per block: |x0|^2, |x1|^2 and the real and imaginary parts of x0 x1*.
+        self.sums = np.zeros((block_count, 4, n_bins))
+
+    def add(self, spectrograms: tuple[Spectrogram, Spectrogram]) -> None:
+        """Add the outer products of the next run of frames into their blocks."""
+        s1, s2 = spectrograms
+        if s1.values.shape != s2.values.shape or s1.first_frame != s2.first_frame:
+            raise ValueError("channel spectrograms must cover the same frames")
+        if s1.config != s2.config:
+            raise ValueError("channel spectrograms must share one STFT config")
+        if s1.n_bins != self.sums.shape[2]:
+            raise ValueError(f"expected {self.sums.shape[2]} bins, got {s1.n_bins}")
+        first, stop = s1.first_frame, s1.first_frame + s1.n_frames
+        if stop > self.edges[-1]:
+            raise ValueError(f"frames up to {stop} exceed the {self.edges[-1]} being summed")
+        for b in range(len(self.frames_per_block)):
+            lo, hi = max(first, self.edges[b]), min(stop, self.edges[b + 1])
+            if lo >= hi:
+                continue
+            # Frames on the first axis: a sum over it adds them in order.
+            x0 = s1.values[:, lo - first : hi - first].T
+            x1 = s2.values[:, lo - first : hi - first].T
+            r0, i0, r1, i1 = x0.real, x0.imag, x1.real, x1.imag
+            terms = np.stack(
+                [r0 * r0 + i0 * i0, r1 * r1 + i1 * i1, r0 * r1 + i0 * i1, i0 * r1 - r0 * i1],
+                axis=1,
+            )
+            terms[0] += self.sums[b]
+            self.sums[b] = np.sum(terms, axis=0)
+
+    def covariance_set(self) -> CovarianceSet:
+        """Block averages of the sums, with every `CovarianceSet` check."""
+        counts = np.array(self.frames_per_block, dtype=np.float64)[:, None]
+        s00, s11, re01, im01 = (np.transpose(self.sums[:, i] / counts) for i in range(4))
+        r = np.empty(s00.shape + (2, 2), dtype=np.complex128)
+        r[..., 0, 0] = s00
+        r[..., 1, 1] = s11
+        r[..., 0, 1].real = re01
+        r[..., 0, 1].imag = im01
+        r[..., 1, 0] = np.conj(r[..., 0, 1])
+        return CovarianceSet(r, self.frames_per_block)
+
+
 def estimate_block_covariances(
     spectrograms: tuple[Spectrogram, Spectrogram], block_count: int
 ) -> CovarianceSet:
     """Average per-bin outer products x x^H over `block_count` frame blocks.
 
     Frames are partitioned [0, n_frames) as evenly as possible; earlier
-    blocks take the remainder.
+    blocks take the remainder.  The whole-spectrogram case of
+    `CovarianceSums`.
     """
-    s1, s2 = spectrograms
-    if s1.values.shape != s2.values.shape:
-        raise ValueError("channel spectrograms must have equal shape")
-    if s1.config != s2.config:
-        raise ValueError("channel spectrograms must share one STFT config")
-    n_frames = s1.n_frames
-    if block_count < 2:
-        raise ValueError("block_count must be at least 2")
-    if n_frames < block_count:
-        raise ValueError(f"{n_frames} frames cannot fill {block_count} blocks")
-
-    x = np.stack([s1.values, s2.values])  # (2, n_bins, n_frames)
-    splits = np.array_split(np.arange(n_frames), block_count)
-    n_bins = s1.n_bins
-    r = np.empty((n_bins, block_count, 2, 2), dtype=np.complex128)
-    for b, idx in enumerate(splits):
-        xb = x[:, :, idx]
-        r[:, b] = np.einsum("ikm,jkm->kij", xb, np.conj(xb)) / len(idx)
-    r = 0.5 * (r + np.conj(np.swapaxes(r, -1, -2)))
-    return CovarianceSet(r, tuple(len(idx) for idx in splits))
+    sums = CovarianceSums(spectrograms[0].n_bins, spectrograms[0].n_frames, block_count)
+    sums.add(spectrograms)
+    return sums.covariance_set()
 
 
 def _products(w: np.ndarray, r: np.ndarray):
@@ -362,7 +408,11 @@ def solve_unmixing(
 def apply_unmixing(
     system: UnmixingSystem, spectrograms: tuple[Spectrogram, Spectrogram]
 ) -> tuple[Spectrogram, Spectrogram]:
-    """Apply W(bin) to each frame's channel vector: one matmul per bin."""
+    """Unmix each frame: y0 = x0 + W01 x1, y1 = W10 x0 + x1 in every bin.
+
+    The system's diagonal is exactly 1, so the 2x2 product needs only the
+    two cross entries.  Works on whole spectrograms and on blocks of frames.
+    """
     s1, s2 = spectrograms
     if s1.values.shape != s2.values.shape or s1.config != s2.config:
         raise ValueError("channel spectrograms must match in shape and config")
@@ -370,6 +420,7 @@ def apply_unmixing(
         raise ValueError(
             f"bin-count mismatch: spectrogram has {s1.n_bins}, system {system.n_bins}"
         )
-    x = np.stack([s1.values, s2.values])  # (2, n_bins, n_frames)
-    y = np.einsum("kij,jkm->ikm", system.matrices, x)
-    return s1.with_values(y[0]), s2.with_values(y[1])
+    x0, x1 = s1.values, s2.values
+    w01 = system.matrices[:, 0, 1, None]
+    w10 = system.matrices[:, 1, 0, None]
+    return s1.with_values(x0 + w01 * x1), s2.with_values(w10 * x0 + x1)

@@ -76,23 +76,58 @@ def apply_mask(mask: SpectralMask, spec: Spectrogram) -> Spectrogram:
     return spec.with_values(mask.values * spec.values)
 
 
+class IsolatedUnitCount:
+    """Active and isolated units of a mask fed in blocks of consecutive frames.
+
+    A unit is active when its value exceeds 0.5, and isolated when it is
+    active with no active 4-neighbor.  A frame is counted once the next
+    frame has arrived, so the two latest frames carry over from one block
+    to the next; `fraction` counts the last frame against silence.
+    """
+
+    def __init__(self) -> None:
+        self.active = 0
+        self.isolated = 0
+        # The last frame seen, not yet counted, after the frame before it;
+        # before any block, a silent frame ahead of frame 0 alone.
+        self._edge: np.ndarray | None = None
+
+    def add(self, mask: SpectralMask) -> None:
+        """Count every frame of this block but its last, which waits for the next."""
+        block = mask.values > 0.5
+        if self._edge is None:
+            self._edge = np.zeros((block.shape[0], 1), dtype=bool)
+        elif self._edge.shape[0] != block.shape[0]:
+            raise ValueError("mask blocks must share one bin count")
+        self._count(np.concatenate([self._edge, block], axis=1))
+
+    def fraction(self) -> float:
+        """Isolated share of the active units; 0.0 for an empty mask."""
+        if self._edge is not None:
+            self._count(np.pad(self._edge, ((0, 0), (0, 1))))
+            self._edge = None
+        return self.isolated / self.active if self.active else 0.0
+
+    def _count(self, frames: np.ndarray) -> None:
+        """Count frames 1..-2 of `frames`, whose neighbors are all present."""
+        middle = frames[:, 1:-1]
+        padded = np.pad(middle, ((1, 1), (0, 0)))
+        neighbors = (
+            padded[:-2].astype(np.int64) + padded[2:] + frames[:, :-2] + frames[:, 2:]
+        )
+        self.active += int(np.sum(middle))
+        self.isolated += int(np.sum(middle & (neighbors == 0)))
+        self._edge = frames[:, -2:]
+
+
 def isolated_unit_fraction(mask: SpectralMask) -> float:
     """Fraction of active units with no active 4-neighbor.
 
     Values are binarized at 0.5 first so the measure applies to smoothed
     masks too.  Isolated units are the visual signature of musical noise;
     smoothing should push this number down.  Returns 0.0 for an empty mask.
+    The whole-mask case of `IsolatedUnitCount`.
     """
-    active = mask.values > 0.5
-    total = int(np.sum(active))
-    if total == 0:
-        return 0.0
-    padded = np.pad(active, 1, mode="constant")
-    neighbors = (
-        padded[:-2, 1:-1].astype(np.int64)
-        + padded[2:, 1:-1]
-        + padded[1:-1, :-2]
-        + padded[1:-1, 2:]
-    )
-    isolated = active & (neighbors == 0)
-    return float(np.sum(isolated) / total)
+    count = IsolatedUnitCount()
+    count.add(mask)
+    return count.fraction()

@@ -5,12 +5,21 @@ solver.  The final outputs are always produced from the stage-1
 spectrograms: binary masks are estimated from the stage-1 magnitude pair,
 smoothed in the cepstral domain, applied back onto the stage-1
 spectrograms, and resynthesized.  Raw mixtures never feed the masks.
+
+Separation makes two passes over blocks of FRAMES_PER_BLOCK STFT frames,
+so no spectrogram or mask of the whole input is ever held.  The first
+sums each block's outer products into the covariances the solver needs.
+The second analyzes each block again, unmixes it, masks and smooths it
+with one frame of state carried across block edges, and overlap-adds
+stage 1 and the final outputs into waveform buffers.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+
+import numpy as np
 
 # project_decompose is unused here but stays importable as
 # pipeline.project_decompose: bench/tracer.py wraps it by that name.
@@ -22,16 +31,19 @@ from .bsseval import (  # noqa: F401
     sdr_db,
     sir_db,
 )
-from .cepsmooth import smooth_mask
+from .cepsmooth import CepstrumCarry, smooth_mask
 from .config import PipelineConfig
-from .jointdiag import (
+# estimate_block_covariances, isolated_unit_fraction and synthesize are unused
+# here but stay importable from pipeline: bench/tracer.py wraps them by name.
+from .jointdiag import (  # noqa: F401
+    CovarianceSums,
     SolverState,
     apply_unmixing,
     estimate_block_covariances,
     solve_unmixing,
 )
-from .masking import (
-    SpectralMask,
+from .masking import (  # noqa: F401
+    IsolatedUnitCount,
     apply_mask,
     estimate_binary_masks,
     isolated_unit_fraction,
@@ -40,7 +52,18 @@ from .masking import (
 # bench/tracer.py wraps it by that name.
 from .roomsim import ImpulseResponseBank, convolve_mix, mix_images, source_images  # noqa: F401
 from .signals import MultichannelRecording, Waveform, gen_am_source
-from .stft import Spectrogram, analyze, synthesize
+from .stft import (  # noqa: F401
+    analyze,
+    frame_blocks,
+    frame_count,
+    normalize_overlap_add,
+    overlap_add,
+    padded_length,
+    synthesize,
+)
+
+# STFT frames analyzed, unmixed, masked and resynthesized together.
+FRAMES_PER_BLOCK = 128
 
 
 @dataclass(eq=False)
@@ -49,43 +72,52 @@ class SeparationResult:
 
     stage1: tuple[Waveform, Waveform]
     final: tuple[Waveform, Waveform]
-    stage1_spectrograms: tuple[Spectrogram, Spectrogram]
-    binary_masks: tuple[SpectralMask, SpectralMask]
-    smoothed_masks: tuple[SpectralMask, SpectralMask]
     solver_state: SolverState
     isolated_fraction_binary: tuple[float, float]
     isolated_fraction_smoothed: tuple[float, float]
 
 
 def separate_recording(recording: MultichannelRecording, config: PipelineConfig) -> SeparationResult:
-    """Run both separation stages on a two-channel mixture."""
+    """Run both separation stages on a two-channel mixture, block by block."""
     if recording.n_channels != 2:
         raise ValueError(f"expected a 2-channel mixture, got {recording.n_channels} channel(s)")
+    stft = config.stft
+    n_frames = frame_count(recording.n_samples, stft)
+    blocks = frame_blocks(n_frames, FRAMES_PER_BLOCK)
 
-    spectrograms = tuple(analyze(ch, config.stft) for ch in recording.channels)
-    covariances = estimate_block_covariances(spectrograms, config.solver.block_count)
-    system, state = solve_unmixing(covariances, config.solver)
-    stage1_specs = apply_unmixing(system, spectrograms)
-    stage1 = tuple(synthesize(s) for s in stage1_specs)
+    def analyzed(frames: range):
+        return tuple(analyze(ch, stft, frames) for ch in recording.channels)
 
-    m1, m2 = estimate_binary_masks(*stage1_specs, config.mask_threshold)
+    sums = CovarianceSums(stft.n_bins, n_frames, config.solver.block_count)
+    for frames in blocks:
+        sums.add(analyzed(frames))
+    system, state = solve_unmixing(sums.covariance_set(), config.solver)
+
     params = config.smoothing_params(recording.sample_rate)
-    sm1 = smooth_mask(m1, stage1_specs[0], params)
-    sm2 = smooth_mask(m2, stage1_specs[1], params)
-    final = (
-        synthesize(apply_mask(sm1, stage1_specs[0])),
-        synthesize(apply_mask(sm2, stage1_specs[1])),
-    )
+    stage1 = [np.zeros(padded_length(n_frames, stft)) for _ in range(2)]
+    final = [np.zeros(padded_length(n_frames, stft)) for _ in range(2)]
+    carries = (CepstrumCarry(), CepstrumCarry())
+    binary_counts = (IsolatedUnitCount(), IsolatedUnitCount())
+    smoothed_counts = (IsolatedUnitCount(), IsolatedUnitCount())
+    for frames in blocks:
+        separated = apply_unmixing(system, analyzed(frames))
+        masks = estimate_binary_masks(*separated, config.mask_threshold)
+        for i in (0, 1):
+            overlap_add(separated[i], stage1[i])
+            smoothed = smooth_mask(masks[i], separated[i], params, carries[i])
+            overlap_add(apply_mask(smoothed, separated[i]), final[i])
+            binary_counts[i].add(masks[i])
+            smoothed_counts[i].add(smoothed)
 
+    waves = normalize_overlap_add(
+        stage1 + final, stft, recording.n_samples, recording.sample_rate
+    )
     return SeparationResult(
-        stage1=stage1,
-        final=final,
-        stage1_spectrograms=stage1_specs,
-        binary_masks=(m1, m2),
-        smoothed_masks=(sm1, sm2),
+        stage1=tuple(waves[:2]),
+        final=tuple(waves[2:]),
         solver_state=state,
-        isolated_fraction_binary=(isolated_unit_fraction(m1), isolated_unit_fraction(m2)),
-        isolated_fraction_smoothed=(isolated_unit_fraction(sm1), isolated_unit_fraction(sm2)),
+        isolated_fraction_binary=tuple(c.fraction() for c in binary_counts),
+        isolated_fraction_smoothed=tuple(c.fraction() for c in smoothed_counts),
     )
 
 

@@ -6,6 +6,12 @@ constant-overlap-add at the configured hop, and the signal is zero-padded
 by one frame minus one hop at both ends so every original sample sees the
 full window overlap.  Only the non-negative-frequency half of each frame
 spectrum is stored; the missing bins are implied by conjugate symmetry.
+
+Both directions also work on a block of consecutive frames: `analyze`
+reads only the samples a range of frames covers, and `overlap_add` adds a
+block's frames into a caller's buffer, which `normalize_overlap_add` turns
+into waveforms once every block is in.  Whole-signal `analyze` and
+`synthesize` are the one-block case.
 """
 
 from __future__ import annotations
@@ -86,13 +92,15 @@ class Spectrogram:
     """Half-spectrum STFT values: complex (n_bins, n_frames).
 
     `original_length` records the analyzed signal's sample count so
-    synthesis can strip the padding again.
+    synthesis can strip the padding again.  The columns are frames
+    `first_frame`, `first_frame + 1`, ... of that signal's STFT.
     """
 
     values: np.ndarray
     config: StftConfig
     sample_rate: int
     original_length: int
+    first_frame: int = 0
 
     def __post_init__(self) -> None:
         values = np.array(self.values, dtype=np.complex128)
@@ -108,6 +116,8 @@ class Spectrogram:
             raise ValueError("sample_rate must be positive")
         if self.original_length < 0:
             raise ValueError("original_length must be non-negative")
+        if self.first_frame < 0:
+            raise ValueError("first_frame must be non-negative")
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
 
@@ -121,51 +131,105 @@ class Spectrogram:
 
     def with_values(self, values: np.ndarray) -> "Spectrogram":
         """Same geometry and provenance, different bin values."""
-        return Spectrogram(values, self.config, self.sample_rate, self.original_length)
+        return Spectrogram(
+            values, self.config, self.sample_rate, self.original_length, self.first_frame
+        )
 
 
-def analyze(signal: Waveform, config: StftConfig) -> Spectrogram:
-    """Transform a waveform into its half-spectrum STFT.
+def frame_count(n_samples: int, config: StftConfig) -> int:
+    """Frames in the STFT of an `n_samples` signal (at least one frame long)."""
+    k, hop = config.frame_length, config.hop
+    if n_samples < k:
+        raise ValueError(f"signal of {n_samples} samples is shorter than one frame ({k})")
+    pad = k - hop
+    return int(np.ceil((pad + n_samples + pad - k) / hop)) + 1
+
+
+def padded_length(n_frames: int, config: StftConfig) -> int:
+    """Samples spanned by `n_frames` frames: the overlap-add buffer length."""
+    return (n_frames - 1) * config.hop + config.frame_length
+
+
+def frame_blocks(n_frames: int, frames_per_block: int) -> list[range]:
+    """Consecutive ranges of at most `frames_per_block` frames covering [0, n_frames)."""
+    if frames_per_block < 1:
+        raise ValueError("frames_per_block must be at least 1")
+    starts = range(0, n_frames, frames_per_block)
+    return [range(a, min(a + frames_per_block, n_frames)) for a in starts]
+
+
+def analyze(signal: Waveform, config: StftConfig, frames: range | None = None) -> Spectrogram:
+    """Transform a waveform, or the frames in `frames` of it, into half-spectrum STFT.
 
     Frame m covers samples [m*hop, m*hop + K) of the padded signal, where
-    K - hop zeros are prepended and at least as many appended.
+    K - hop zeros are prepended and at least as many appended.  Only the
+    samples the requested frames cover are read; the padding is never
+    built for the whole signal.
     """
     n = len(signal)
+    n_frames = frame_count(n, config)
+    if frames is None:
+        frames = range(n_frames)
+    if not 0 <= frames.start < frames.stop <= n_frames or frames.step != 1:
+        raise ValueError(f"frames must be a non-empty unit-step range of the {n_frames} frames")
     k, hop = config.frame_length, config.hop
-    if n < k:
-        raise ValueError(f"signal of {n} samples is shorter than one frame ({k})")
 
-    pad = k - hop
-    covered = pad + n + pad
-    n_frames = int(np.ceil((covered - k) / hop)) + 1
-    total = (n_frames - 1) * hop + k
-    buf = np.zeros(total)
-    buf[pad : pad + n] = signal.samples
+    # Sample j of buf is sample offset + j of the signal, zero outside it.
+    offset = frames.start * hop - (k - hop)
+    buf = np.zeros(padded_length(len(frames), config))
+    lo, hi = max(offset, 0), min(offset + len(buf), n)
+    buf[lo - offset : hi - offset] = signal.samples[lo:hi]
 
-    frames = np.lib.stride_tricks.sliding_window_view(buf, k)[::hop]
-    windowed = frames * config.analysis_window()
+    windowed = np.lib.stride_tricks.sliding_window_view(buf, k)[::hop] * config.analysis_window()
     values = np.fft.rfft(windowed, axis=1).T
-    return Spectrogram(values, config, signal.sample_rate, n)
+    return Spectrogram(values, config, signal.sample_rate, n, frames.start)
+
+
+def overlap_add(spec: Spectrogram, out: np.ndarray) -> None:
+    """Add the windowed inverse transforms of spec's frames into `out`.
+
+    `out` is an overlap-add buffer in padded-signal coordinates, at least
+    `padded_length` of the last frame long; frames are added in order.
+    """
+    config = spec.config
+    k, hop = config.frame_length, config.hop
+    frames = np.fft.irfft(spec.values.T, n=k, axis=1)
+    frames *= config.synthesis_window()
+    for m, frame in enumerate(frames, start=spec.first_frame):
+        out[m * hop : m * hop + k] += frame
+
+
+def normalize_overlap_add(
+    buffers: list[np.ndarray], config: StftConfig, original_length: int, sample_rate: int
+) -> list[Waveform]:
+    """Divide full overlap-add buffers by the window-product profile; strip the padding.
+
+    The profile is built once for all buffers, and each buffer is divided
+    in place.  Samples no frame's window product reaches are zero.
+    """
+    k, hop = config.frame_length, config.hop
+    n_frames = (len(buffers[0]) - k) // hop + 1
+    if n_frames < 1 or padded_length(n_frames, config) != len(buffers[0]):
+        raise ValueError("overlap-add buffer length must be padded_length of a frame count")
+    weight = config.analysis_window() * config.synthesis_window()
+    norm = np.zeros(padded_length(n_frames, config))
+    for m in range(n_frames):
+        norm[m * hop : m * hop + k] += weight
+    reached = norm > 1e-12
+    pad = k - hop
+    waves = []
+    for acc in buffers:
+        if len(acc) != len(norm):
+            raise ValueError("overlap-add buffers must share one length")
+        np.divide(acc, norm, out=acc, where=reached)
+        acc[~reached] = 0.0
+        waves.append(Waveform(acc[pad : pad + original_length], sample_rate))
+    return waves
 
 
 def synthesize(spec: Spectrogram) -> Waveform:
     """Weighted overlap-add resynthesis, truncated to the original length."""
-    config = spec.config
-    k, hop = config.frame_length, config.hop
-    pad = k - hop
-    n_frames = spec.n_frames
-
-    frames = np.fft.irfft(spec.values.T, n=k, axis=1)
-    synthesis = config.synthesis_window()
-    weight = config.analysis_window() * synthesis
-
-    total = (n_frames - 1) * hop + k
-    acc = np.zeros(total)
-    norm = np.zeros(total)
-    for m in range(n_frames):
-        start = m * hop
-        acc[start : start + k] += frames[m] * synthesis
-        norm[start : start + k] += weight
-    out = np.where(norm > 1e-12, acc / np.where(norm > 1e-12, norm, 1.0), 0.0)
-
-    return Waveform(out[pad : pad + spec.original_length], spec.sample_rate)
+    acc = np.zeros(padded_length(spec.first_frame + spec.n_frames, spec.config))
+    overlap_add(spec, acc)
+    (wave,) = normalize_overlap_add([acc], spec.config, spec.original_length, spec.sample_rate)
+    return wave

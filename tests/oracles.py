@@ -2,10 +2,15 @@
 
 Everything here is written as plainly as possible: direct-summation
 transforms, scalar loops, no calls into the code under test and no
-numpy.fft.  Slow is fine; these only ever run on small instances.
+numpy.fft.  Slow is fine; these only ever run on small instances.  The one
+exception is `separate_recording_batch`, the package's earlier whole-array
+separation flow, kept as the reference for the block-by-block pipeline.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
+from scipy.fft import dct
 from scipy.linalg import toeplitz
 from scipy.signal import fftconvolve
 
@@ -360,3 +365,107 @@ def project_decompose_lu(est: np.ndarray, ref_t: np.ndarray, ref_i: np.ndarray, 
     )[:padded]
     est_padded = np.pad(est, (0, taps - 1))
     return target, joint - target, est_padded - joint, reg_joint or reg_target
+
+
+def separate_recording_batch(recording, config) -> SimpleNamespace:
+    """Both separation stages on whole-input arrays, as the package first did them.
+
+    Whole spectrograms are analyzed once; each covariance block is one sum
+    over its frames; the masks, the cepstral recursion and the occupancy
+    count see every frame at once; each output is overlap-added in one
+    pass.  The solve is the package's `solve_unmixing`.  The covariance
+    sums run frame by frame in real arithmetic and the unmixing is written
+    as 2x2 algebra, the order of operations the package uses, so the block
+    pipeline should reproduce this flow to the last bit: a round-off
+    difference could flip a frame's pitch pick where the cepstral peak is
+    tied (a frame with one or two bins above the mask floor).  Returns
+    stage1 and final sample arrays, the solver state and both pairs of
+    isolated-unit fractions.
+    """
+    from cbss.jointdiag import CovarianceSet, solve_unmixing
+
+    stft = config.stft
+    k, hop = stft.frame_length, stft.hop
+    window = stft.analysis_window()
+    pad = k - hop
+    n = recording.n_samples
+    if n < k:
+        raise ValueError(f"signal of {n} samples is shorter than one frame ({k})")
+    n_frames = int(np.ceil((pad + n + pad - k) / hop)) + 1
+    total = (n_frames - 1) * hop + k
+
+    def analyze(samples):
+        buf = np.zeros(total)
+        buf[pad : pad + n] = samples
+        frames = np.lib.stride_tricks.sliding_window_view(buf, k)[::hop]
+        return np.fft.rfft(frames * window, axis=1).T
+
+    def synthesize(values):
+        frames = np.fft.irfft(values.T, n=k, axis=1)
+        acc = np.zeros(total)
+        norm = np.zeros(total)
+        for m in range(n_frames):
+            acc[m * hop : m * hop + k] += frames[m] * window
+            norm[m * hop : m * hop + k] += window * window
+        out = np.where(norm > 1e-12, acc / np.where(norm > 1e-12, norm, 1.0), 0.0)
+        return out[pad : pad + n]
+
+    x = np.stack([analyze(ch.samples) for ch in recording.channels])
+    block_count = config.solver.block_count
+    if n_frames < block_count:
+        raise ValueError(f"{n_frames} frames cannot fill {block_count} blocks")
+    splits = np.array_split(np.arange(n_frames), block_count)
+    r = np.empty((x.shape[1], block_count, 2, 2), dtype=np.complex128)
+    for b, idx in enumerate(splits):
+        # Frames on the (C-order) first axis, so each sum adds them in order.
+        x0, x1 = np.ascontiguousarray(x[0][:, idx].T), np.ascontiguousarray(x[1][:, idx].T)
+        r0, i0, r1, i1 = x0.real, x0.imag, x1.real, x1.imag
+        r[:, b, 0, 0] = np.sum(r0 * r0 + i0 * i0, axis=0) / len(idx)
+        r[:, b, 1, 1] = np.sum(r1 * r1 + i1 * i1, axis=0) / len(idx)
+        r[:, b, 0, 1].real = np.sum(r0 * r1 + i0 * i1, axis=0) / len(idx)
+        r[:, b, 0, 1].imag = np.sum(i0 * r1 - r0 * i1, axis=0) / len(idx)
+        r[:, b, 1, 0] = np.conj(r[:, b, 0, 1])
+    system, state = solve_unmixing(CovarianceSet(r, [len(i) for i in splits]), config.solver)
+    w01, w10 = system.matrices[:, 0, 1, None], system.matrices[:, 1, 0, None]
+    y = np.stack([x[0] + w01 * x[1], w10 * x[0] + x[1]])
+
+    tau = config.mask_threshold.value
+    a0, a1 = np.abs(y[0]), np.abs(y[1])
+    binary = ((a0 > tau * a1).astype(np.float64), (a1 > tau * a0).astype(np.float64))
+    params = config.smoothing_params(recording.sample_rate)
+    floor = params.mask_floor
+
+    def cepstra(half):
+        return dct(np.log(np.maximum(half, floor)), type=1, axis=-1) / (2 * (half.shape[-1] - 1))
+
+    def smooth(mask, separated):
+        sig = cepstra(np.abs(separated.T))
+        l_pitch = params.l_low + np.argmax(sig[:, params.l_low : params.l_high + 1], axis=1)
+        cep = cepstra(mask.T)
+        betas = np.full(cep.shape, params.beta_peak)
+        betas[np.arange(n_frames), l_pitch] = params.beta_pitch
+        betas[:, : params.l_env + 1] = params.beta_env
+        for m in range(1, n_frames):
+            cep[m] = betas[m] * cep[m - 1] + (1.0 - betas[m]) * cep[m]
+        return np.clip(np.exp(dct(cep, type=1, axis=-1)), floor, 1.0).T
+
+    def isolated_fraction(mask):
+        active = mask > 0.5
+        padded = np.pad(active, 1)
+        neighbors = (
+            padded[:-2, 1:-1].astype(np.int64)
+            + padded[2:, 1:-1]
+            + padded[1:-1, :-2]
+            + padded[1:-1, 2:]
+        )
+        total_active = int(np.sum(active))
+        return float(np.sum(active & (neighbors == 0)) / total_active) if total_active else 0.0
+
+    smoothed = tuple(smooth(binary[i], y[i]) for i in (0, 1))
+    return SimpleNamespace(
+        stage1=tuple(synthesize(y[i]) for i in (0, 1)),
+        final=tuple(synthesize(smoothed[i] * y[i]) for i in (0, 1)),
+        solver_state=state,
+        isolated_fraction_binary=tuple(isolated_fraction(m) for m in binary),
+        isolated_fraction_smoothed=tuple(isolated_fraction(m) for m in smoothed),
+    )

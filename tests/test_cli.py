@@ -6,7 +6,7 @@ import pytest
 
 from cbss.cli import main
 from cbss.jointdiag import TERMINATIONS
-from cbss.signals import MultichannelRecording, Waveform, read_wav, write_wav
+from cbss.signals import MultichannelRecording, Waveform, gen_am_source, read_wav, write_wav
 
 FAST_CONFIG = """
 dft_length = 512
@@ -271,3 +271,53 @@ def test_sweep_writes_report_and_outputs(tmp_path, fast_cfg):
     rt_dir = out / "rt150"
     for name in ("mixture.wav", "stage1_1.wav", "final_2.wav", "report.json"):
         assert (rt_dir / name).exists()
+
+
+def _two_talkers(n=16000, rate=8000):
+    """A delayed instantaneous mixture of two AM-noise sources."""
+    a = gen_am_source(1, n / rate, rate, 0.8).samples
+    b = gen_am_source(2, n / rate, rate, 1.7).samples
+    return 0.5 * (a + 0.6 * np.roll(b, 3)), 0.5 * (0.5 * np.roll(a, 2) + b)
+
+
+def _write_stereo(path, left, right, rate=8000):
+    write_wav(MultichannelRecording((Waveform(left, rate), Waveform(right, rate))), path)
+
+
+@pytest.mark.parametrize(
+    ("n_samples", "block_count", "message"),
+    [(300, 4, "shorter than one frame"), (600, 16, "8 frames cannot fill 16 blocks")],
+    ids=["shorter-than-a-frame", "fewer-frames-than-blocks"],
+)
+def test_separate_rejects_too_short_input(tmp_path, capsys, n_samples, block_count, message):
+    cfg = tmp_path / "cfg"
+    cfg.write_text(FAST_CONFIG.replace("block_count = 4", f"block_count = {block_count}"))
+    left, right = _two_talkers()
+    mixture = tmp_path / "short.wav"
+    _write_stereo(mixture, left[:n_samples], right[:n_samples])
+    out = tmp_path / "out"
+    assert _run(["separate", str(mixture), "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and message in err[0]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    ("case", "rate"),
+    [("silent-channel", 8000), ("identical-channels", 8000), ("two-talkers", 16000)],
+)
+def test_separate_survives_degenerate_and_other_rate_input(tmp_path, fast_cfg, case, rate):
+    left, right = _two_talkers()
+    if case == "silent-channel":
+        right = np.zeros_like(right)
+    elif case == "identical-channels":
+        right = left
+    mixture = tmp_path / "mixture.wav"
+    _write_stereo(mixture, left, right, rate)
+    out = tmp_path / "out"
+    assert _run(["separate", str(mixture), "--config", fast_cfg, "--out", str(out)]) == 0
+    for name in ("stage1_1.wav", "stage1_2.wav", "final_1.wav", "final_2.wav"):
+        wave = read_wav(out / name)
+        assert wave.sample_rate == rate
+        assert len(wave.channels[0]) == len(left)
+        assert np.all(np.isfinite(wave.channels[0].samples))

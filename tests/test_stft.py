@@ -1,8 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cbss.signals import Waveform
-from cbss.stft import Spectrogram, StftConfig, analyze, synthesize
+from cbss.stft import (
+    Spectrogram,
+    StftConfig,
+    analyze,
+    frame_blocks,
+    frame_count,
+    normalize_overlap_add,
+    overlap_add,
+    padded_length,
+    synthesize,
+)
 
 
 def _random_wave(rng, n=10000, rate=10000):
@@ -118,3 +130,42 @@ def test_spectrogram_values_read_only():
     spec = Spectrogram(np.zeros((129, 4), dtype=complex), cfg, 8000, 900)
     with pytest.raises(ValueError):
         spec.values[0, 0] = 1.0
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_block_analysis_and_overlap_add_reconstruct_perfectly(data):
+    k = data.draw(st.sampled_from([16, 32, 64, 128, 256]), label="frame_length")
+    overlap = data.draw(st.sampled_from([0.0, 0.5, 0.75, 0.875]), label="overlap")
+    window = data.draw(st.sampled_from(["sqrt_hann", "hann", "rect"]), label="window")
+    try:
+        cfg = StftConfig(k, overlap, window)
+    except ValueError:
+        assume(False)  # not constant-overlap-add at this hop
+    n = data.draw(st.integers(k, 12 * k), label="n_samples")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    x = Waveform(np.random.default_rng(seed).standard_normal(n), 8000)
+    n_frames = frame_count(n, cfg)
+    block = data.draw(st.integers(2, n_frames + 2), label="frames_per_block")
+    assume(n_frames % block != 0)
+
+    buf = np.zeros(padded_length(n_frames, cfg))
+    for frames in frame_blocks(n_frames, block):
+        overlap_add(analyze(x, cfg, frames), buf)
+    (y,) = normalize_overlap_add([buf], cfg, n, x.sample_rate)
+    assert len(y) == n
+    assert np.max(np.abs(y.samples - x.samples)) <= 1e-12 * np.max(np.abs(x.samples))
+
+
+def test_block_analysis_equals_columns_of_whole_analysis():
+    cfg = StftConfig(64, 0.75)
+    x = _random_wave(np.random.default_rng(5), n=1000)
+    whole = analyze(x, cfg)
+    for frames in frame_blocks(whole.n_frames, 6):
+        block = analyze(x, cfg, frames)
+        assert block.first_frame == frames.start
+        assert np.array_equal(block.values, whole.values[:, frames.start : frames.stop])
+    with pytest.raises(ValueError):
+        analyze(x, cfg, range(whole.n_frames - 1, whole.n_frames + 1))
+    with pytest.raises(ValueError):
+        analyze(x, cfg, range(3, 3))
