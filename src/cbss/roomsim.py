@@ -2,18 +2,24 @@
 
 Reverberation time is specified as RT60 and converted to one uniform wall
 absorption coefficient via Sabine's formula; every image source then
-contributes an attenuated, delayed tap.  The simulator exists to produce
+contributes an attenuated, delayed tap.  All four source/mic pairs of a
+bank share one image lattice and its per-octant reflection counts, and each
+pair culls the images too far away to land inside the RIR before weighting
+any of them.  Convolution runs on `scipy.fft` at the length and in the
+order of operations of SciPy's `fftconvolve`, so the images keep its bits
+while the package's import stays light.  The simulator exists to produce
 controlled convolutive mixtures plus their per-source ground-truth images,
 not to be a general acoustics package.
 """
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import fftconvolve
+from scipy.fft import irfft, next_fast_len, rfft
 
 from .signals import MultichannelRecording, Waveform
 
@@ -107,68 +113,72 @@ def rt60_to_absorption(dimensions: tuple[float, float, float], rt60_ms: float) -
     return float(alpha)
 
 
-def generate_rir(room: RoomSpec, source_index: int, mic_index: int) -> Waveform:
-    """Image-method RIR from one source to one mic.
+def _image_responses(room: RoomSpec, pairs: list[tuple[int, int]]) -> list[np.ndarray]:
+    """Image-method RIRs for each (source, mic) pair, all on one image lattice.
 
     Every image at distance d with r wall reflections adds
-    (1 - alpha)^(r/2) / (4 pi d) at tap round(d * fs / c).  Images landing
-    beyond the configured length are dropped.
+    (1 - alpha)^(r/2) / (4 pi d) at tap round(d * fs / c).  Images farther
+    than (L + 1) c / fs can only land past the last of L taps, so they are
+    culled on d^2; the exact `taps < L` test decides the rest.  Taps are
+    added in flattened octant order, so the sums keep their bits whatever
+    the cull keeps.
     """
-    src = np.asarray(room.source_positions[source_index], dtype=np.float64)
-    mic = np.asarray(room.mic_positions[mic_index], dtype=np.float64)
     dims = np.asarray(room.dimensions, dtype=np.float64)
     fs = room.sample_rate
     c = room.speed_of_sound
-
-    direct = float(np.linalg.norm(src - mic))
-    if direct == 0.0:
+    length = room.rir_length
+    sources = np.asarray(room.source_positions, dtype=np.float64)
+    mics = np.asarray(room.mic_positions, dtype=np.float64)
+    points = [(sources[src], mics[mic]) for src, mic in pairs]
+    if any(float(np.linalg.norm(src - mic)) == 0.0 for src, mic in points):
         raise ValueError("source and microphone positions coincide")
 
     alpha = rt60_to_absorption(room.dimensions, room.rt60_ms)
     beta = float(np.sqrt(1.0 - alpha))
-    length = room.rir_length
-    h = np.zeros(length)
+    responses = [np.zeros(length) for _ in pairs]
 
     if beta == 0.0:
         # Anechoic: only the direct path survives.
-        tap = int(np.round(direct * fs / c))
-        if tap < length:
-            h[tap] = 1.0 / (4.0 * np.pi * direct)
-        return Waveform(h, fs)
+        for h, (src, mic) in zip(responses, points):
+            direct = float(np.linalg.norm(src - mic))
+            tap = int(np.round(direct * fs / c))
+            if tap < length:
+                h[tap] = 1.0 / (4.0 * np.pi * direct)
+        return responses
 
     max_distance = (length - 1) * c / fs
     limits = [int(np.ceil(max_distance / (2.0 * d))) + 1 for d in dims]
     grids = np.meshgrid(
         *[np.arange(-lim, lim + 1) for lim in limits], indexing="ij", sparse=True
     )
+    cull = ((length + 1) * c / fs) ** 2
+    # beta ** r for every reflection count the lattice holds, |g - q| + |g| <= 2 lim + 1.
+    attenuation = beta ** np.arange(sum(2 * lim + 1 for lim in limits) + 1)
 
-    for qx in (0, 1):
-        for qy in (0, 1):
-            for qz in (0, 1):
-                q = (qx, qy, qz)
-                image = [
-                    (1 - 2 * q[axis]) * src[axis] + 2.0 * grids[axis] * dims[axis]
-                    for axis in range(3)
-                ]
-                dist = np.sqrt(
-                    (image[0] - mic[0]) ** 2
-                    + (image[1] - mic[1]) ** 2
-                    + (image[2] - mic[2]) ** 2
-                )
-                reflections = (
-                    np.abs(grids[0] - q[0])
-                    + np.abs(grids[0])
-                    + np.abs(grids[1] - q[1])
-                    + np.abs(grids[1])
-                    + np.abs(grids[2] - q[2])
-                    + np.abs(grids[2])
-                )
-                amplitude = beta ** reflections / (4.0 * np.pi * dist)
-                taps = np.round(dist * fs / c).astype(np.int64)
-                keep = taps < length
-                np.add.at(h, taps[keep], amplitude[keep])
+    for q in itertools.product((0, 1), repeat=3):
+        reflections = sum(np.abs(g - q_axis) + np.abs(g) for g, q_axis in zip(grids, q))
+        for h, (src, mic) in zip(responses, points):
+            image = [
+                (1 - 2 * q[axis]) * src[axis] + 2.0 * grids[axis] * dims[axis]
+                for axis in range(3)
+            ]
+            squared = (
+                (image[0] - mic[0]) ** 2 + (image[1] - mic[1]) ** 2 + (image[2] - mic[2]) ** 2
+            )
+            near = squared <= cull
+            dist = np.sqrt(squared[near])
+            amplitude = attenuation[reflections[near]] / (4.0 * np.pi * dist)
+            taps = np.round(dist * fs / c).astype(np.int64)
+            keep = taps < length
+            np.add.at(h, taps[keep], amplitude[keep])
 
-    return Waveform(h, fs)
+    return responses
+
+
+def generate_rir(room: RoomSpec, source_index: int, mic_index: int) -> Waveform:
+    """Image-method RIR from one source to one mic (see `_image_responses`)."""
+    (h,) = _image_responses(room, [(source_index, mic_index)])
+    return Waveform(h, room.sample_rate)
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,12 +198,9 @@ class ImpulseResponseBank:
 
     @classmethod
     def from_room(cls, room: RoomSpec) -> "ImpulseResponseBank":
-        return cls(
-            tuple(
-                tuple(generate_rir(room, src, mic) for src in (0, 1))
-                for mic in (0, 1)
-            )
-        )
+        h = _image_responses(room, [(src, mic) for mic in (0, 1) for src in (0, 1)])
+        rirs = [Waveform(x, room.sample_rate) for x in h]
+        return cls(((rirs[0], rirs[1]), (rirs[2], rirs[3])))
 
     @property
     def sample_rate(self) -> int:
@@ -219,13 +226,17 @@ def source_images(
     """Per-source contribution h[mic][src] * s[src] at each mic, full length."""
     rate = bank.sample_rate
     padded = _padded_sources(sources, rate)
-    return tuple(
-        tuple(
-            Waveform(fftconvolve(padded[src], bank.responses[mic][src].samples), rate)
-            for src in (0, 1)
-        )
-        for mic in (0, 1)
-    )
+    full = len(padded[0]) + bank.rir_length - 1
+    nfft = next_fast_len(full, real=True)
+    spectra = [rfft(s, nfft) for s in padded]
+
+    def image(mic: int, src: int) -> Waveform:
+        # Bound to a name: `spectra[src] * rfft(...)` would let numpy reuse the
+        # temporary in place, a different loop that moves the last bit.
+        response = rfft(bank.responses[mic][src].samples, nfft)
+        return Waveform(irfft(spectra[src] * response, nfft)[:full], rate)
+
+    return tuple(tuple(image(mic, src) for src in (0, 1)) for mic in (0, 1))
 
 
 def mix_images(

@@ -2,9 +2,11 @@
 
 Everything here is written as plainly as possible: direct-summation
 transforms, scalar loops, no calls into the code under test and no
-numpy.fft.  Slow is fine; these only ever run on small instances.  The one
-exception is `separate_recording_batch`, the package's earlier whole-array
-separation flow, kept as the reference for the block-by-block pipeline.
+numpy.fft.  Slow is fine; these only ever run on small instances.  The
+exceptions are earlier forms of package code, kept as references for what
+replaced them: `separate_recording_batch`, the whole-array separation flow
+behind the block-by-block pipeline, and `generate_rir_per_pair`, the
+per-pair image lattice behind the shared, culled one.
 """
 
 from types import SimpleNamespace
@@ -311,6 +313,70 @@ def schroeder_decay_time(rir: np.ndarray, sample_rate: int, drop_db: float = 60.
     if len(below) == 0:
         raise ValueError("decay never reaches the requested drop")
     return float(below[0]) / sample_rate
+
+
+# The package's first image-method simulator: each (source, mic) pair builds
+# its own full image lattice and weights every image before dropping those
+# past the RIR length.  Kept as the reference for `roomsim`'s shared, culled
+# lattice, which must reproduce it bit for bit; the absorption is Sabine's,
+# capped at 1, written out here rather than taken from the package.
+
+
+def generate_rir_per_pair(room, source_index: int, mic_index: int) -> np.ndarray:
+    """Image-method RIR from one source to one mic of a `roomsim.RoomSpec`."""
+    src = np.asarray(room.source_positions[source_index], dtype=np.float64)
+    mic = np.asarray(room.mic_positions[mic_index], dtype=np.float64)
+    dims = np.asarray(room.dimensions, dtype=np.float64)
+    fs = room.sample_rate
+    c = room.speed_of_sound
+
+    lx, ly, lz = room.dimensions
+    alpha = 1.0
+    if room.rt60_ms > 0:
+        area = 2.0 * (lx * ly + lx * lz + ly * lz)
+        alpha = min(1.0, 0.161 * (lx * ly * lz) / ((room.rt60_ms / 1000.0) * area))
+    beta = float(np.sqrt(1.0 - alpha))
+    length = room.rir_length
+    h = np.zeros(length)
+    direct = float(np.linalg.norm(src - mic))
+
+    if beta == 0.0:
+        tap = int(np.round(direct * fs / c))
+        if tap < length:
+            h[tap] = 1.0 / (4.0 * np.pi * direct)
+        return h
+
+    max_distance = (length - 1) * c / fs
+    limits = [int(np.ceil(max_distance / (2.0 * d))) + 1 for d in dims]
+    grids = np.meshgrid(
+        *[np.arange(-lim, lim + 1) for lim in limits], indexing="ij", sparse=True
+    )
+    for qx in (0, 1):
+        for qy in (0, 1):
+            for qz in (0, 1):
+                q = (qx, qy, qz)
+                image = [
+                    (1 - 2 * q[axis]) * src[axis] + 2.0 * grids[axis] * dims[axis]
+                    for axis in range(3)
+                ]
+                dist = np.sqrt(
+                    (image[0] - mic[0]) ** 2
+                    + (image[1] - mic[1]) ** 2
+                    + (image[2] - mic[2]) ** 2
+                )
+                reflections = (
+                    np.abs(grids[0] - q[0])
+                    + np.abs(grids[0])
+                    + np.abs(grids[1] - q[1])
+                    + np.abs(grids[1])
+                    + np.abs(grids[2] - q[2])
+                    + np.abs(grids[2])
+                )
+                amplitude = beta ** reflections / (4.0 * np.pi * dist)
+                taps = np.round(dist * fs / c).astype(np.int64)
+                keep = taps < length
+                np.add.at(h, taps[keep], amplitude[keep])
+    return h
 
 
 # The package's first projection scorer: every call builds the 2L x 2L Gram

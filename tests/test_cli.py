@@ -3,9 +3,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.io import wavfile
 
 from cbss.cli import main
+from cbss.config import load_config
 from cbss.jointdiag import TERMINATIONS
+from cbss.pipeline import simulate_scene
 from cbss.signals import MultichannelRecording, Waveform, gen_am_source, read_wav, write_wav
 
 FAST_CONFIG = """
@@ -320,4 +323,36 @@ def test_separate_survives_degenerate_and_other_rate_input(tmp_path, fast_cfg, c
         wave = read_wav(out / name)
         assert wave.sample_rate == rate
         assert len(wave.channels[0]) == len(left)
+        assert np.all(np.isfinite(wave.channels[0].samples))
+
+
+
+@pytest.mark.parametrize(
+    ("case", "termination"),
+    [("dc-offset", "max_iters"), ("clipped-pcm16", "tolerance"), ("silent-source", "max_iters")],
+)
+def test_separate_survives_offset_clipped_and_one_talker_input(
+    tmp_path, fast_cfg, case, termination
+):
+    left, right = _two_talkers()
+    mixture = tmp_path / "mixture.wav"
+    if case == "dc-offset":
+        _write_stereo(mixture, left + 0.3, right + 0.3)
+    elif case == "clipped-pcm16":
+        clipped = np.clip(8.0 * np.stack([left, right], axis=1), -1.0, 32767 / 32768)
+        assert np.mean(np.abs(clipped) >= 32767 / 32768) > 0.1
+        wavfile.write(mixture, 8000, np.round(clipped * 32768).astype(np.int16))
+    else:
+        talker = gen_am_source(1, 2.0, 8000, 0.8)
+        silent = Waveform(np.zeros(len(talker)), 8000)
+        scene = simulate_scene(load_config(fast_cfg), 150.0, sources=(talker, silent))
+        write_wav(scene.mixture, mixture)
+    n_samples = len(read_wav(mixture).channels[0])
+    out = tmp_path / "out"
+    assert _run(["separate", str(mixture), "--config", fast_cfg, "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["solver"]["termination"] == termination
+    for name in ("stage1_1.wav", "stage1_2.wav", "final_1.wav", "final_2.wav"):
+        wave = read_wav(out / name)
+        assert len(wave.channels[0]) == n_samples
         assert np.all(np.isfinite(wave.channels[0].samples))

@@ -1,8 +1,18 @@
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.signal import fftconvolve
 
+import cbss
 from cbss import pipeline, roomsim
-from cbss.config import default_config
+from cbss.config import PipelineConfig, default_config
 from cbss.roomsim import (
     ImpulseResponseBank,
     RoomSpec,
@@ -13,7 +23,7 @@ from cbss.roomsim import (
 )
 from cbss.signals import Waveform
 
-from oracles import convolve_direct, schroeder_decay_time
+from oracles import convolve_direct, generate_rir_per_pair, schroeder_decay_time
 
 DIMS = (3.4, 3.8, 5.2)
 
@@ -263,3 +273,93 @@ def test_bank_from_room_shapes():
     for mic in (0, 1):
         for src in (0, 1):
             assert len(bank.responses[mic][src]) == 256
+
+
+SWEEP_ROOM = PipelineConfig({"room_height": 3.0, "room_width": 3.0, "room_depth": 3.0})
+
+
+@pytest.mark.parametrize(
+    "room",
+    [
+        SWEEP_ROOM.room_spec(10000, 100.0),
+        SWEEP_ROOM.room_spec(10000, 400.0),
+        default_config().room_spec(10000, 200.0),
+        default_config().room_spec(10000, 600.0),
+        default_config().room_spec(10000, 0.0),
+        default_config().room_spec(10000, 30.0),
+        _room(200.0, max_rir_length=5),
+    ],
+    ids=[
+        "sweep-100",
+        "sweep-400",
+        "default-200",
+        "default-600",
+        "anechoic",
+        "clamped-30",
+        "shorter-than-direct-path",
+    ],
+)
+def test_bank_matches_per_pair_image_lattice(room):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        bank = ImpulseResponseBank.from_room(room)
+        single = generate_rir(room, 1, 0)
+    # One absorption per bank: only the clamped 30 ms room warns, once per build.
+    assert len(caught) == (2 if room.rt60_ms == 30.0 else 0)
+    for mic in (0, 1):
+        for src in (0, 1):
+            expected = generate_rir_per_pair(room, src, mic)
+            assert np.array_equal(bank.responses[mic][src].samples, expected)
+    assert np.array_equal(single.samples, bank.responses[0][1].samples)
+    if room.max_rir_length == 5:  # every path is longer than the response
+        assert not any(np.any(rir.samples) for row in bank.responses for rir in row)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    lengths=st.tuples(st.integers(1, 300), st.integers(1, 300)),
+    rir_length=st.integers(1, 200),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_source_images_equal_direct_convolution(lengths, rir_length, seed):
+    rng = np.random.default_rng(seed)
+    rate = 8000
+    sources = tuple(Waveform(rng.standard_normal(n), rate) for n in lengths)
+    bank = ImpulseResponseBank(
+        tuple(
+            tuple(Waveform(rng.standard_normal(rir_length), rate) for _ in (0, 1))
+            for _ in (0, 1)
+        )
+    )
+    images = source_images(sources, bank)
+    n = max(lengths)
+    for mic in (0, 1):
+        for src in (0, 1):
+            padded = np.pad(sources[src].samples, (0, n - lengths[src]))
+            expected = np.convolve(padded, bank.responses[mic][src].samples)
+            got = images[mic][src].samples
+            assert got.shape == expected.shape == (n + rir_length - 1,)
+            assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+def test_source_images_keep_the_bits_of_fftconvolve():
+    scene = pipeline.simulate_scene(default_config())
+    for mic in (0, 1):
+        for src in (0, 1):
+            rir = scene.bank.responses[mic][src].samples
+            expected = fftconvolve(scene.sources[src].samples, rir)
+            assert np.array_equal(scene.images[mic][src].samples, expected)
+
+
+def test_package_imports_without_scipy_signal():
+    code = (
+        "import sys, cbss, cbss.cli\n"
+        "print(sorted(m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules))"
+    )
+    src = str(Path(cbss.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
