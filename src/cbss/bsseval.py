@@ -21,6 +21,8 @@ from .signals import Waveform
 SIR_CAP_DB = 100.0
 ENERGY_RATIO_FLOOR = 1e-12
 DIAGONAL_LOADING = 1e-9
+# Default L: deformation taps allowed per reference.
+FILTER_TAPS = 512
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,7 +86,9 @@ class ReferenceProjector:
     from it is flagged `regularized`.
     """
 
-    def __init__(self, references: tuple[Waveform, Waveform], filter_taps: int = 512) -> None:
+    def __init__(
+        self, references: tuple[Waveform, Waveform], filter_taps: int = FILTER_TAPS
+    ) -> None:
         ref_a, ref_b = references
         n = len(ref_a)
         if len(ref_b) != n:
@@ -176,7 +180,7 @@ class ReferenceProjector:
 def project_decompose(
     estimate: Waveform,
     references: tuple[Waveform, Waveform],
-    filter_taps: int = 512,
+    filter_taps: int = FILTER_TAPS,
 ) -> Decomposition:
     """Least-squares split of an estimate against (target, interferer) references.
 

@@ -85,6 +85,13 @@ def _load_config_arg(path: str | None) -> PipelineConfig:
     return default_config() if path is None else load_config(path)
 
 
+def _read_mono(path: str, role: str) -> Waveform:
+    recording = read_wav(path)
+    if recording.n_channels != 1:
+        raise ValueError(f"{role} {path} must be mono")
+    return recording.channels[0]
+
+
 def cmd_separate(args: argparse.Namespace) -> int:
     config = _load_config_arg(args.config)
     recording = read_wav(args.mixture)
@@ -113,13 +120,8 @@ def _scene_from_args(args: argparse.Namespace, config: PipelineConfig) -> Simula
         return simulate_scene(config, rt60_ms=args.rt60, seed=seed)
     if len(args.sources) != 2:
         raise ValueError("simulation needs two source WAV files (or --synthetic)")
-    loaded = []
-    for path in args.sources:
-        rec = read_wav(path)
-        if rec.n_channels != 1:
-            raise ValueError(f"source {path} must be mono")
-        loaded.append(rec.channels[0])
-    return simulate_scene(config, rt60_ms=args.rt60, sources=tuple(loaded), seed=seed)
+    sources = tuple(_read_mono(path, "source") for path in args.sources)
+    return simulate_scene(config, rt60_ms=args.rt60, sources=sources, seed=seed)
 
 
 def _write_scene(scene: SimulatedScene, config: PipelineConfig, out_dir: Path) -> None:
@@ -206,12 +208,7 @@ def _parse_rt60_list(raw: str) -> list[float]:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     config = _load_config_arg(args.config)
-    estimates = []
-    for path in args.estimates:
-        rec = read_wav(path)
-        if rec.n_channels != 1:
-            raise ValueError(f"estimate {path} must be mono")
-        estimates.append(rec.channels[0])
+    estimates = [_read_mono(path, "estimate") for path in args.estimates]
     if estimates[0].sample_rate != estimates[1].sample_rate:
         raise ValueError("estimates must share one sample rate")
     if len(estimates[0]) != len(estimates[1]):
@@ -221,14 +218,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     report["sir_convention"] = SIR_CONVENTION
 
     if args.references is not None:
-        refs = []
-        for path in args.references:
-            rec = read_wav(path)
-            if rec.n_channels != 1:
-                raise ValueError(f"reference {path} must be mono")
-            refs.append(rec.channels[0])
+        refs = tuple(_read_mono(path, "reference") for path in args.references)
         taps = config.decomp_filter_taps
-        projector = ReferenceProjector(tuple(refs), taps)
+        projector = ReferenceProjector(refs, taps)
         decomps = [projector.decompose(est, i) for i, est in enumerate(estimates)]
         report["mode"] = "reference"
         report["filter_taps"] = taps

@@ -5,8 +5,9 @@ blank lines ignored.  Unknown keys and duplicates are rejected so a typo
 cannot silently fall back to a default.  `pitch_min_hz`/`pitch_max_hz` of
 0 mean "use the literal quefrency bins l_low/l_high"; positive values
 override those bins per sample rate at run time.  The STFT, solver,
-masking and smoothing defaults are the field defaults of the parameter
-classes those settings build.
+masking, smoothing and speed-of-sound defaults are the field defaults of
+the parameter classes those settings build; the evaluation filter taps
+default to `bsseval.FILTER_TAPS`.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields
 
+from .bsseval import FILTER_TAPS
 from .cepsmooth import SmoothingParams
 from .jointdiag import SolverParams
 from .masking import MaskThreshold
@@ -51,11 +53,11 @@ DEFAULTS: dict[str, object] = {
     "mic_spacing": 0.2,
     "source_distance": 1.0,
     "source_angle_deg": 45.0,
-    "speed_of_sound": 343.0,
+    "speed_of_sound": _field_defaults(RoomSpec)["speed_of_sound"],
     "max_rir_ms": 0.0,
     "rt60_ms": 200.0,
     # Evaluation
-    "decomp_filter_taps": 512,
+    "decomp_filter_taps": FILTER_TAPS,
     # Synthetic sources
     "synth_duration_s": 5.0,
     "synth_sample_rate": 10000,
@@ -69,14 +71,12 @@ DEFAULTS: dict[str, object] = {
 def _coerce(key: str, raw: str) -> object:
     default = DEFAULTS[key]
     try:
-        if isinstance(default, bool):  # not used today, but bool is an int
-            raise TypeError
         if isinstance(default, int):
             return int(raw)
         if isinstance(default, float):
             return float(raw)
         return str(raw)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"bad value for {key!r}: {raw!r}") from exc
 
 

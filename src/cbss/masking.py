@@ -52,7 +52,7 @@ class SpectralMask:
 def estimate_binary_masks(
     s1: Spectrogram,
     s2: Spectrogram,
-    threshold: MaskThreshold = MaskThreshold(1.0),
+    threshold: MaskThreshold = MaskThreshold(),
 ) -> tuple[SpectralMask, SpectralMask]:
     """Assign each unit to the strictly dominant output.
 

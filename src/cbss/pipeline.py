@@ -11,7 +11,9 @@ so no spectrogram or mask of the whole input is ever held.  The first
 sums each block's outer products into the covariances the solver needs.
 The second analyzes each block again, unmixes it, masks and smooths it
 with one frame of state carried across block edges, and overlap-adds
-stage 1 and the final outputs into waveform buffers.
+stage 1 and the final outputs into waveform buffers.  The synthesis window
+already carries the overlap-add gain, so the outputs are those buffers with
+the padding cut off.
 """
 
 from __future__ import annotations
@@ -56,9 +58,9 @@ from .stft import (  # noqa: F401
     analyze,
     frame_blocks,
     frame_count,
-    normalize_overlap_add,
     overlap_add,
     padded_length,
+    strip_padding,
     synthesize,
 )
 
@@ -109,9 +111,7 @@ def separate_recording(recording: MultichannelRecording, config: PipelineConfig)
             binary_counts[i].add(masks[i])
             smoothed_counts[i].add(smoothed)
 
-    waves = normalize_overlap_add(
-        stage1 + final, stft, recording.n_samples, recording.sample_rate
-    )
+    waves = strip_padding(stage1 + final, stft, recording.n_samples, recording.sample_rate)
     return SeparationResult(
         stage1=tuple(waves[:2]),
         final=tuple(waves[2:]),

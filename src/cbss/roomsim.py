@@ -121,7 +121,8 @@ def _image_responses(room: RoomSpec, pairs: list[tuple[int, int]]) -> list[np.nd
     than (L + 1) c / fs can only land past the last of L taps, so they are
     culled on d^2; the exact `taps < L` test decides the rest.  Taps are
     added in flattened octant order, so the sums keep their bits whatever
-    the cull keeps.
+    the cull keeps.  An anechoic room (alpha = 1) needs no case of its own:
+    0^0 = 1 keeps the direct image and every reflected image adds zero.
     """
     dims = np.asarray(room.dimensions, dtype=np.float64)
     fs = room.sample_rate
@@ -136,15 +137,6 @@ def _image_responses(room: RoomSpec, pairs: list[tuple[int, int]]) -> list[np.nd
     alpha = rt60_to_absorption(room.dimensions, room.rt60_ms)
     beta = float(np.sqrt(1.0 - alpha))
     responses = [np.zeros(length) for _ in pairs]
-
-    if beta == 0.0:
-        # Anechoic: only the direct path survives.
-        for h, (src, mic) in zip(responses, points):
-            direct = float(np.linalg.norm(src - mic))
-            tap = int(np.round(direct * fs / c))
-            if tap < length:
-                h[tap] = 1.0 / (4.0 * np.pi * direct)
-        return responses
 
     max_distance = (length - 1) * c / fs
     limits = [int(np.ceil(max_distance / (2.0 * d))) + 1 for d in dims]

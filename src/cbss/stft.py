@@ -1,17 +1,19 @@
 """Short-time Fourier analysis and weighted overlap-add synthesis.
 
-The analysis/synthesis pair is built for perfect reconstruction: the same
-window is applied on both sides, the window product must satisfy
-constant-overlap-add at the configured hop, and the signal is zero-padded
-by one frame minus one hop at both ends so every original sample sees the
-full window overlap.  Only the non-negative-frequency half of each frame
-spectrum is stored; the missing bins are implied by conjugate symmetry.
+The analysis/synthesis pair is built for perfect reconstruction: the
+squared analysis window must satisfy constant-overlap-add at the configured
+hop, and the signal is zero-padded by one frame minus one hop at both ends
+so every original sample sees the full window overlap.  The synthesis
+window is the analysis window divided by that constant overlap-add gain, so
+overlap-added frames need no normalization afterwards.  Only the
+non-negative-frequency half of each frame spectrum is stored; the missing
+bins are implied by conjugate symmetry.
 
 Both directions also work on a block of consecutive frames: `analyze`
 reads only the samples a range of frames covers, and `overlap_add` adds a
-block's frames into a caller's buffer, which `normalize_overlap_add` turns
-into waveforms once every block is in.  Whole-signal `analyze` and
-`synthesize` are the one-block case.
+block's frames into a caller's buffer, from which `strip_padding` cuts the
+waveforms once every block is in.  Whole-signal `analyze` and `synthesize`
+are the one-block case.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ class StftConfig:
     overlap_fraction: float = 0.75
     window: str = "sqrt_hann"
     hop: int = field(init=False)
+    cola_gain: float = field(init=False)
 
     def __post_init__(self) -> None:
         k = self.frame_length
@@ -58,11 +61,11 @@ class StftConfig:
         if hop < 1 or abs(hop_exact - hop) > 1e-9:
             raise ValueError("overlap_fraction must give an integer hop size")
         object.__setattr__(self, "hop", hop)
-        self._check_cola()
+        object.__setattr__(self, "cola_gain", self._check_cola())
 
-    def _check_cola(self) -> None:
-        """Reject window/hop pairs whose overlap-add profile is not flat."""
-        product = self.analysis_window() * self.synthesis_window()
+    def _check_cola(self) -> float:
+        """Overlap-add gain of the squared analysis window; reject it unless flat."""
+        product = self.analysis_window() ** 2
         k, hop = self.frame_length, self.hop
         total = 4 * k
         profile = np.zeros(total)
@@ -75,6 +78,7 @@ class StftConfig:
                 f"window {self.window!r} at hop {hop} violates the "
                 "constant-overlap-add condition"
             )
+        return mean
 
     @property
     def n_bins(self) -> int:
@@ -84,7 +88,8 @@ class StftConfig:
         return _window(self.window, self.frame_length)
 
     def synthesis_window(self) -> np.ndarray:
-        return _window(self.window, self.frame_length)
+        """The analysis window scaled so overlap-added frames sum to the signal."""
+        return self.analysis_window() / self.cola_gain
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,37 +204,30 @@ def overlap_add(spec: Spectrogram, out: np.ndarray) -> None:
         out[m * hop : m * hop + k] += frame
 
 
-def normalize_overlap_add(
+def strip_padding(
     buffers: list[np.ndarray], config: StftConfig, original_length: int, sample_rate: int
 ) -> list[Waveform]:
-    """Divide full overlap-add buffers by the window-product profile; strip the padding.
+    """Cut the original signals out of full overlap-add buffers.
 
-    The profile is built once for all buffers, and each buffer is divided
-    in place.  Samples no frame's window product reaches are zero.
+    Each buffer must hold every frame of an `original_length` signal,
+    overlap-added with the synthesis window; no further scaling is needed.
     """
-    k, hop = config.frame_length, config.hop
-    n_frames = (len(buffers[0]) - k) // hop + 1
-    if n_frames < 1 or padded_length(n_frames, config) != len(buffers[0]):
-        raise ValueError("overlap-add buffer length must be padded_length of a frame count")
-    weight = config.analysis_window() * config.synthesis_window()
-    norm = np.zeros(padded_length(n_frames, config))
-    for m in range(n_frames):
-        norm[m * hop : m * hop + k] += weight
-    reached = norm > 1e-12
-    pad = k - hop
-    waves = []
-    for acc in buffers:
-        if len(acc) != len(norm):
-            raise ValueError("overlap-add buffers must share one length")
-        np.divide(acc, norm, out=acc, where=reached)
-        acc[~reached] = 0.0
-        waves.append(Waveform(acc[pad : pad + original_length], sample_rate))
-    return waves
+    length = padded_length(frame_count(original_length, config), config)
+    if any(len(acc) != length for acc in buffers):
+        raise ValueError(f"overlap-add buffers must be {length} samples long")
+    pad = config.frame_length - config.hop
+    return [Waveform(acc[pad : pad + original_length], sample_rate) for acc in buffers]
 
 
 def synthesize(spec: Spectrogram) -> Waveform:
-    """Weighted overlap-add resynthesis, truncated to the original length."""
-    acc = np.zeros(padded_length(spec.first_frame + spec.n_frames, spec.config))
+    """Weighted overlap-add resynthesis of every frame, truncated to the original length."""
+    n_frames = frame_count(spec.original_length, spec.config)
+    if spec.first_frame != 0 or spec.n_frames != n_frames:
+        raise ValueError(
+            f"synthesis needs all {n_frames} frames from frame 0; got "
+            f"{spec.n_frames} from frame {spec.first_frame}"
+        )
+    acc = np.zeros(padded_length(n_frames, spec.config))
     overlap_add(spec, acc)
-    (wave,) = normalize_overlap_add([acc], spec.config, spec.original_length, spec.sample_rate)
+    (wave,) = strip_padding([acc], spec.config, spec.original_length, spec.sample_rate)
     return wave

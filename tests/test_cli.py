@@ -227,6 +227,22 @@ def test_evaluate_malformed_segments_is_usage_error(tmp_path):
         assert info.value.code == 2
 
 
+def test_stereo_file_where_mono_is_required_names_its_role(tmp_path, fast_cfg, capsys):
+    stereo = tmp_path / "stereo.wav"
+    wave = Waveform(0.1 * np.ones(4000), 8000)
+    write_wav(MultichannelRecording((wave, wave)), stereo)
+    mono = tmp_path / "mono.wav"
+    _write_mono(mono, 0.1 * np.ones(4000))
+    cases = (
+        ("source", ["simulate", str(stereo), str(mono), "--config", fast_cfg]),
+        ("estimate", ["evaluate", str(stereo), str(mono), "--segments", "0:10,10:20"]),
+        ("reference", ["evaluate", str(mono), str(mono), "--references", str(mono), str(stereo)]),
+    )
+    for role, argv in cases:
+        assert _run(argv + ["--out", str(tmp_path / "out")]) == 1
+        assert f"error: {role} {stereo} must be mono" in capsys.readouterr().err
+
+
 def test_evaluate_mismatched_estimates_fail(tmp_path):
     est1 = tmp_path / "e1.wav"
     est2 = tmp_path / "e2.wav"

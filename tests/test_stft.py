@@ -10,9 +10,9 @@ from cbss.stft import (
     analyze,
     frame_blocks,
     frame_count,
-    normalize_overlap_add,
     overlap_add,
     padded_length,
+    strip_padding,
     synthesize,
 )
 
@@ -81,6 +81,21 @@ def test_linearity_of_round_trip():
     y = synthesize(spec.with_values(0.5 * spec.values))
     err = np.linalg.norm(y.samples - 0.5 * x.samples) / np.linalg.norm(x.samples)
     assert err <= 1e-6
+
+
+def test_synthesize_rejects_spectrogram_missing_frames():
+    # Without every frame the tail (or head) would lack window overlap.
+    cfg = StftConfig(256, 0.75)
+    x = _random_wave(np.random.default_rng(6), n=4000)
+    spec = analyze(x, cfg)
+    truncated = Spectrogram(spec.values[:, :-3], cfg, x.sample_rate, len(x))
+    headless = Spectrogram(spec.values[:, 3:], cfg, x.sample_rate, len(x), first_frame=3)
+    for partial in (truncated, headless):
+        with pytest.raises(ValueError, match="needs all"):
+            synthesize(partial)
+    short = np.zeros(padded_length(spec.n_frames - 3, cfg))
+    with pytest.raises(ValueError, match="samples long"):
+        strip_padding([short], cfg, len(x), x.sample_rate)
 
 
 def test_analyze_rejects_short_signal():
@@ -152,7 +167,7 @@ def test_block_analysis_and_overlap_add_reconstruct_perfectly(data):
     buf = np.zeros(padded_length(n_frames, cfg))
     for frames in frame_blocks(n_frames, block):
         overlap_add(analyze(x, cfg, frames), buf)
-    (y,) = normalize_overlap_add([buf], cfg, n, x.sample_rate)
+    (y,) = strip_padding([buf], cfg, n, x.sample_rate)
     assert len(y) == n
     assert np.max(np.abs(y.samples - x.samples)) <= 1e-12 * np.max(np.abs(x.samples))
 
