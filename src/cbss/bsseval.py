@@ -5,12 +5,22 @@ least-squares projection onto the spans of delayed references (a bank of L
 allowed deformation taps per reference).  SIR is the energy ratio between
 the first two components in dB; SDR and SAR fall out of the same split.
 
+Every energy those ratios need is a quadratic form in the projection
+coefficients: with G the Gram of the delayed references and rhs the
+estimate's correlations with them, ||target||^2 = c_t' G_tt c_t and so on
+(the Gram form of the BSS Eval projections, Vincent, Gribonval & Fevotte
+2006).  The metrics therefore never need the component waveforms, which
+are built by FFT convolution only when a caller reads them.
+
 The dB convention throughout is 10*log10 of an energy ratio.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import cached_property, partial
+from typing import NamedTuple
 
 import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
@@ -25,21 +35,86 @@ DIAGONAL_LOADING = 1e-9
 FILTER_TAPS = 512
 
 
-@dataclass(frozen=True, eq=False)
+class Energies(NamedTuple):
+    """Squared norms of a decomposition's components and of two of their sums."""
+
+    target: float
+    interference: float
+    artifact: float
+    joint: float  # target + interference, the joint projection
+    distortion: float  # interference + artifact
+
+
 class Decomposition:
-    """estimate = target + interference + artifact, all on a padded domain."""
+    """estimate = target + interference + artifact, all on a padded domain.
 
-    target: Waveform
-    interference: Waveform
-    artifact: Waveform
-    filter_taps: int
-    regularized: bool = False
+    `energies` is what the metrics read.  Built from three component
+    waveforms, a decomposition sums their squares.  `ReferenceProjector`
+    builds it with `from_energies` from Gram quadratic forms instead, and
+    the waveforms are made only when `target`, `interference` or `artifact`
+    is first read.
+    """
 
-    def __post_init__(self) -> None:
-        if not len(self.target) == len(self.interference) == len(self.artifact):
+    def __init__(
+        self,
+        target: Waveform,
+        interference: Waveform,
+        artifact: Waveform,
+        filter_taps: int,
+        regularized: bool = False,
+    ) -> None:
+        if not len(target) == len(interference) == len(artifact):
             raise ValueError("decomposition components must share one length")
-        if self.filter_taps < 1:
+        t, i, a = target.samples, interference.samples, artifact.samples
+        energies = Energies(*(float(np.sum(x**2)) for x in (t, i, a, t + i, i + a)))
+        parts = (target, interference, artifact)
+        self._setup(energies, filter_taps, regularized, lambda: parts)
+
+    @classmethod
+    def from_energies(
+        cls,
+        energies: Energies,
+        filter_taps: int,
+        regularized: bool,
+        components: Callable[[], tuple[Waveform, Waveform, Waveform]],
+    ) -> Decomposition:
+        """A decomposition whose waveforms `components()` builds on first access."""
+        decomposition = cls.__new__(cls)
+        decomposition._setup(energies, filter_taps, regularized, components)
+        return decomposition
+
+    def _setup(
+        self,
+        energies: Energies,
+        filter_taps: int,
+        regularized: bool,
+        components: Callable[[], tuple[Waveform, Waveform, Waveform]],
+    ) -> None:
+        if filter_taps < 1:
             raise ValueError("filter_taps must be positive")
+        # An energy found by cancellation can round to just below zero.
+        self.energies = Energies(*(max(0.0, float(e)) for e in energies))
+        self.filter_taps = int(filter_taps)
+        self.regularized = bool(regularized)
+        self._components = components
+
+    @cached_property
+    def _parts(self) -> tuple[Waveform, Waveform, Waveform]:
+        parts = self._components()
+        self._components = None  # release the estimate and coefficients
+        return parts
+
+    @property
+    def target(self) -> Waveform:
+        return self._parts[0]
+
+    @property
+    def interference(self) -> Waveform:
+        return self._parts[1]
+
+    @property
+    def artifact(self) -> Waveform:
+        return self._parts[2]
 
 
 @dataclass(frozen=True)
@@ -73,17 +148,31 @@ def _factor(gram: np.ndarray) -> tuple[tuple[np.ndarray, bool], bool]:
 class ReferenceProjector:
     """Projections onto the delayed copies of one reference pair, factored once.
 
-    The 2L x 2L Gram of the L delayed copies of both references depends on
-    the references alone, so it is built and Cholesky-factored here, with
-    the references' spectra, and every `decompose` call needs one FFT of
-    the estimate, triangular solves and a few FFT products.  The joint
-    projection does not depend on which reference is the target, so
-    `decompose_all` computes it once for both targets; the
-    target-only Gram of reference 0 is the leading block of the joint one,
-    so its factor is the leading block of the joint factor, and reference
-    1's block is factored on its own.  A Gram that is not positive definite
-    (degenerate references) is diagonally loaded, and every decomposition
-    from it is flagged `regularized`.
+    The 2L x 2L Gram G of the L delayed copies of both references depends
+    on the references alone, so it is built and Cholesky-factored here,
+    with the references' spectra.  The target-only Gram of reference 0 is
+    the leading block of the joint one, so its factor is the leading block
+    of the joint factor; reference 1's block is factored on its own.  A
+    Gram that is not positive definite (degenerate references) is
+    diagonally loaded, and every decomposition from it is flagged
+    `regularized`.
+
+    An estimate then costs one FFT of it and two inverse FFTs for its
+    correlations rhs with the delayed references, triangular solves for the
+    joint coefficients c_j and the target coefficients c_t, and O(L^2)
+    quadratic forms in the unloaded G, which is kept beside its factors:
+
+        ||target||^2       = c_t' G_tt c_t
+        ||interference||^2 = d' G d,  d = c_j - c_t in t's block
+        ||joint||^2        = c_j' G c_j
+        ||artifact||^2     = ||est||^2 - 2 c_j' rhs + ||joint||^2
+        ||interf + artif||^2 = ||est||^2 - 2 c_t' rhs_t + ||target||^2
+
+    The interference uses d rather than ||joint||^2 - ||target||^2, which
+    would cancel when the SIR is high.  The artifact and distortion forms
+    do cancel: they keep about 16 - SAR/10 and 16 - SDR/10 significant
+    digits.  The unloaded G matches the waveforms, which are made from the
+    true delayed references.
     """
 
     def __init__(
@@ -101,8 +190,8 @@ class ReferenceProjector:
         self.length = n
         self.sample_rate = ref_a.sample_rate
         self.filter_taps = taps
-        # Correlations up to lag L - 1 and convolutions with L taps, both
-        # without wrap-around, fit in n + L - 1 points.
+        self._references = (ref_a, ref_b)
+        # Correlations up to lag L - 1 fit in n + L - 1 points without wrap-around.
         self._nfft = next_fast_len(n + taps - 1, real=True)
         self._spectra = rfft(np.stack([ref_a.samples, ref_b.samples]), self._nfft)
 
@@ -114,7 +203,8 @@ class ReferenceProjector:
         gram_aa = toeplitz(corr[0, :taps])
         gram_bb = toeplitz(corr[1, :taps])
         gram_ab = toeplitz(corr[2, -lags], corr[2, :taps])
-        joint, reg_joint = _factor(np.block([[gram_aa, gram_ab], [gram_ab.T, gram_bb]]))
+        self._gram = np.block([[gram_aa, gram_ab], [gram_ab.T, gram_bb]])
+        joint, reg_joint = _factor(self._gram)
         factor_b, reg_b = _factor(gram_bb)
         self._joint_factor = joint
         self._target_factors = ((joint[0][:taps, :taps], joint[1]), factor_b)
@@ -150,31 +240,62 @@ class ReferenceProjector:
             raise ValueError("estimate and references must share one sample rate")
         taps = self.filter_taps
         est = estimate.samples
+        gram = self._gram
 
         # rhs[r, i] = <estimate, delay_i ref_r> = sum_m est[m + i] ref_r[m]
         rhs = irfft(rfft(est, self._nfft) * self._spectra.conj(), self._nfft)[:, :taps]
-        coef_joint = cho_solve(self._joint_factor, rhs.ravel()).reshape(2, taps)
-        indices = range(2)[targets]
-        coef_targets = [cho_solve(self._target_factors[t], rhs[t]) for t in indices]
+        rhs_joint = rhs.ravel()
+        coef_joint = cho_solve(self._joint_factor, rhs_joint)
+        est_energy = float(est @ est)
+        joint_energy = float(coef_joint @ gram @ coef_joint)
+        artifact_energy = est_energy - 2.0 * float(coef_joint @ rhs_joint) + joint_energy
 
-        coef_spectra = rfft(np.vstack([coef_joint, *coef_targets]), self._nfft)
-        padded = self.length + taps - 1
-        joint = irfft((coef_spectra[:2] * self._spectra).sum(axis=0), self._nfft)[:padded]
-        # A slice keeps the spectra a view; numpy's product with a realigned
-        # copy can round differently in the last bit.
-        target_parts = irfft(coef_spectra[2:] * self._spectra[targets], self._nfft)[:, :padded]
-        rate = self.sample_rate
-        artifact = Waveform(np.pad(est, (0, taps - 1)) - joint, rate)
-        return tuple(
-            Decomposition(
-                target=Waveform(part, rate),
-                interference=Waveform(joint - part, rate),
-                artifact=artifact,
-                filter_taps=taps,
-                regularized=self._regularized[t],
+        decompositions = []
+        for t in range(2)[targets]:
+            block = slice(t * taps, (t + 1) * taps)
+            coef = cho_solve(self._target_factors[t], rhs[t])
+            target_energy = float(coef @ gram[block, block] @ coef)
+            diff = coef_joint.copy()
+            diff[block] -= coef
+            energies = Energies(
+                target=target_energy,
+                interference=float(diff @ gram @ diff),
+                artifact=artifact_energy,
+                joint=joint_energy,
+                distortion=est_energy - 2.0 * float(coef @ rhs[t]) + target_energy,
             )
-            for t, part in zip(indices, target_parts)
-        )
+            components = partial(
+                component_waveforms, estimate, self._references, coef_joint.reshape(2, taps), coef, t
+            )
+            decompositions.append(
+                Decomposition.from_energies(energies, taps, self._regularized[t], components)
+            )
+        return tuple(decompositions)
+
+
+def component_waveforms(
+    estimate: Waveform,
+    references: tuple[Waveform, Waveform],
+    coef_joint: np.ndarray,
+    coef_target: np.ndarray,
+    target: int,
+) -> tuple[Waveform, Waveform, Waveform]:
+    """(target, interference, artifact) of one decomposition, on N + L - 1 samples.
+
+    The joint part is coef_joint[r] convolved with references[r], summed
+    over r; the target part is coef_target convolved with
+    references[target].  Both convolutions run by FFT.
+    """
+    taps = len(coef_target)
+    padded = len(estimate) + taps - 1
+    nfft = next_fast_len(padded, real=True)
+    spectra = rfft(np.stack([r.samples for r in references]), nfft)
+    coef_spectra = rfft(np.vstack([coef_joint, coef_target]), nfft)
+    joint = irfft((coef_spectra[:2] * spectra).sum(axis=0), nfft)[:padded]
+    part = irfft(coef_spectra[2] * spectra[target], nfft)[:padded]
+    rate = estimate.sample_rate
+    artifact = np.pad(estimate.samples, (0, taps - 1)) - joint
+    return Waveform(part, rate), Waveform(joint - part, rate), Waveform(artifact, rate)
 
 
 def project_decompose(
@@ -202,23 +323,20 @@ def _ratio_db(numerator: float, denominator: float) -> float:
 
 def sir_db(decomposition: Decomposition) -> float:
     """Signal-to-interference ratio in dB, capped at +/-100."""
-    target = float(np.sum(decomposition.target.samples**2))
-    interference = float(np.sum(decomposition.interference.samples**2))
-    return _ratio_db(target, interference)
+    energies = decomposition.energies
+    return _ratio_db(energies.target, energies.interference)
 
 
 def sdr_db(decomposition: Decomposition) -> float:
     """Signal-to-distortion ratio: target vs interference + artifact."""
-    target = float(np.sum(decomposition.target.samples**2))
-    error = decomposition.interference.samples + decomposition.artifact.samples
-    return _ratio_db(target, float(np.sum(error**2)))
+    energies = decomposition.energies
+    return _ratio_db(energies.target, energies.distortion)
 
 
 def sar_db(decomposition: Decomposition) -> float:
     """Signal-to-artifact ratio: projected part vs the projection residual."""
-    kept = decomposition.target.samples + decomposition.interference.samples
-    artifact = float(np.sum(decomposition.artifact.samples**2))
-    return _ratio_db(float(np.sum(kept**2)), artifact)
+    energies = decomposition.energies
+    return _ratio_db(energies.joint, energies.artifact)
 
 
 def segment_sir(

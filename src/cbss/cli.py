@@ -220,6 +220,11 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     if args.references is not None:
         refs = tuple(_read_mono(path, "reference") for path in args.references)
         taps = config.decomp_filter_taps
+        if not 1 <= taps <= len(refs[0]):
+            raise ValueError(
+                f"decomp_filter_taps = {taps} must lie in [1, {len(refs[0])}], "
+                "the length of the references in samples"
+            )
         projector = ReferenceProjector(refs, taps)
         decomps = [projector.decompose(est, i) for i, est in enumerate(estimates)]
         report["mode"] = "reference"

@@ -201,6 +201,49 @@ def test_projector_matches_lu_oracle_property(seed, n, taps_fraction, log_scales
             assert np.max(np.abs(got - want)) <= 1e-12 * peak
 
 
+def _energy(x):
+    return float(np.sum(x**2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 300),
+    taps_fraction=st.floats(0.0, 1.0),
+    second=st.sampled_from(["noise", "silent", "scaled"]),
+    in_span=st.booleans(),
+)
+def test_energies_match_the_components_property(seed, n, taps_fraction, second, in_span):
+    taps = 1 + int(taps_fraction * (n - 1))
+    rng = np.random.default_rng(seed)
+    r1 = rng.standard_normal(n)
+    if in_span:
+        # a zero tail keeps every delayed copy inside the estimate's N samples
+        r1[n - taps + 1 :] = 0.0
+    r2 = {"noise": rng.standard_normal(n), "silent": np.zeros(n), "scaled": -2.5 * r1}[second]
+    if in_span:
+        r2[n - taps + 1 :] = 0.0
+        est = sum(np.convolve(rng.standard_normal(taps), r)[:n] for r in (r1, r2))
+    else:
+        est = rng.standard_normal(n)
+    projector = ReferenceProjector((_wave(r1), _wave(r2)), taps)
+    both = projector.decompose_all(_wave(est))
+    single = [projector.decompose(_wave(est), target) for target in (0, 1)]
+    if second == "silent":
+        assert all(d.regularized for d in both)
+
+    # Relative to the estimate's energy: the sums that cancel (artifact,
+    # distortion) carry round-off of that size in either form.
+    scale = _energy(est)
+    for d in (*both, *single):
+        assert min(d.energies) >= 0.0
+        target, interference, artifact = _components(d)
+        sums = (target, interference, artifact, target + interference, interference + artifact)
+        assert np.max(np.abs(np.subtract(d.energies, [_energy(x) for x in sums]))) <= 1e-9 * scale
+        if in_span and not d.regularized:
+            assert sar_db(d) == 100.0
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),

@@ -372,3 +372,125 @@ def test_separate_survives_offset_clipped_and_one_talker_input(
         wave = read_wav(out / name)
         assert len(wave.channels[0]) == n_samples
         assert np.all(np.isfinite(wave.channels[0].samples))
+
+
+def _hostile_evaluate_inputs(case):
+    """(estimates, references, reference rate, taps) for one hostile `evaluate` case."""
+    rng = np.random.default_rng(11)
+    n = 4000
+    r1, r2 = 0.3 * rng.standard_normal(n), 0.3 * rng.standard_normal(n)
+    e1 = r1 + 0.2 * r2 + 0.01 * rng.standard_normal(n)
+    e2 = r2 + 0.3 * r1 + 0.01 * rng.standard_normal(n)
+    return {
+        "silent-estimate": ((np.zeros(n), np.zeros(n)), (r1, r2), 8000, 64),
+        "silent-reference": ((e1, e2), (r1, np.zeros(n)), 8000, 64),
+        "identical-references": ((e1, e2), (r1, r1), 8000, 64),
+        "scaled-reference": ((e1, e2), (r1, 0.5 * r1), 8000, 64),
+        "dc-offset-reference": ((e1 + 0.2, e2), (r1 + 0.2, r2), 8000, 64),
+        "length-mismatch": ((e1, e2), (r1[:-10], r2[:-10]), 8000, 64),
+        "rate-mismatch": ((e1, e2), (r1, r2), 16000, 64),
+        "short-references": ((e1[:50], e2[:50]), (r1[:50], r2[:50]), 8000, 64),
+    }[case]
+
+
+def _evaluate_files(tmp_path, case):
+    estimates, references, ref_rate, taps = _hostile_evaluate_inputs(case)
+    paths = []
+    for kind, waves, rate in (("e", estimates, 8000), ("r", references, ref_rate)):
+        for i, samples in enumerate(waves, start=1):
+            paths.append(str(tmp_path / f"{kind}{i}.wav"))
+            _write_mono(paths[-1], samples, rate)
+    config = tmp_path / "eval.cfg"
+    config.write_text(f"decomp_filter_taps = {taps}\n")
+    return ["evaluate", *paths[:2], "--references", *paths[2:], "--config", str(config)]
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["silent-estimate", "silent-reference", "identical-references", "scaled-reference",
+     "dc-offset-reference"],
+)
+def test_evaluate_scores_degenerate_inputs(tmp_path, capsys, case):
+    assert _run(_evaluate_files(tmp_path, case)) == 0
+    report = json.loads(capsys.readouterr().out)
+    values = np.array([report[key] for key in ("sir_db", "sdr_db", "sar_db")])
+    assert np.all(np.isfinite(values))
+    if case == "silent-estimate":
+        assert np.all(values == -100.0) and report["regularized"] == [False, False]
+    elif case == "dc-offset-reference":
+        assert report["regularized"] == [False, False]
+        # estimate 1 is its DC-offset reference plus 0.2 of reference 2 and noise
+        _, (ref1, ref2), _, _ = _hostile_evaluate_inputs(case)
+        closed_form = 10 * np.log10(np.sum(ref1**2) / np.sum((0.2 * ref2) ** 2))
+        assert report["sir_db"][0] == pytest.approx(closed_form, abs=0.1)
+    else:
+        # the second reference's delays span no new direction: singular Gram
+        assert report["regularized"] == [True, True]
+        if case == "silent-reference":
+            assert report["sir_db"] == [100.0, -100.0] and report["sdr_db"][1] == -100.0
+        else:
+            assert report["sir_db"] == [100.0, 100.0]
+
+
+@pytest.mark.parametrize(
+    ("case", "message"),
+    [
+        ("length-mismatch", "estimate and references must share one length"),
+        ("rate-mismatch", "estimate and references must share one sample rate"),
+        ("short-references", "decomp_filter_taps = 64 must lie in [1, 50]"),
+    ],
+)
+def test_evaluate_rejects_mismatched_or_short_references(tmp_path, capsys, case, message):
+    assert _run(_evaluate_files(tmp_path, case)) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and message in err[0]
+
+
+def test_separate_keeps_literal_quefrency_bins_at_44k(tmp_path, capsys):
+    cfg = tmp_path / "cfg"
+    cfg.write_text(FAST_CONFIG + "pitch_min_hz = 0\npitch_max_hz = 0\n")
+    rate = 44100
+    left, right = _two_talkers(n=2 * rate, rate=rate)
+    mixture = tmp_path / "mixture.wav"
+    _write_stereo(mixture, left, right, rate)
+    out = tmp_path / "out"
+    assert _run(["separate", str(mixture), "--config", str(cfg), "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["solver"]["termination"] == "tolerance"
+    # bins 16..120 search pitches of 368-2756 Hz at this rate; smoothing still
+    # thins the isolated mask units
+    for binary, smoothed in zip(
+        report["isolated_fraction_binary"], report["isolated_fraction_smoothed"]
+    ):
+        assert smoothed < binary
+    for name in ("stage1_1.wav", "stage1_2.wav", "final_1.wav", "final_2.wav"):
+        wave = read_wav(out / name)
+        assert wave.sample_rate == rate
+        assert len(wave.channels[0]) == len(left)
+        assert np.all(np.isfinite(wave.channels[0].samples))
+
+
+def test_separate_sixty_seconds_stays_within_block_memory(tmp_path, fast_cfg):
+    rate, n = 8000, 60 * 8000
+    left, right = _two_talkers(n=n, rate=rate)
+    mixture = tmp_path / "mixture.wav"
+    _write_stereo(mixture, left, right, rate)
+    del left, right
+    out = tmp_path / "out"
+    tracemalloc.start()
+    try:
+        code = _run(["separate", str(mixture), "--config", fast_cfg, "--out", str(out)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    # The input, four overlap-add buffers and the trimmed outputs come to
+    # about 40 MB; one whole-input spectrogram (257 bins x 3750 frames) would
+    # add 15 MB.
+    assert peak < 50e6
+    report = json.loads((out / "report.json").read_text())
+    assert report["solver"]["termination"] == "max_iters"
+    for name in ("stage1_1.wav", "stage1_2.wav", "final_1.wav", "final_2.wav"):
+        wave = read_wav(out / name)
+        assert len(wave.channels[0]) == n
+        assert np.all(np.isfinite(wave.channels[0].samples))

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from oracles import project_decompose_lu
 
-from cbss import cli, pipeline
+from cbss import bsseval, cli, pipeline
 from cbss.bsseval import Decomposition, ReferenceProjector, sar_db, sdr_db, sir_db
 from cbss.config import load_config
 from cbss.signals import MultichannelRecording, Waveform, read_wav, write_wav
@@ -29,6 +29,20 @@ def built_projectors(monkeypatch):
 
     monkeypatch.setattr(pipeline, "ReferenceProjector", CountingProjector)
     monkeypatch.setattr(cli, "ReferenceProjector", CountingProjector)
+    return built
+
+
+@pytest.fixture()
+def built_components(monkeypatch):
+    """Target index of every decomposition whose component waveforms are built."""
+    built = []
+    build = bsseval.component_waveforms
+
+    def counting(*args):
+        built.append(args[-1])
+        return build(*args)
+
+    monkeypatch.setattr(bsseval, "component_waveforms", counting)
     return built
 
 
@@ -170,3 +184,29 @@ def test_sweep_factors_each_mic_once_per_row(built_projectors, tmp_path, monkeyp
         ):
             got = [row[key]["signal_1"], row[key]["signal_2"]]
             assert np.max(np.abs(np.subtract(got, values))) <= 1e-9, key
+
+
+def test_scoring_builds_no_component_waveform(built_components, tmp_path, capsys):
+    """The metrics come from Gram quadratic forms: no scoring entry point
+    convolves coefficients back into waveforms unless a caller reads them."""
+    estimates, images = _scene()
+    pipeline.evaluate_outputs(estimates, images, TAPS)
+    (table,) = pipeline.decompose_pairs([estimates], images, TAPS)
+
+    paths = [str(tmp_path / f"{name}.wav") for name in ("e1", "e2", "r1", "r2")]
+    for path, wave in zip(paths, (*estimates, *images[0])):
+        write_wav(MultichannelRecording((wave,)), path)
+    config = tmp_path / "fast.cfg"
+    config.write_text(SWEEP_FAST_CONFIG.replace("seed = 7", f"decomp_filter_taps = {TAPS}"))
+    argv = ["evaluate", *paths[:2], "--references", *paths[2:], "--config", str(config)]
+    assert cli.main(argv) == 0
+    argv = ["sweep", "--rt60", "150", "--config", str(config), "--out", str(tmp_path / "sweep")]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert built_components == []
+
+    # Reading a component builds all three once; the decomposition keeps them.
+    decomposition = table[1][0]
+    parts = decomposition.target, decomposition.interference, decomposition.artifact
+    assert decomposition.artifact is parts[2]
+    assert built_components == [0]
