@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
-from scipy.linalg import LinAlgError, cho_factor, cho_solve, toeplitz
+from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from .signals import Waveform
 
@@ -197,12 +197,12 @@ class ReferenceProjector:
 
         # Block (a, b) of the Gram: <delay_i ref_a, delay_j ref_b> = c_ab[j - i],
         # with c_ab[t] = sum_m ref_a[m + t] ref_b[m] (negative t wraps around).
+        # The autocorrelations are even, so their blocks read c_aa[|i - j|].
         a, b = self._spectra
         corr = irfft(np.stack([a * a.conj(), b * b.conj(), a * b.conj()]), self._nfft)
-        lags = np.arange(taps)
-        gram_aa = toeplitz(corr[0, :taps])
-        gram_bb = toeplitz(corr[1, :taps])
-        gram_ab = toeplitz(corr[2, -lags], corr[2, :taps])
+        lag = np.subtract.outer(np.arange(taps), np.arange(taps))  # i - j
+        gram_aa, gram_bb = corr[:2, np.abs(lag)]
+        gram_ab = corr[2, -lag]
         self._gram = np.block([[gram_aa, gram_ab], [gram_ab.T, gram_bb]])
         joint, reg_joint = _factor(self._gram)
         factor_b, reg_b = _factor(gram_bb)
@@ -220,9 +220,7 @@ class ReferenceProjector:
         """
         if target not in (0, 1):
             raise ValueError(f"target must be 0 or 1, got {target!r}")
-        target = int(target)
-        (decomposition,) = self._decompose(estimate, slice(target, target + 1))
-        return decomposition
+        return self.decompose_all(estimate)[int(target)]
 
     def decompose_all(self, estimate: Waveform) -> tuple[Decomposition, Decomposition]:
         """`decompose(estimate, t)` for t = 0 and 1, indexed by target.
@@ -230,10 +228,6 @@ class ReferenceProjector:
         The joint projection and the artifact do not depend on the target,
         so they are computed once and shared by both decompositions.
         """
-        return self._decompose(estimate, slice(0, 2))
-
-    def _decompose(self, estimate: Waveform, targets: slice) -> tuple[Decomposition, ...]:
-        """Decompositions for the targets `targets` selects from (0, 1), in order."""
         if len(estimate) != self.length:
             raise ValueError("estimate and references must share one length")
         if estimate.sample_rate != self.sample_rate:
@@ -251,7 +245,7 @@ class ReferenceProjector:
         artifact_energy = est_energy - 2.0 * float(coef_joint @ rhs_joint) + joint_energy
 
         decompositions = []
-        for t in range(2)[targets]:
+        for t in (0, 1):
             block = slice(t * taps, (t + 1) * taps)
             coef = cho_solve(self._target_factors[t], rhs[t])
             target_energy = float(coef @ gram[block, block] @ coef)

@@ -1,6 +1,7 @@
 """Command-line front end: separate, simulate, evaluate, sweep.
 
-Every run writes WAV artifacts plus a JSON report with a format version.
+Commands parse arguments, read files, leave the work to `pipeline` and
+`bsseval`, then write WAV artifacts plus a versioned JSON report and print.
 Exit codes: 0 success, 2 usage error, 1 runtime failure.
 """
 
@@ -14,19 +15,9 @@ from pathlib import Path
 
 # project_decompose is unused here but stays importable as cli.project_decompose:
 # bench/tracer.py wraps it by that name.
-from .bsseval import (  # noqa: F401
-    ReferenceProjector,
-    SegmentAnnotation,
-    project_decompose,
-    sar_db,
-    sdr_db,
-    segment_sir,
-    sir_db,
-)
+from .bsseval import SegmentAnnotation, project_decompose, segment_sir  # noqa: F401
 from .config import PipelineConfig, default_config, load_config
-# evaluate_outputs is unused here but stays importable as cli.evaluate_outputs:
-# bench/tracer.py wraps it by that name.
-from .pipeline import (  # noqa: F401
+from .pipeline import (
     SeparationResult,
     SimulatedScene,
     decompose_pairs,
@@ -69,6 +60,14 @@ def _separation_block(result: SeparationResult) -> dict:
     }
 
 
+def _separation_report(
+    config: PipelineConfig, result: SeparationResult, outputs: dict, **fields
+) -> dict:
+    report = _base_report("separation", config)
+    report.update(_separation_block(result), outputs=outputs, **fields)
+    return report
+
+
 def _write_outputs(result: SeparationResult, out_dir: Path) -> dict:
     paths = {}
     for stage, pair in (("stage1", result.stage1), ("final", result.final)):
@@ -103,10 +102,8 @@ def cmd_separate(args: argparse.Namespace) -> int:
     result = separate_recording(recording, config)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    report = _base_report("separation", config)
-    report.update(_separation_block(result))
-    report["outputs"] = _write_outputs(result, out_dir)
-    report["input"] = str(args.mixture)
+    outputs = _write_outputs(result, out_dir)
+    report = _separation_report(config, result, outputs, input=str(args.mixture))
     _write_report(report, out_dir / "report.json")
     print(f"wrote separation outputs and report.json to {out_dir}")
     return 0
@@ -124,7 +121,7 @@ def _scene_from_args(args: argparse.Namespace, config: PipelineConfig) -> Simula
     return simulate_scene(config, rt60_ms=args.rt60, sources=sources, seed=seed)
 
 
-def _write_scene(scene: SimulatedScene, config: PipelineConfig, out_dir: Path) -> None:
+def _write_scene(scene: SimulatedScene, out_dir: Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     write_wav(scene.mixture, out_dir / "mixture.wav")
     for i, src in enumerate(scene.sources, start=1):
@@ -135,9 +132,9 @@ def _write_scene(scene: SimulatedScene, config: PipelineConfig, out_dir: Path) -
                 MultichannelRecording((scene.images[mic][src],)),
                 out_dir / f"image_m{mic + 1}_s{src + 1}.wav",
             )
-    room = config.room_spec(scene.mixture.sample_rate, scene.rt60_ms)
+    room = scene.room
     lines = [
-        f"rt60_ms = {scene.rt60_ms}",
+        f"rt60_ms = {room.rt60_ms}",
         f"sample_rate = {scene.mixture.sample_rate}",
         f"seed = {scene.seed}",
         f"room_dimensions = {room.dimensions[0]} {room.dimensions[1]} {room.dimensions[2]}",
@@ -158,7 +155,7 @@ def _write_scene(scene: SimulatedScene, config: PipelineConfig, out_dir: Path) -
 def cmd_simulate(args: argparse.Namespace) -> int:
     config = _load_config_arg(args.config)
     scene = _scene_from_args(args, config)
-    _write_scene(scene, config, Path(args.out))
+    _write_scene(scene, Path(args.out))
     print(f"wrote mixture, images, and manifest.txt to {args.out}")
     return 0
 
@@ -225,14 +222,21 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
                 f"decomp_filter_taps = {taps} must lie in [1, {len(refs[0])}], "
                 "the length of the references in samples"
             )
-        projector = ReferenceProjector(refs, taps)
-        decomps = [projector.decompose(est, i) for i, est in enumerate(estimates)]
+        # Estimate i is scored against the references with reference i as its target.
+        evaluation = evaluate_outputs(tuple(estimates), (refs, refs), taps, permutation=(0, 1))
+        regularized = [d.regularized for d in evaluation.decompositions]
+        if any(regularized):
+            print(
+                "warning: the references are degenerate (one is silent or a scaled copy of "
+                "the other); the metrics are not meaningful",
+                file=sys.stderr,
+            )
         report["mode"] = "reference"
         report["filter_taps"] = taps
-        report["sir_db"] = [sir_db(d) for d in decomps]
-        report["sdr_db"] = [sdr_db(d) for d in decomps]
-        report["sar_db"] = [sar_db(d) for d in decomps]
-        report["regularized"] = [d.regularized for d in decomps]
+        report["sir_db"] = list(evaluation.sir)
+        report["sdr_db"] = list(evaluation.sdr)
+        report["sar_db"] = list(evaluation.sar)
+        report["regularized"] = regularized
     else:
         segments = args.segments
         sir1, sir2 = segment_sir(tuple(estimates), segments)
@@ -267,7 +271,7 @@ def _sweep_row(config: PipelineConfig, rt60: float, rt_dir: Path, seed: int | No
     released before the next row is simulated.
     """
     scene = simulate_scene(config, rt60_ms=rt60, seed=seed)
-    _write_scene(scene, config, rt_dir)
+    _write_scene(scene, rt_dir)
     result = separate_recording(scene.mixture, config)
     outputs = _write_outputs(result, rt_dir)
 
@@ -292,12 +296,8 @@ def _sweep_row(config: PipelineConfig, rt60: float, rt_dir: Path, seed: int | No
     }
     row.update(_separation_block(result))
 
-    report = _base_report("separation", config)
-    report.update(_separation_block(result))
-    report["outputs"] = outputs
-    report["rt60_ms"] = rt60
-    report["stage1_sir_db"] = row["stage1_sir_db"]
-    report["final_sir_db"] = row["final_sir_db"]
+    sirs = {key: row[key] for key in ("stage1_sir_db", "final_sir_db")}
+    report = _separation_report(config, result, outputs, rt60_ms=rt60, **sirs)
     _write_report(report, rt_dir / "report.json")
     return row
 

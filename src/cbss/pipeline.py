@@ -50,9 +50,10 @@ from .masking import (  # noqa: F401
     estimate_binary_masks,
     isolated_unit_fraction,
 )
+from .roomsim import ImpulseResponseBank, RoomSpec, mix_images, source_images
 # convolve_mix is unused here but stays importable as pipeline.convolve_mix:
 # bench/tracer.py wraps it by that name.
-from .roomsim import ImpulseResponseBank, convolve_mix, mix_images, source_images  # noqa: F401
+from .roomsim import convolve_mix  # noqa: F401
 from .signals import MultichannelRecording, Waveform, gen_am_source
 from .stft import (  # noqa: F401
     analyze,
@@ -129,7 +130,7 @@ class SimulatedScene:
     sources: tuple[Waveform, Waveform]
     images: tuple[tuple[Waveform, Waveform], tuple[Waveform, Waveform]]
     bank: ImpulseResponseBank
-    rt60_ms: float
+    room: RoomSpec
     seed: int | None
 
 
@@ -173,7 +174,7 @@ def simulate_scene(
         sources=sources,
         images=images,
         bank=bank,
-        rt60_ms=room.rt60_ms,
+        room=room,
         seed=used_seed,
     )
 
@@ -218,14 +219,16 @@ def decompose_pairs(
 
     Output j of every pair is decomposed against the images at mic j, once
     for both sources as the target.  Each mic's image pair is factored once
-    for all pairs, and its projector is released before the next mic's is
-    built.  Returns one table per pair, indexed [mic][source].
+    for all pairs (once for both mics if they get the same two `Waveform`s),
+    and released before the next is built.  Returns one table per pair,
+    indexed [mic][source].
     """
+    shared = all(a is b for a, b in zip(*images))
     by_mic = []
-    for mic in (0, 1):
-        projector = ReferenceProjector(images[mic], taps)
-        by_mic.append([projector.decompose_all(pair[mic]) for pair in estimate_pairs])
-        # Free this mic's Gram factors before the next mic's are built.
+    for mics in ((0, 1),) if shared else ((0,), (1,)):
+        projector = ReferenceProjector(images[mics[0]], taps)
+        by_mic += [[projector.decompose_all(pair[mic]) for pair in estimate_pairs] for mic in mics]
+        # Free these Gram factors before the next mic's are built.
         del projector
     return list(zip(*by_mic))
 

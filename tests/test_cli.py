@@ -412,9 +412,17 @@ def _evaluate_files(tmp_path, case):
 )
 def test_evaluate_scores_degenerate_inputs(tmp_path, capsys, case):
     assert _run(_evaluate_files(tmp_path, case)) == 0
-    report = json.loads(capsys.readouterr().out)
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
     values = np.array([report[key] for key in ("sir_db", "sdr_db", "sar_db")])
     assert np.all(np.isfinite(values))
+    # one warning line on stderr for exactly the cases scored from a regularized Gram
+    warnings = captured.err.splitlines()
+    if case in ("silent-reference", "identical-references", "scaled-reference"):
+        assert len(warnings) == 1 and warnings[0].startswith("warning: ")
+        assert "degenerate" in warnings[0] and "not meaningful" in warnings[0]
+    else:
+        assert warnings == []
     if case == "silent-estimate":
         assert np.all(values == -100.0) and report["regularized"] == [False, False]
     elif case == "dc-offset-reference":

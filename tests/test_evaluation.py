@@ -28,7 +28,6 @@ def built_projectors(monkeypatch):
             super().__init__(references, filter_taps)
 
     monkeypatch.setattr(pipeline, "ReferenceProjector", CountingProjector)
-    monkeypatch.setattr(cli, "ReferenceProjector", CountingProjector)
     return built
 
 
@@ -46,12 +45,18 @@ def built_components(monkeypatch):
     return built
 
 
-def _scene(n=3000, seed=0):
-    """images[mic][source] noise, and outputs carrying source 2 then source 1."""
+def _scene(n=3000, seed=0, shared=False):
+    """images[mic][source] noise, and outputs carrying source 2 then source 1.
+
+    With `shared`, both mics are handed one image pair, as when scoring
+    against a single reference pair.
+    """
     rng = np.random.default_rng(seed)
     images = tuple(
         tuple(Waveform(0.1 * rng.standard_normal(n), RATE) for _ in (0, 1)) for _ in (0, 1)
     )
+    if shared:
+        images = (images[0], images[0])
     estimates = tuple(
         Waveform(
             images[mic][1 - mic].samples
@@ -72,12 +77,14 @@ def _oracle_metrics(estimate, target, interferer, taps=TAPS):
     return np.array([sir_db(d), sdr_db(d), sar_db(d)])
 
 
+@pytest.mark.parametrize("shared", [False, True], ids=["two-pairs", "shared-pair"])
 @pytest.mark.parametrize("permutation", [None, (0, 1), (1, 0)], ids=["free", "0-1", "1-0"])
-def test_evaluate_outputs_factors_each_mic_once(built_projectors, permutation):
-    estimates, images = _scene()
+def test_evaluate_outputs_factors_each_mic_once(built_projectors, permutation, shared):
+    estimates, images = _scene(shared=shared)
     result = pipeline.evaluate_outputs(estimates, images, TAPS, permutation)
 
-    assert built_projectors == [images[0], images[1]]
+    # a pair handed to both mics is factored once for both
+    assert built_projectors == ([images[0]] if shared else [images[0], images[1]])
     oracle = {
         perm: [
             _oracle_metrics(estimates[mic], images[mic][perm[mic]], images[mic][1 - perm[mic]])
