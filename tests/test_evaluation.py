@@ -77,8 +77,16 @@ def _oracle_metrics(estimate, target, interferer, taps=TAPS):
     return np.array([sir_db(d), sdr_db(d), sar_db(d)])
 
 
-@pytest.mark.parametrize("shared", [False, True], ids=["two-pairs", "shared-pair"])
-@pytest.mark.parametrize("permutation", [None, (0, 1), (1, 0)], ids=["free", "0-1", "1-0"])
+_PERMUTATIONS = {"free": None, "0-1": (0, 1), "1-0": (1, 0)}
+
+
+# the plain ids are the two-pair scenes; a pair shared by both mics adds a suffix
+@pytest.mark.parametrize(
+    ("permutation", "shared"),
+    [(perm, False) for perm in _PERMUTATIONS.values()]
+    + [(perm, True) for perm in _PERMUTATIONS.values()],
+    ids=[*_PERMUTATIONS, *(f"{name}-shared-pair" for name in _PERMUTATIONS)],
+)
 def test_evaluate_outputs_factors_each_mic_once(built_projectors, permutation, shared):
     estimates, images = _scene(shared=shared)
     result = pipeline.evaluate_outputs(estimates, images, TAPS, permutation)
