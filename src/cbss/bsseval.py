@@ -10,7 +10,9 @@ coefficients: with G the Gram of the delayed references and rhs the
 estimate's correlations with them, ||target||^2 = c_t' G_tt c_t and so on
 (the Gram form of the BSS Eval projections, Vincent, Gribonval & Fevotte
 2006).  The metrics therefore never need the component waveforms, which
-are built by FFT convolution only when a caller reads them.
+are built by FFT convolution only when a caller reads them.  The
+Cholesky factorizations and solves come from `scipy.linalg`, imported by
+the functions that call them, so importing the package loads no SciPy.
 
 The dB convention throughout is 10*log10 of an energy ratio.
 """
@@ -23,10 +25,9 @@ from functools import cached_property, partial
 from typing import NamedTuple
 
 import numpy as np
-from scipy.fft import irfft, next_fast_len, rfft
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from .signals import Waveform
+from .stft import next_fast_len
 
 SIR_CAP_DB = 100.0
 ENERGY_RATIO_FLOOR = 1e-12
@@ -137,6 +138,8 @@ class SegmentAnnotation:
 
 def _factor(gram: np.ndarray) -> tuple[tuple[np.ndarray, bool], bool]:
     """Cholesky factor of a Gram matrix, diagonally loaded if it is not positive definite."""
+    from scipy.linalg import LinAlgError, cho_factor
+
     try:
         return cho_factor(gram), False
     except LinAlgError:
@@ -192,14 +195,14 @@ class ReferenceProjector:
         self.filter_taps = taps
         self._references = (ref_a, ref_b)
         # Correlations up to lag L - 1 fit in n + L - 1 points without wrap-around.
-        self._nfft = next_fast_len(n + taps - 1, real=True)
-        self._spectra = rfft(np.stack([ref_a.samples, ref_b.samples]), self._nfft)
+        self._nfft = next_fast_len(n + taps - 1)
+        self._spectra = np.fft.rfft(np.stack([ref_a.samples, ref_b.samples]), self._nfft)
 
         # Block (a, b) of the Gram: <delay_i ref_a, delay_j ref_b> = c_ab[j - i],
         # with c_ab[t] = sum_m ref_a[m + t] ref_b[m] (negative t wraps around).
         # The autocorrelations are even, so their blocks read c_aa[|i - j|].
         a, b = self._spectra
-        corr = irfft(np.stack([a * a.conj(), b * b.conj(), a * b.conj()]), self._nfft)
+        corr = np.fft.irfft(np.stack([a * a.conj(), b * b.conj(), a * b.conj()]), self._nfft)
         lag = np.subtract.outer(np.arange(taps), np.arange(taps))  # i - j
         gram_aa, gram_bb = corr[:2, np.abs(lag)]
         gram_ab = corr[2, -lag]
@@ -232,12 +235,15 @@ class ReferenceProjector:
             raise ValueError("estimate and references must share one length")
         if estimate.sample_rate != self.sample_rate:
             raise ValueError("estimate and references must share one sample rate")
+        from scipy.linalg import cho_solve
+
         taps = self.filter_taps
         est = estimate.samples
         gram = self._gram
 
         # rhs[r, i] = <estimate, delay_i ref_r> = sum_m est[m + i] ref_r[m]
-        rhs = irfft(rfft(est, self._nfft) * self._spectra.conj(), self._nfft)[:, :taps]
+        cross = np.fft.rfft(est, self._nfft) * self._spectra.conj()
+        rhs = np.fft.irfft(cross, self._nfft)[:, :taps]
         rhs_joint = rhs.ravel()
         coef_joint = cho_solve(self._joint_factor, rhs_joint)
         est_energy = float(est @ est)
@@ -282,11 +288,11 @@ def component_waveforms(
     """
     taps = len(coef_target)
     padded = len(estimate) + taps - 1
-    nfft = next_fast_len(padded, real=True)
-    spectra = rfft(np.stack([r.samples for r in references]), nfft)
-    coef_spectra = rfft(np.vstack([coef_joint, coef_target]), nfft)
-    joint = irfft((coef_spectra[:2] * spectra).sum(axis=0), nfft)[:padded]
-    part = irfft(coef_spectra[2] * spectra[target], nfft)[:padded]
+    nfft = next_fast_len(padded)
+    spectra = np.fft.rfft(np.stack([r.samples for r in references]), nfft)
+    coef_spectra = np.fft.rfft(np.vstack([coef_joint, coef_target]), nfft)
+    joint = np.fft.irfft((coef_spectra[:2] * spectra).sum(axis=0), nfft)[:padded]
+    part = np.fft.irfft(coef_spectra[2] * spectra[target], nfft)[:padded]
     rate = estimate.sample_rate
     artifact = np.pad(estimate.samples, (0, taps - 1)) - joint
     return Waveform(part, rate), Waveform(joint - part, rate), Waveform(artifact, rate)

@@ -21,11 +21,12 @@ half-spectrum
 (bins 0..K/2) stands for an even length-K spectrum, so its real cepstrum
 is even too and quefrencies 0..K/2 hold all of it.  Between those halves
 the length-K DFT is a type-I DCT (scaled by 1/K going to the cepstrum),
-which needs neither the mirrored half nor complex buffers.  One DCT each
-gives the cepstra of the mask and of the separated magnitudes, one
-`argmax` picks every frame's pitch quefrency, the recursion across frames
-is the only loop, and one DCT takes the smoothed cepstra back to a log
-mask, which is exponentiated and clamped to [floor, 1].
+the real part of the `rfft` of the even extension x[0..K/2], x[K/2-1..1].
+One DCT each gives the cepstra of the mask and of the separated
+magnitudes, one `argmax` picks every frame's pitch quefrency, the
+recursion across frames is the only loop, and one DCT takes the smoothed
+cepstra back to a log mask, which is exponentiated and clamped to
+[floor, 1].
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import dct
 
 from .masking import SpectralMask
 from .stft import Spectrogram
@@ -79,9 +79,16 @@ class SmoothingParams:
         return cls(l_low=l_low, l_high=l_high, **kwargs)
 
 
+def _dct1(x: np.ndarray) -> np.ndarray:
+    """Unnormalized type-I DCT on the last axis, bit-equal to SciPy's `dct(type=1)`."""
+    # Copied out of the complex spectrum so that, as with SciPy's output, the
+    # frame recursion and the in-place `exp` run on contiguous rows.
+    return np.fft.rfft(np.concatenate((x, x[..., -2:0:-1]), axis=-1)).real.copy()
+
+
 def _cepstra(half: np.ndarray, floor: float) -> np.ndarray:
     """Real cepstra (quefrencies 0..K/2) of floored half-spectra on the last axis."""
-    cep = dct(np.log(np.maximum(half, floor)), type=1, axis=-1, overwrite_x=True)
+    cep = _dct1(np.log(np.maximum(half, floor)))
     cep /= 2 * (half.shape[-1] - 1)
     return cep
 
@@ -154,8 +161,8 @@ def smooth_mask(
             cep[m] = betas[m] * previous + (1.0 - betas[m]) * cep[m]
         previous = cep[m]
     if carry is not None and previous is not None:
-        carry.previous = previous.copy()  # the DCT below overwrites cep
+        carry.previous = previous
 
-    mask_values = dct(cep, type=1, axis=-1, overwrite_x=True)
+    mask_values = _dct1(cep)
     np.exp(mask_values, out=mask_values)
     return SpectralMask(np.clip(mask_values, floor, 1.0, out=mask_values).T, "smoothed")

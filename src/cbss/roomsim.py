@@ -5,11 +5,11 @@ absorption coefficient via Sabine's formula; every image source then
 contributes an attenuated, delayed tap.  All four source/mic pairs of a
 bank share one image lattice and its per-octant reflection counts, and each
 pair culls the images too far away to land inside the RIR before weighting
-any of them.  Convolution runs on `scipy.fft` at the length and in the
+any of them.  Convolution runs on `numpy.fft` at the length and in the
 order of operations of SciPy's `fftconvolve`, so the images keep its bits
-while the package's import stays light.  The simulator exists to produce
-controlled convolutive mixtures plus their per-source ground-truth images,
-not to be a general acoustics package.
+without loading SciPy.  The simulator exists to produce controlled
+convolutive mixtures plus their per-source ground-truth images, not to be
+a general acoustics package.
 """
 
 from __future__ import annotations
@@ -19,9 +19,9 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import irfft, next_fast_len, rfft
 
 from .signals import MultichannelRecording, Waveform
+from .stft import next_fast_len
 
 SABINE_COEFF = 0.161
 # Longest RIR a RoomSpec may ask for: the default length grows with RT60.
@@ -219,14 +219,14 @@ def source_images(
     rate = bank.sample_rate
     padded = _padded_sources(sources, rate)
     full = len(padded[0]) + bank.rir_length - 1
-    nfft = next_fast_len(full, real=True)
-    spectra = [rfft(s, nfft) for s in padded]
+    nfft = next_fast_len(full)
+    spectra = [np.fft.rfft(s, nfft) for s in padded]
 
     def image(mic: int, src: int) -> Waveform:
         # Bound to a name: `spectra[src] * rfft(...)` would let numpy reuse the
         # temporary in place, a different loop that moves the last bit.
-        response = rfft(bank.responses[mic][src].samples, nfft)
-        return Waveform(irfft(spectra[src] * response, nfft)[:full], rate)
+        response = np.fft.rfft(bank.responses[mic][src].samples, nfft)
+        return Waveform(np.fft.irfft(spectra[src] * response, nfft)[:full], rate)
 
     return tuple(tuple(image(mic, src) for src in (0, 1)) for mic in (0, 1))
 

@@ -1,18 +1,36 @@
 """Time-domain audio containers, WAV file I/O, and a synthetic test source.
 
-WAV support is deliberately narrow: RIFF files holding 16-bit PCM or IEEE
-float32 samples, one or two channels.  Everything is normalized to float64
-in [-1, 1] on read so the rest of the toolkit never sees integer codes.
+WAV support is deliberately narrow, and needs only the standard library's
+`struct`: little-endian RIFF WAVE files holding 16-bit PCM or IEEE float32
+samples, one or two channels.  The reader takes the first `fmt ` and
+`data` chunks, also in the extensible form, and skips every other chunk
+(`LIST`, `fact`, ...) with the pad byte of an odd-sized one.  A `data`
+chunk shorter than its header says raises `UnsupportedWavError`: the file
+was cut off.  The writer lays out its header as SciPy's `wavfile.write`
+does (a `fact` chunk after an 18-byte `fmt ` chunk for float32, a 16-byte
+`fmt ` chunk for PCM), so its files keep the same bytes.  Everything is
+normalized to float64 in [-1, 1] on read so the rest of the toolkit never
+sees integer codes.
 """
 
 from __future__ import annotations
 
+import os
+import struct
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.io import wavfile
 
 PCM16_SCALE = 32768.0
+
+_RIFF_HEADER = struct.Struct("<4sI4s")
+_CHUNK_HEADER = struct.Struct("<4sI")
+# Format tag, channels, sample rate, bytes per second, block align, bits per sample.
+_FMT = struct.Struct("<HHIIHH")
+_PCM, _IEEE_FLOAT, _EXTENSIBLE = 0x0001, 0x0003, 0xFFFE
+# Bytes 4-15 of an extensible subformat GUID whose first 4 bytes are a format tag.
+_SUBFORMAT_TAIL = b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
+_SAMPLE_TYPES = {(_PCM, 16): np.dtype("<i2"), (_IEEE_FLOAT, 32): np.dtype("<f4")}
 
 
 class WavError(ValueError):
@@ -96,6 +114,33 @@ class MultichannelRecording:
         return np.stack([ch.samples for ch in self.channels])
 
 
+def _corrupt(path, reason: str) -> UnsupportedWavError:
+    return UnsupportedWavError(f"unsupported or corrupt WAV file: {path}: {reason}")
+
+
+def _seek_data(f, path) -> tuple[bytes, int]:
+    """Move `f` to the first sample; return the `fmt ` chunk and the data size in bytes."""
+    head = f.read(_RIFF_HEADER.size)
+    if head[:4] != b"RIFF" or head[8:12] != b"WAVE":
+        raise _corrupt(path, "not a RIFF WAVE file")
+    fmt = None
+    while True:
+        head = f.read(_CHUNK_HEADER.size)
+        if len(head) < _CHUNK_HEADER.size:
+            raise _corrupt(path, "no data chunk")
+        chunk_id, size = _CHUNK_HEADER.unpack(head)
+        if chunk_id == b"data":
+            break
+        skip = size + size % 2  # an odd-sized chunk is followed by a pad byte
+        if chunk_id == b"fmt " and fmt is None:
+            fmt = f.read(size)
+            skip -= len(fmt)
+        f.seek(skip, 1)
+    if fmt is None or len(fmt) < _FMT.size:
+        raise _corrupt(path, "no complete fmt chunk before the data chunk")
+    return fmt, size
+
+
 def read_wav(path) -> MultichannelRecording:
     """Read a 1- or 2-channel PCM16/float32 WAV file.
 
@@ -104,35 +149,42 @@ def read_wav(path) -> MultichannelRecording:
     unchanged.
 
     Raises FileNotFoundError for a missing file, UnsupportedWavError for
-    malformed files or encodings outside the supported pair, and
-    EmptyWavError for files with no audio frames.
+    malformed or truncated files or encodings outside the supported pair,
+    and EmptyWavError for files with no audio frames.
     """
-    try:
-        rate, data = wavfile.read(path)
-    except OSError:
-        raise
-    except Exception as exc:
-        raise UnsupportedWavError(f"unsupported or corrupt WAV file: {path}: {exc}") from exc
+    with open(path, "rb") as f:
+        fmt, size = _seek_data(f, path)
+        tag, n_channels, rate, _, block_align, bits = _FMT.unpack_from(fmt)
+        if tag == _EXTENSIBLE and len(fmt) >= 40 and fmt[28:40] == _SUBFORMAT_TAIL:
+            (tag,) = struct.unpack_from("<I", fmt, 24)
+        if n_channels < 1 or block_align < 1:
+            raise _corrupt(path, f"{n_channels} channels in blocks of {block_align} bytes")
+        n_frames = size // block_align
+        if n_frames == 0:
+            raise EmptyWavError(f"WAV file holds no samples: {path}")
+        sample_type = _SAMPLE_TYPES.get((tag, bits))
+        if sample_type is None:
+            kind = {_PCM: f"int{bits}", _IEEE_FLOAT: f"float{bits}"}.get(tag, f"format {tag:#06x}")
+            raise UnsupportedWavError(
+                f"unsupported sample encoding {kind} in {path}; "
+                "only 16-bit PCM and IEEE float32 are readable"
+            )
+        if n_channels > 2:
+            raise UnsupportedWavError(
+                f"{path} has {n_channels} channels; only mono and stereo are supported"
+            )
+        if block_align != n_channels * sample_type.itemsize:
+            raise _corrupt(path, f"blocks of {block_align} bytes for {n_channels} channels")
+        present = os.fstat(f.fileno()).st_size - f.tell()
+        if present < n_frames * block_align:
+            raise _corrupt(
+                path, f"data chunk truncated: {present} of {n_frames * block_align} bytes present"
+            )
+        data = np.fromfile(f, dtype=sample_type, count=n_frames * n_channels)
 
-    if data.size == 0:
-        raise EmptyWavError(f"WAV file holds no samples: {path}")
-    if data.dtype == np.int16:
-        scaled = data / PCM16_SCALE
-    elif data.dtype == np.float32:
-        scaled = data.astype(np.float64)
-    else:
-        raise UnsupportedWavError(
-            f"unsupported sample encoding {data.dtype} in {path}; "
-            "only 16-bit PCM and IEEE float32 are readable"
-        )
-
-    if scaled.ndim == 1:
-        scaled = scaled[:, None]
-    if scaled.shape[1] > 2:
-        raise UnsupportedWavError(
-            f"{path} has {scaled.shape[1]} channels; only mono and stereo are supported"
-        )
-    channels = tuple(Waveform(scaled[:, c], rate) for c in range(scaled.shape[1]))
+    data = data.reshape(n_frames, n_channels)
+    scaled = data / PCM16_SCALE if tag == _PCM else data.astype(np.float64)
+    channels = tuple(Waveform(scaled[:, c], rate) for c in range(n_channels))
     return MultichannelRecording(channels)
 
 
@@ -143,17 +195,31 @@ def write_wav(recording: MultichannelRecording, path, encoding: str = "float32")
     32768 so a round trip stays within one LSB.
     """
     data = recording.to_array().T  # frames x channels
+    # C order interleaves the channels, as the data chunk stores them.
     if encoding == "float32":
-        out = data.astype(np.float32)
+        tag, out = _IEEE_FLOAT, data.astype("<f4", order="C")
     elif encoding == "pcm16":
         clipped = np.clip(data, -1.0, 1.0)
         codes = np.round(clipped * PCM16_SCALE)
-        out = np.clip(codes, -32768, 32767).astype(np.int16)
+        tag, out = _PCM, np.clip(codes, -32768, 32767).astype("<i2", order="C")
     else:
         raise ValueError(f"unknown encoding {encoding!r}; use 'float32' or 'pcm16'")
-    if out.shape[1] == 1:
-        out = out[:, 0]
-    wavfile.write(path, recording.sample_rate, out)
+    n_frames, n_channels = out.shape
+    block_align = n_channels * out.dtype.itemsize
+    rate = recording.sample_rate
+    fmt = _FMT.pack(tag, n_channels, rate, rate * block_align, block_align, 8 * out.dtype.itemsize)
+    fact = b""
+    if tag != _PCM:
+        # A non-PCM fmt chunk ends in a zero extension size and is followed
+        # by a fact chunk holding the frame count.
+        fmt += b"\x00\x00"
+        fact = _CHUNK_HEADER.pack(b"fact", 4) + struct.pack("<I", n_frames)
+    header = _CHUNK_HEADER.pack(b"fmt ", len(fmt)) + fmt + fact
+    header += _CHUNK_HEADER.pack(b"data", out.nbytes)
+    with open(path, "wb") as f:
+        f.write(_RIFF_HEADER.pack(b"RIFF", 4 + len(header) + out.nbytes, b"WAVE"))
+        f.write(header)
+        out.tofile(f)
 
 
 def gen_am_source(

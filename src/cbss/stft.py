@@ -14,6 +14,9 @@ reads only the samples a range of frames covers, and `overlap_add` adds a
 block's frames into a caller's buffer, from which `strip_padding` cuts the
 waveforms once every block is in.  Whole-signal `analyze` and `synthesize`
 are the one-block case.
+
+`next_fast_len` picks the zero-padded FFT length at which the room
+simulator and the metrics convolve.
 """
 
 from __future__ import annotations
@@ -231,3 +234,21 @@ def synthesize(spec: Spectrogram) -> Waveform:
     overlap_add(spec, acc)
     (wave,) = strip_padding([acc], spec.config, spec.original_length, spec.sample_rate)
     return wave
+
+
+def next_fast_len(n: int) -> int:
+    """Smallest 5-smooth number (2^a 3^b 5^c) >= n, a fast real FFT length.
+
+    It is SciPy's `next_fast_len(n, real=True)`, so convolutions padded to
+    it keep the bits of SciPy's `fftconvolve`.
+    """
+    best = 1 << (n - 1).bit_length()
+    power5 = 1
+    while power5 < best:
+        odd = power5  # 3^b 5^c
+        while odd < best:
+            # The smallest odd * 2^a that reaches n.
+            best = min(best, odd << (-(-n // odd) - 1).bit_length())
+            odd *= 3
+        power5 *= 5
+    return best

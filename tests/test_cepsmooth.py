@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from cbss.cepsmooth import (
     SmoothingParams,
+    _dct1,
     estimate_pitch_quefrency,
     magnitude_cepstrum,
     smooth_mask,
@@ -59,6 +60,16 @@ def test_mask_cepstrum_known_columns():
 
     with pytest.raises(ValueError):
         magnitude_cepstrum(np.ones((17, 2)), 1e-3)
+
+
+@pytest.mark.parametrize("k", [257, 513, 1025, 2049, 4097])
+def test_even_extension_dct_keeps_the_bits_of_scipy(k):
+    from scipy.fft import dct
+
+    rng = np.random.default_rng(k)
+    for shape in ((2, 128, k), (2, 1, k)):
+        x = rng.standard_normal(shape)
+        assert np.array_equal(_dct1(x), dct(x, type=1, axis=-1))
 
 
 def test_mask_cepstrum_matches_direct_dft():

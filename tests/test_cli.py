@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.io import wavfile
 
+import cbss
 from cbss.cli import main
 from cbss.config import load_config
 from cbss.jointdiag import TERMINATIONS
@@ -35,6 +40,36 @@ def fast_cfg(tmp_path):
 
 def _run(argv):
     return main(argv)
+
+
+def _scipy_modules_after(code: str) -> list[str]:
+    """The scipy modules a fresh interpreter has loaded once `code` has run."""
+    listing = "print(json.dumps(sorted(m for m in sys.modules if m.startswith('scipy'))))"
+    src = str(Path(cbss.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", f"import json, sys\n{code}\n{listing}"],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_package_imports_without_scipy():
+    assert _scipy_modules_after("import cbss, cbss.cli") == []
+
+
+def test_simulate_and_separate_load_no_scipy(tmp_path, fast_cfg):
+    scene, out = tmp_path / "scene", tmp_path / "out"
+    argvs = [
+        ["simulate", "--synthetic", "--config", fast_cfg, "--out", str(scene)],
+        ["separate", str(scene / "mixture.wav"), "--config", fast_cfg, "--out", str(out)],
+    ]
+    run = f"from cbss.cli import main\nif any(main(a) for a in {argvs!r}):\n    sys.exit(1)"
+    assert _scipy_modules_after(run) == []
+    assert (out / "final_2.wav").exists()
 
 
 def test_simulate_writes_scene_files(tmp_path, fast_cfg):

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -116,6 +118,96 @@ def test_read_wav_rejects_non_wav_and_odd_formats(tmp_path):
     scipy.io.wavfile.write(many, 8000, np.zeros((10, 3), dtype=np.int16))
     with pytest.raises(UnsupportedWavError):
         read_wav(many)
+
+
+def _scipy_array(rec: MultichannelRecording, encoding: str) -> np.ndarray:
+    """What write_wav stores, as the array scipy.io.wavfile.write takes."""
+    data = rec.to_array().T
+    if encoding == "pcm16":
+        data = np.clip(np.round(np.clip(data, -1.0, 1.0) * 32768.0), -32768, 32767)
+    out = data.astype(np.int16 if encoding == "pcm16" else np.float32)
+    return out[:, 0] if out.shape[1] == 1 else out
+
+
+def _recording(n_channels: int, n: int = 301, rate: int = 11025) -> MultichannelRecording:
+    rng = np.random.default_rng(n_channels)
+    return MultichannelRecording(
+        tuple(Waveform(rng.uniform(-1.2, 1.2, n), rate) for _ in range(n_channels))
+    )
+
+
+@pytest.mark.parametrize("encoding", ["pcm16", "float32"])
+@pytest.mark.parametrize("n_channels", [1, 2])
+def test_write_wav_is_byte_equal_to_scipy(tmp_path, encoding, n_channels):
+    import scipy.io.wavfile
+
+    rec = _recording(n_channels)
+    ours, theirs = tmp_path / "ours.wav", tmp_path / "scipy.wav"
+    write_wav(rec, ours, encoding=encoding)
+    scipy.io.wavfile.write(theirs, rec.sample_rate, _scipy_array(rec, encoding))
+    assert ours.read_bytes() == theirs.read_bytes()
+
+
+@pytest.mark.parametrize("encoding", ["pcm16", "float32"])
+@pytest.mark.parametrize("n_channels", [1, 2])
+def test_read_wav_reads_scipy_files(tmp_path, encoding, n_channels):
+    import scipy.io.wavfile
+
+    rec = _recording(n_channels)
+    path = tmp_path / "scipy.wav"
+    stored = _scipy_array(rec, encoding)
+    scipy.io.wavfile.write(path, rec.sample_rate, stored)
+    back = read_wav(path)
+    assert back.sample_rate == rec.sample_rate
+    expected = stored.reshape(len(stored), -1) / (32768.0 if encoding == "pcm16" else 1.0)
+    assert np.array_equal(back.to_array(), expected.T)
+
+
+def _chunk(chunk_id: bytes, body: bytes) -> bytes:
+    return chunk_id + struct.pack("<I", len(body)) + body + b"\x00" * (len(body) % 2)
+
+
+def _riff(*chunks: bytes) -> bytes:
+    body = b"WAVE" + b"".join(chunks)
+    return b"RIFF" + struct.pack("<I", len(body)) + body
+
+
+def _pcm16_fmt(n_channels: int, rate: int) -> bytes:
+    return struct.pack("<HHIIHH", 1, n_channels, rate, rate * 2 * n_channels, 2 * n_channels, 16)
+
+
+def test_read_wav_skips_list_and_odd_sized_chunks(tmp_path):
+    codes = np.array([[1, -2], [300, -32768], [32767, 0]], dtype="<i2")
+    path = tmp_path / "chunks.wav"
+    path.write_bytes(
+        _riff(
+            _chunk(b"LIST", b"INFOISFT\x05\x00\x00\x00cbss\x00\x00"),
+            _chunk(b"fmt ", _pcm16_fmt(2, 8000)),
+            _chunk(b"odd ", b"abc"),  # 3 bytes and a pad byte
+            _chunk(b"data", codes.tobytes()),
+        )
+    )
+    back = read_wav(path)
+    assert back.sample_rate == 8000
+    assert np.array_equal(back.to_array(), codes.T / 32768.0)
+
+
+def test_read_wav_reads_extensible_pcm16(tmp_path):
+    codes = np.array([5, -7, 1000], dtype="<i2")
+    subformat = struct.pack("<I", 1) + b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
+    fmt = struct.pack("<HHIIHHHHI", 0xFFFE, 1, 8000, 16000, 2, 16, 22, 16, 4) + subformat
+    path = tmp_path / "extensible.wav"
+    path.write_bytes(_riff(_chunk(b"fmt ", fmt), _chunk(b"data", codes.tobytes())))
+    assert np.array_equal(read_wav(path).channels[0].samples, codes / 32768.0)
+
+
+def test_read_wav_rejects_truncated_data_chunk(tmp_path):
+    path = tmp_path / "cut.wav"
+    write_wav(_recording(2), path, encoding="pcm16")
+    path.write_bytes(path.read_bytes()[:-10])
+    with pytest.raises(UnsupportedWavError, match="truncated") as info:
+        read_wav(path)
+    assert str(path) in str(info.value)
 
 
 def test_read_wav_missing_file_raises_oserror(tmp_path):

@@ -10,6 +10,7 @@ from cbss.stft import (
     analyze,
     frame_blocks,
     frame_count,
+    next_fast_len,
     overlap_add,
     padded_length,
     strip_padding,
@@ -184,3 +185,15 @@ def test_block_analysis_equals_columns_of_whole_analysis():
         analyze(x, cfg, range(whole.n_frames - 1, whole.n_frames + 1))
     with pytest.raises(ValueError):
         analyze(x, cfg, range(3, 3))
+
+
+def test_next_fast_len_matches_scipy():
+    from scipy.fft import next_fast_len as scipy_next_fast_len
+
+    from cbss.config import PipelineConfig
+
+    # The 60 s room simulation convolves at n + L - 1.
+    room = PipelineConfig({"synth_duration_s": 60.0}).room_spec(10000, 200.0)
+    sixty_seconds = 60 * 10000 + room.rir_length - 1
+    for n in [*range(1, 10001), 600511, 300511, 100511, sixty_seconds]:
+        assert next_fast_len(n) == scipy_next_fast_len(n, real=True), n
