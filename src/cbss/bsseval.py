@@ -152,18 +152,29 @@ class ReferenceProjector:
     """Projections onto the delayed copies of one reference pair, factored once.
 
     The 2L x 2L Gram G of the L delayed copies of both references depends
-    on the references alone, so it is built and Cholesky-factored here,
-    with the references' spectra.  The target-only Gram of reference 0 is
-    the leading block of the joint one, so its factor is the leading block
-    of the joint factor; reference 1's block is factored on its own.  A
-    Gram that is not positive definite (degenerate references) is
-    diagonally loaded, and every decomposition from it is flagged
-    `regularized`.
+    on the references alone, so it is built and Cholesky-factored here.
+    The target-only Gram of reference 0 is the leading block of the joint
+    one, so its factor is the leading block of the joint factor; reference
+    1's block is factored on its own.  A Gram that is not positive definite
+    (degenerate references) is diagonally loaded, and every decomposition
+    from it is flagged `regularized`.
 
-    An estimate then costs one FFT of it and two inverse FFTs for its
-    correlations rhs with the delayed references, triangular solves for the
-    joint coefficients c_j and the target coefficients c_t, and O(L^2)
-    quadratic forms in the unloaded G, which is kept beside its factors:
+    Every correlation, in G and in an estimate's rhs, is needed at lags 0
+    to L - 1 only, so it is taken by overlap-save over short blocks, not
+    by transforms of the whole signal.  Each reference is cut into K =
+    ceil(N / B) segments of B = M - L + 1 samples, block k starting at k B,
+    and the spectra of the segments, zero-padded to M, are kept.  The
+    M-long window of a signal from k B holds every sample that segment k
+    meets at lags below L, so window and segment spectra multiplied, summed
+    over k and inverted once give the correlations without wrap-around.  M
+    is the smaller of the 5-smooth lengths that hold N + L - 1 and 8 L
+    points: 4096 at L = 512, and a single block for a short signal.
+
+    An estimate then costs one batched FFT of its K windows and one 2-row
+    inverse FFT of length M for its correlations rhs with the delayed
+    references, triangular solves for the joint coefficients c_j and the
+    target coefficients c_t, and O(L^2) quadratic forms in the unloaded G,
+    which is kept beside its factors:
 
         ||target||^2       = c_t' G_tt c_t
         ||interference||^2 = d' G d,  d = c_j - c_t in t's block
@@ -194,24 +205,47 @@ class ReferenceProjector:
         self.sample_rate = ref_a.sample_rate
         self.filter_taps = taps
         self._references = (ref_a, ref_b)
-        # Correlations up to lag L - 1 fit in n + L - 1 points without wrap-around.
-        self._nfft = next_fast_len(n + taps - 1)
-        self._spectra = np.fft.rfft(np.stack([ref_a.samples, ref_b.samples]), self._nfft)
+        # Past 8 L points a longer block saves little: a block of M = 8 L
+        # spends 7/8 of its transform on new samples.
+        self._nfft = min(next_fast_len(n + taps - 1), next_fast_len(8 * taps))
+        self._hop = self._nfft - taps + 1
+        self._blocks = -(-n // self._hop)
+        segments = np.zeros((2, self._blocks * self._hop))
+        segments[:, :n] = ref_a.samples, ref_b.samples
+        segments = segments.reshape(2, self._blocks, self._hop)
+        self._spectra = np.fft.rfft(segments, self._nfft).conj()
 
-        # Block (a, b) of the Gram: <delay_i ref_a, delay_j ref_b> = c_ab[j - i],
-        # with c_ab[t] = sum_m ref_a[m + t] ref_b[m] (negative t wraps around).
-        # The autocorrelations are even, so their blocks read c_aa[|i - j|].
-        a, b = self._spectra
-        corr = np.fft.irfft(np.stack([a * a.conj(), b * b.conj(), a * b.conj()]), self._nfft)
-        lag = np.subtract.outer(np.arange(taps), np.arange(taps))  # i - j
-        gram_aa, gram_bb = corr[:2, np.abs(lag)]
-        gram_ab = corr[2, -lag]
-        self._gram = np.block([[gram_aa, gram_ab], [gram_ab.T, gram_bb]])
+        # corr[a, b, t] = c_ab[t] = sum_m ref_a[m + t] ref_b[m] for 0 <= t < L.
+        # Block (a, b) of the Gram: <delay_i ref_a, delay_j ref_b> = c_ab[j - i].
+        # The block sums hold lags 0 ... L - 1 only (their other points mix
+        # wrapped samples), so c_ab at negative lags is read from c_ba[t] =
+        # c_ab[-t]: row i of the block is the window from L - 1 - i of c_ba
+        # mirrored ahead of c_ab.
+        corr = np.stack([self._correlate(ref_a.samples), self._correlate(ref_b.samples)])
+        self._gram = np.empty((2 * taps, 2 * taps))
+        for a, b in ((0, 0), (0, 1), (1, 1)):
+            mirrored = np.concatenate([corr[b, a, :0:-1], corr[a, b]])
+            block = np.lib.stride_tricks.sliding_window_view(mirrored, taps)[::-1]
+            self._gram[a * taps : (a + 1) * taps, b * taps : (b + 1) * taps] = block
+        self._gram[taps:, :taps] = self._gram[:taps, taps:].T
         joint, reg_joint = _factor(self._gram)
-        factor_b, reg_b = _factor(gram_bb)
+        factor_b, reg_b = _factor(self._gram[taps:, taps:])
         self._joint_factor = joint
         self._target_factors = ((joint[0][:taps, :taps], joint[1]), factor_b)
         self._regularized = (reg_joint, reg_joint or reg_b)
+
+    def _correlate(self, samples: np.ndarray) -> np.ndarray:
+        """(2, L) correlations sum_m samples[m + t] references[r][m], lags t < L.
+
+        Window k of `samples` (zero-extended past N) meets segment k of each
+        reference; the products are summed over k before one inverse FFT.
+        """
+        nfft, hop = self._nfft, self._hop
+        padded = np.zeros((self._blocks - 1) * hop + nfft)
+        padded[: self.length] = samples
+        windows = np.lib.stride_tricks.sliding_window_view(padded, nfft)[::hop]
+        cross = (np.fft.rfft(windows) * self._spectra).sum(axis=1)
+        return np.fft.irfft(cross, nfft)[:, : self.filter_taps]
 
     def decompose(self, estimate: Waveform, target: int) -> Decomposition:
         """Split an estimate with references[target] as the target, the other as interferer.
@@ -242,8 +276,7 @@ class ReferenceProjector:
         gram = self._gram
 
         # rhs[r, i] = <estimate, delay_i ref_r> = sum_m est[m + i] ref_r[m]
-        cross = np.fft.rfft(est, self._nfft) * self._spectra.conj()
-        rhs = np.fft.irfft(cross, self._nfft)[:, :taps]
+        rhs = self._correlate(est)
         rhs_joint = rhs.ravel()
         coef_joint = cho_solve(self._joint_factor, rhs_joint)
         est_energy = float(est @ est)

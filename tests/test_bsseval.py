@@ -16,6 +16,7 @@ from cbss.bsseval import (
     sir_db,
 )
 from cbss.signals import Waveform
+from cbss.stft import next_fast_len
 
 
 def _wave(samples, rate=10000):
@@ -199,6 +200,74 @@ def test_projector_matches_lu_oracle_property(seed, n, taps_fraction, log_scales
         # decompose_all shares one joint projection between the targets
         for got, want in zip(_components(both[target]), _components(single[target])):
             assert np.max(np.abs(got - want)) <= 1e-12 * peak
+
+
+def _direct_correlations(x, refs, taps):
+    """c[r, t] = sum_m x[m + t] refs[r][m] for 0 <= t < taps, by np.correlate."""
+    return np.array([np.correlate(np.pad(x, (0, taps - 1)), r, "valid") for r in refs])
+
+
+# (N, L, K blocks): one block, many one-tap blocks, N = K B and N = K B + 1
+# for B = 264 (L = 37) and B = 3585 (L = 512).
+@pytest.mark.parametrize(
+    "n, taps, blocks",
+    [
+        (1, 1, 1),
+        (5, 5, 1),
+        (300, 1, 38),
+        (300, 37, 2),
+        (20000, 512, 6),
+        (528, 37, 2),
+        (529, 37, 3),
+        (7170, 512, 2),
+        (7171, 512, 3),
+    ],
+)
+def test_block_correlations_match_direct_sums(n, taps, blocks):
+    rng = np.random.default_rng(n + taps)
+    refs = rng.standard_normal((2, n))
+    est = rng.standard_normal(n)
+    projector = ReferenceProjector((_wave(refs[0]), _wave(refs[1])), taps)
+    assert projector._blocks == blocks
+    if blocks == 1:
+        assert projector._nfft == next_fast_len(n + taps - 1)
+
+    rhs = projector._correlate(est)
+    want = _direct_correlations(est, refs, taps)
+    assert np.max(np.abs(rhs - want)) <= 1e-12 * np.max(np.abs(want))
+
+    # corr[a, b, t] = sum_m ref_a[m + t] ref_b[m]; Gram block (a, b) holds
+    # c_ab at lags j - i >= 0 (above the diagonal) and c_ba below it.
+    corr = np.stack([_direct_correlations(r, refs, taps) for r in refs])
+    want = np.block([[toeplitz(corr[b, a], corr[a, b]) for b in (0, 1)] for a in (0, 1)])
+    assert np.max(np.abs(projector._gram - want)) <= 1e-12 * np.max(np.abs(want))
+
+    # The in-place build copies the projector's own correlations.
+    corr = np.stack([projector._correlate(r) for r in refs])
+    lag = np.subtract.outer(np.arange(taps), np.arange(taps))  # i - j
+    gram_ab = np.where(lag <= 0, corr[0, 1, np.maximum(-lag, 0)], corr[1, 0, np.maximum(lag, 0)])
+    fancy = np.block([[corr[0, 0, np.abs(lag)], gram_ab], [gram_ab.T, corr[1, 1, np.abs(lag)]]])
+    assert np.array_equal(projector._gram, fancy)
+
+
+def test_multi_block_projector_matches_lu_oracle():
+    n, taps = 40000, 512
+    rng = np.random.default_rng(14)
+    refs = rng.standard_normal((2, n))
+    est = sum(np.convolve(rng.standard_normal(8), r)[:n] for r in refs)
+    est += 0.05 * rng.standard_normal(n)
+    projector = ReferenceProjector((_wave(refs[0]), _wave(refs[1])), taps)
+    assert projector._blocks > 1
+    both = projector.decompose_all(_wave(est))
+
+    peak = np.max(np.abs(est))
+    for target in (0, 1):
+        *parts, regularized = project_decompose_lu(est, refs[target], refs[1 - target], taps)
+        assert not regularized and not both[target].regularized
+        for got, want in zip(_components(both[target]), parts):
+            assert np.max(np.abs(got - want)) <= 1e-9 * peak
+        oracle = Decomposition(*(_wave(p) for p in parts), taps)
+        assert np.max(np.abs(_metrics(both[target]) - _metrics(oracle))) <= 1e-9
 
 
 def _energy(x):
