@@ -52,6 +52,7 @@ def _separation_block(result: SeparationResult) -> dict:
             "initial_cost": trace[0],
             "final_cost": trace[-1],
             "iterations": result.solver_state.iterations,
+            "evaluations": result.solver_state.evaluations,
             "termination": result.solver_state.termination,
         },
         "isolated_fraction_binary": list(result.isolated_fraction_binary),

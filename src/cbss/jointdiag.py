@@ -14,6 +14,14 @@ permutation ambiguities: W has unit diagonal in every bin, and every entry
 of W, read across bins as the DFT of a real filter, must be supported on
 taps [0, Q].  That leaves the 2(Q+1) real taps of the two cross filters
 free, and the solver's gradient descent with step halving runs on them.
+
+Each block covariance is PSD, so the diagonal of W R W^H is non-negative
+and is itself the optimal Lambda: only the off-diagonal entries are left in
+the cost.  With a unit diagonal those entries are bilinear in the two cross
+entries of W, so the solver sums 4x4 moment matrices over each bin's blocks
+once, and every evaluation of the cost and gradient then costs O(bins)
+rather than O(bins x blocks).  `diag_target`, `cost` and `cost_gradient`
+are the definitional per-block kernels, for any W and Lambda.
 """
 
 from __future__ import annotations
@@ -134,17 +142,21 @@ class SolverState:
     `termination` says why the descent stopped: the relative cost drop fell
     below the tolerance, the iteration cap was reached, sixty line-search
     tries with halving step sizes all raised the cost, or the cost reached
-    exactly zero.
+    exactly zero.  `evaluations` counts every cost-and-gradient evaluation,
+    rejected line-search tries included.
     """
 
     cost_trace: list[float]
     iterations: int
     termination: str
+    evaluations: int
 
     def __post_init__(self) -> None:
         trace = [float(c) for c in self.cost_trace]
         if any(not np.isfinite(c) or c < 0 for c in trace):
             raise ValueError("cost trace must contain finite non-negative values")
+        if self.evaluations < len(trace):
+            raise ValueError("every cost in the trace takes one evaluation")
         if self.termination not in TERMINATIONS:
             raise ValueError(f"termination must be one of {TERMINATIONS}")
         self.cost_trace = trace
@@ -246,39 +258,21 @@ def _products(w: np.ndarray, r: np.ndarray):
     return (p00, p01, p10, p11), d0, d1, e
 
 
-def _floored_diagonal(products) -> np.ndarray:
-    _, d0, d1, _ = products
-    return np.maximum(np.stack([d0, d1], axis=-1), 0.0)
-
-
-def _cost_of(products, lam: np.ndarray) -> float:
-    _, d0, d1, e = products
-    off = e.real**2 + e.imag**2
-    return float(np.sum((d0 - lam[..., 0]) ** 2 + (d1 - lam[..., 1]) ** 2 + 2.0 * off))
-
-
-def _gradient_of(products, lam: np.ndarray) -> np.ndarray:
-    (p00, p01, p10, p11), d0, d1, e01 = products
-    e00 = d0 - lam[..., 0]
-    e11 = d1 - lam[..., 1]
-    e10 = np.conj(e01)
-    top = [np.sum(e00 * p00 + e01 * p10, axis=-1), np.sum(e00 * p01 + e01 * p11, axis=-1)]
-    bottom = [np.sum(e10 * p00 + e11 * p10, axis=-1), np.sum(e10 * p01 + e11 * p11, axis=-1)]
-    return 2.0 * np.stack([np.stack(top, axis=-1), np.stack(bottom, axis=-1)], axis=-2)
-
-
 def diag_target(w: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Optimal diagonal model: real diagonal of W R W^H, floored at zero.
 
     `w` broadcasts as (..., 2, 2) against covariance blocks (..., k, 2, 2);
     the result drops the matrix axes to (..., k, 2).
     """
-    return _floored_diagonal(_products(w, r))
+    _, d0, d1, _ = _products(w, r)
+    return np.maximum(np.stack([d0, d1], axis=-1), 0.0)
 
 
 def cost(w: np.ndarray, r: np.ndarray, lam: np.ndarray) -> float:
     """Squared Frobenius norm of W R W^H - Lambda, summed over bins and blocks."""
-    return _cost_of(_products(w, r), lam)
+    _, d0, d1, e = _products(w, r)
+    off = e.real**2 + e.imag**2
+    return float(np.sum((d0 - lam[..., 0]) ** 2 + (d1 - lam[..., 1]) ** 2 + 2.0 * off))
 
 
 def cost_gradient(w: np.ndarray, r: np.ndarray, lam: np.ndarray) -> np.ndarray:
@@ -288,7 +282,13 @@ def cost_gradient(w: np.ndarray, r: np.ndarray, lam: np.ndarray) -> np.ndarray:
     which is what a central-finite-difference probe of `cost` measures.
     All four entries are returned, the diagonal included.
     """
-    return _gradient_of(_products(w, r), lam)
+    (p00, p01, p10, p11), d0, d1, e01 = _products(w, r)
+    e00 = d0 - lam[..., 0]
+    e11 = d1 - lam[..., 1]
+    e10 = np.conj(e01)
+    top = [np.sum(e00 * p00 + e01 * p10, axis=-1), np.sum(e00 * p01 + e01 * p11, axis=-1)]
+    bottom = [np.sum(e10 * p00 + e11 * p10, axis=-1), np.sum(e10 * p01 + e11 * p11, axis=-1)]
+    return 2.0 * np.stack([np.stack(top, axis=-1), np.stack(bottom, axis=-1)], axis=-2)
 
 
 def _unmixing_from_taps(taps: np.ndarray, dft_length: int) -> np.ndarray:
@@ -300,22 +300,45 @@ def _unmixing_from_taps(taps: np.ndarray, dft_length: int) -> np.ndarray:
     return w
 
 
-def _cross_taps(m: np.ndarray, dft_length: int, n_taps: int) -> np.ndarray:
-    """First taps of the real filters whose rffts are m's (0, 1) and (1, 0) entries."""
-    taps = np.fft.irfft(np.stack([m[:, 0, 1], m[:, 1, 0]]), n=dft_length, axis=-1)
-    return taps[:, :n_taps]
+def _cross_taps(cross: np.ndarray, dft_length: int, n_taps: int) -> np.ndarray:
+    """First taps of the real filters whose rffts are the rows of `cross`, (2, n_bins)."""
+    return np.fft.irfft(cross, n=dft_length, axis=-1)[:, :n_taps]
 
 
-def _cost_and_step(taps: np.ndarray, r: np.ndarray, dft_length: int) -> tuple[float, np.ndarray]:
+def _moments(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-bin block sums M = sum_k v v^H and N = sum_k v v^T, each (4, 4, n_bins).
+
+    v = (R01, R00, R11, R10) per block.  With W = [[1, a], [b, 1]], the
+    (0, 1) entry of W R W^H is e = v^T u, u = (1, conj(b), a, a conj(b)), so
+    the sum of |e|^2 over a bin's blocks is u^T M conj(u).
+    """
+    v = np.stack([r[..., 0, 1], r[..., 0, 0], r[..., 1, 1], r[..., 1, 0]])
+    return np.einsum("ifk,jfk->ijf", v, v.conj()), np.einsum("ifk,jfk->ijf", v, v)
+
+
+def _cost_and_step(
+    taps: np.ndarray, moments: tuple[np.ndarray, np.ndarray], dft_length: int
+) -> tuple[float, np.ndarray]:
     """Cost at the optimal Lambda, and the gradient's cross entries as taps.
 
+    Each block's R is PSD, so the diagonal d of W R W^H is non-negative, the
+    optimal Lambda is d itself, and only the off-diagonal e is left:
+    J = 2 sum_bins u^T M conj(u).  The gradient's cross entries are
+    G01 = 2 sum_k e (b R01 + R11) = 2 (b (N u)_0 + (N u)_2) and
+    G10 = 2 sum_k conj(e) (R00 + a R10) = 2 ((M conj(u))_1 + a (M conj(u))_3).
     Moving W by -eta G and projecting back onto the constraint set is the
     same as moving the taps by -eta times the returned step.
     """
-    products = _products(_unmixing_from_taps(taps, dft_length), r)
-    lam = _floored_diagonal(products)
-    step = _cross_taps(_gradient_of(products, lam), dft_length, taps.shape[-1])
-    return _cost_of(products, lam), step
+    m, n = moments
+    a, b = np.fft.rfft(taps, n=dft_length, axis=-1)
+    b_conj = np.conj(b)
+    u = np.stack([np.ones_like(a), b_conj, a, a * b_conj])
+    m_u = np.sum(m * np.conj(u), axis=1)
+    n_u = np.sum(n * u, axis=1)
+    # Each bin's form is a sum of squares; round-off must not take it below zero.
+    per_bin = np.maximum(np.real(np.sum(u * m_u, axis=0)), 0.0)
+    cross = 2.0 * np.stack([b * n_u[0] + n_u[2], m_u[1] + a * m_u[3]])
+    return 2.0 * float(np.sum(per_bin)), _cross_taps(cross, dft_length, taps.shape[-1])
 
 
 def constrain_filter_support(system: UnmixingSystem) -> UnmixingSystem:
@@ -326,7 +349,8 @@ def constrain_filter_support(system: UnmixingSystem) -> UnmixingSystem:
     passes through unchanged.
     """
     q, k = system.filter_support, system.dft_length
-    return UnmixingSystem(_unmixing_from_taps(_cross_taps(system.matrices, k, q + 1), k), q, k)
+    cross = np.stack([system.matrices[:, 0, 1], system.matrices[:, 1, 0]])
+    return UnmixingSystem(_unmixing_from_taps(_cross_taps(cross, k, q + 1), k), q, k)
 
 
 def solve_unmixing(
@@ -339,7 +363,12 @@ def solve_unmixing(
     the cost is retried with half the step size; after five accepted steps
     the step size resets to STEP_SIZE.  Each bin's covariances are
     pre-scaled by their mean trace, so STEP_SIZE acts on a normalized
-    problem.
+    problem.  The scaled covariances are then summed into per-bin moment
+    matrices (`_moments`), and every evaluation reads only those: one
+    `rfft` of the taps, two 4x4 matrix-vector products per bin and one
+    `irfft` of the step.  The floor of Lambda at zero drops out because
+    each R is PSD; `CovarianceSet` admits eigenvalues down to -1e-9 of
+    the largest, so what it drops is round-off.
     """
     r_raw = covariances.matrices
     n_bins = covariances.n_bins
@@ -352,10 +381,11 @@ def solve_unmixing(
 
     trace_mean = np.real(r_raw[..., 0, 0] + r_raw[..., 1, 1]).mean(axis=1)
     scale = np.where(trace_mean > 0.0, trace_mean, 1.0)
-    r = r_raw / scale[:, None, None, None]
+    moments = _moments(r_raw / scale[:, None, None, None])
 
     taps = np.zeros((2, q + 1))
-    current_cost, step = _cost_and_step(taps, r, dft_length)
+    current_cost, step = _cost_and_step(taps, moments, dft_length)
+    evaluations = 1
     if not np.isfinite(current_cost):
         raise RuntimeError("initial cost is non-finite; covariances are unusable")
     trace = [current_cost]
@@ -367,7 +397,8 @@ def solve_unmixing(
         eta_try = eta
         for _ in range(60):
             candidate = taps - eta_try * step
-            new_cost, new_step = _cost_and_step(candidate, r, dft_length)
+            new_cost, new_step = _cost_and_step(candidate, moments, dft_length)
+            evaluations += 1
             if not np.isfinite(new_cost):
                 raise RuntimeError(
                     f"cost became non-finite during descent (step size {eta_try})"
@@ -401,7 +432,12 @@ def solve_unmixing(
             break
 
     system = UnmixingSystem(_unmixing_from_taps(taps, dft_length), q, dft_length)
-    state = SolverState(cost_trace=trace, iterations=len(trace) - 1, termination=termination)
+    state = SolverState(
+        cost_trace=trace,
+        iterations=len(trace) - 1,
+        termination=termination,
+        evaluations=evaluations,
+    )
     return system, state
 
 

@@ -164,6 +164,7 @@ def test_separate_happy_path_is_deterministic(tmp_path, fast_cfg):
     assert report["solver"]["final_cost"] <= report["solver"]["initial_cost"]
     assert report["report_format_version"] == 3
     assert report["solver"]["termination"] in TERMINATIONS
+    assert report["solver"]["evaluations"] >= report["solver"]["iterations"] + 1
     assert report["outputs"]["stage1"] == ["stage1_1.wav", "stage1_2.wav"]
     assert report["outputs"]["final"] == ["final_1.wav", "final_2.wav"]
 

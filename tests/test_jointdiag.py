@@ -5,12 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cbss.config import PipelineConfig
 from cbss.jointdiag import (
     TERMINATIONS,
     CovarianceSet,
     SolverParams,
     SolverState,
     UnmixingSystem,
+    _cost_and_step,
+    _moments,
     apply_unmixing,
     constrain_filter_support,
     cost,
@@ -19,6 +22,7 @@ from cbss.jointdiag import (
     estimate_block_covariances,
     solve_unmixing,
 )
+from cbss.pipeline import simulate_scene
 from cbss.signals import Waveform, gen_am_source
 from cbss.stft import Spectrogram, StftConfig, analyze
 
@@ -351,10 +355,19 @@ def _capped_instantaneous_case():
     return cov, dataclasses.replace(params, max_iters=3, tolerance=0.0)
 
 
+def _room_case(seconds=2.0, **settings):
+    """Block covariances of a simulated room scene at the default RT60."""
+    config = PipelineConfig({"synth_duration_s": seconds, **settings})
+    mixture = simulate_scene(config).mixture
+    specs = tuple(analyze(ch, config.stft) for ch in mixture.channels)
+    return estimate_block_covariances(specs, config.solver.block_count), config.solver
+
+
 SOLVER_CASES = {
     "instantaneous": _instantaneous_case,
     "instantaneous_capped": _capped_instantaneous_case,
     "silent_channel": _silent_channel_case,
+    "room_2s": lambda: _room_case(dft_length=512, filter_support=128, block_count=8),
     **{f"random_{seed}": (lambda seed=seed: _random_spectrogram_case(seed)) for seed in range(5)},
 }
 
@@ -378,6 +391,8 @@ def test_solver_stops_at_max_iters():
     assert state.termination == "max_iters"
     assert state.iterations == 3
     assert len(state.cost_trace) == 4
+    # The first cost, then at least one try per accepted step.
+    assert state.evaluations >= state.iterations + 1
 
 
 def test_solver_stops_at_tolerance():
@@ -405,6 +420,20 @@ def test_solver_stops_at_zero_cost_and_validates_termination():
     fields = {f.name: getattr(state, f.name) for f in dataclasses.fields(state)}
     with pytest.raises(ValueError):
         SolverState(**{**fields, "termination": "diverged"})
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_solver_survives_exactly_diagonalizable_sets(seed):
+    # R_k = A D_k A^T with a unit-diagonal, bin-constant A: the tap-0 filters
+    # [[1, -A01], [-A10, 1]] make every block diagonal, so near the optimum
+    # each bin's cost is round-off, of either sign.
+    rng = np.random.default_rng(seed)
+    a = np.eye(2) + rng.uniform(-0.6, 0.6, (2, 2)) * (1.0 - np.eye(2))
+    d = rng.uniform(0.0, 2.0, (17, 4, 2))
+    r = np.einsum("ij,fkj,lj->fkil", a, d, a).astype(complex)
+    params = SolverParams(filter_support=2, block_count=4, max_iters=100, tolerance=0.0)
+    _, state = solve_unmixing(CovarianceSet(r, (3,) * 4), params)
+    assert state.cost_trace[-1] <= 1e-6 * state.cost_trace[0]
 
 
 @settings(max_examples=100, deadline=None)
@@ -435,3 +464,61 @@ def test_solver_invariants_on_random_psd_sets(
     assert np.all(np.isfinite(trace))
     assert np.all(np.diff(trace) <= 0.0)
     assert state.termination in TERMINATIONS
+
+
+def _per_block_cost_and_step(taps, r, dft_length):
+    """The solver's evaluation from the public per-block kernels."""
+    off = np.fft.rfft(taps, n=dft_length, axis=-1)
+    w = np.ones((off.shape[-1], 2, 2), dtype=complex)
+    w[:, 0, 1], w[:, 1, 0] = off
+    lam = diag_target(w, r)
+    g = cost_gradient(w, r, lam)
+    step = np.fft.irfft(np.stack([g[:, 0, 1], g[:, 1, 0]]), n=dft_length, axis=-1)
+    return cost(w, r, lam), step[:, : taps.shape[-1]]
+
+
+def _assert_moment_form_matches(taps, r, dft_length):
+    got_cost, got_step = _cost_and_step(taps, _moments(r), dft_length)
+    want_cost, want_step = _per_block_cost_and_step(taps, r, dft_length)
+    assert abs(got_cost - want_cost) <= 1e-12 * want_cost
+    assert np.max(np.abs(got_step - want_step)) <= 1e-12 * np.max(np.abs(want_step))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dft_length=st.sampled_from([16, 32, 64]),
+    support_fraction=st.floats(0.0, 1.0, exclude_max=True),
+    n_blocks=st.integers(2, 8),
+    rank=st.integers(1, 2),
+    exponent=st.floats(-3.0, 3.0),
+    tap_scale=st.floats(0.01, 3.0),
+)
+def test_moment_form_matches_per_block_kernels(
+    seed, dft_length, support_fraction, n_blocks, rank, exponent, tap_scale
+):
+    # Rank-1 blocks let the per-block diagonal of W R W^H round below zero,
+    # where `diag_target` floors it; the moment form drops that floor.
+    rng = np.random.default_rng(seed)
+    n_bins = dft_length // 2 + 1
+    q = int(support_fraction * dft_length / 2)
+    r = 10.0**exponent * _random_psd_stack(rng, n_bins, n_blocks, rank)
+    taps = tap_scale * rng.standard_normal((2, q + 1))
+    _assert_moment_form_matches(taps, r, dft_length)
+
+
+def test_moment_form_matches_per_block_kernels_on_a_room_scene():
+    cov, params = _room_case()
+    rng = np.random.default_rng(11)
+    taps = 0.1 * rng.standard_normal((2, params.filter_support + 1))
+    _assert_moment_form_matches(taps, cov.matrices, 2 * (cov.n_bins - 1))
+
+
+def test_moment_form_of_diagonal_covariances_costs_exactly_zero():
+    rng = np.random.default_rng(12)
+    r = np.zeros((17, 4, 2, 2), dtype=complex)
+    r[..., 0, 0] = rng.uniform(0.5, 2.0, (17, 4))
+    r[..., 1, 1] = rng.uniform(0.5, 2.0, (17, 4))
+    value, step = _cost_and_step(np.zeros((2, 5)), _moments(r), 32)
+    assert value == 0.0
+    assert np.all(step == 0.0)
