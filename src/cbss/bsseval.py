@@ -5,14 +5,22 @@ least-squares projection onto the spans of delayed references (a bank of L
 allowed deformation taps per reference).  SIR is the energy ratio between
 the first two components in dB; SDR and SAR fall out of the same split.
 
-Every energy those ratios need is a quadratic form in the projection
-coefficients: with G the Gram of the delayed references and rhs the
-estimate's correlations with them, ||target||^2 = c_t' G_tt c_t and so on
-(the Gram form of the BSS Eval projections, Vincent, Gribonval & Fevotte
-2006).  The metrics therefore never need the component waveforms, which
-are built by FFT convolution only when a caller reads them.  The
-Cholesky factorizations and solves come from `scipy.linalg`, imported by
-the functions that call them, so importing the package loads no SciPy.
+Every energy those ratios need comes from the Cholesky factor U of the
+Gram G = U'U of the delayed references (the Gram form of the BSS Eval
+projections, Vincent, Gribonval & Fevotte 2006).  With z = U'^-1 rhs,
+where rhs holds the estimate's correlations with the delayed references,
+the joint projection's energy is ||z||^2 and each target's and
+interference's energy is a sum of squares of a triangular-solve vector,
+so none of them cancels.  The artifact and the distortion are differences
+of energies as large as the estimate's and do cancel.  A degenerate
+reference pair's Gram is diagonally loaded, U'U = G + lam I, and each
+energy then subtracts lam times the squared norm of its coefficients, so
+it is still that of the unloaded G.  The projector keeps only the
+factors, never G.  The metrics therefore never need the component
+waveforms, which are built by FFT convolution only when a caller reads
+them.  The factorizations, triangular solves and products come from
+`scipy.linalg`'s LAPACK and BLAS wrappers, imported by the functions that
+call them, so importing the package loads no SciPy.
 
 The dB convention throughout is 10*log10 of an energy ratio.
 """
@@ -51,7 +59,7 @@ class Decomposition:
 
     `energies` is what the metrics read.  Built from three component
     waveforms, a decomposition sums their squares.  `ReferenceProjector`
-    builds it with `from_energies` from Gram quadratic forms instead, and
+    builds it with `from_energies` from its Cholesky factors instead, and
     the waveforms are made only when `target`, `interference` or `artifact`
     is first read.
     """
@@ -136,57 +144,83 @@ class SegmentAnnotation:
         object.__setattr__(self, "second", (int(self.second[0]), int(self.second[1])))
 
 
-def _factor(gram: np.ndarray) -> tuple[tuple[np.ndarray, bool], bool]:
-    """Cholesky factor of a Gram matrix, diagonally loaded if it is not positive definite."""
-    from scipy.linalg import LinAlgError, cho_factor
+def _cholesky(
+    matrix: np.ndarray, rebuild: Callable[[], np.ndarray]
+) -> tuple[np.ndarray, float]:
+    """Upper Cholesky factor U of a Fortran-ordered symmetric matrix, in its own memory.
 
-    try:
-        return cho_factor(gram), False
-    except LinAlgError:
-        n = gram.shape[0]
-        loading = DIAGONAL_LOADING * max(1.0, float(np.trace(gram)) / n)
-        return cho_factor(gram + loading * np.eye(n)), True
+    Returns U, whose strict lower triangle keeps the matrix's entries, and
+    the loading lam with U'U = matrix + lam I.  lam is 0 for a positive
+    definite matrix.  A matrix that is not has been overwritten by the
+    failed factorization, so `rebuild()` makes it again before it is
+    diagonally loaded and factored.
+    """
+    from scipy.linalg import LinAlgError
+    from scipy.linalg.lapack import dpotrf
+
+    factor, info = dpotrf(matrix, lower=0, clean=0, overwrite_a=1)
+    if info == 0:
+        return factor, 0.0
+    matrix = rebuild()
+    n = matrix.shape[0]
+    loading = DIAGONAL_LOADING * max(1.0, float(np.trace(matrix)) / n)
+    diagonal = np.arange(n)
+    matrix[diagonal, diagonal] += loading
+    factor, info = dpotrf(matrix, lower=0, clean=0, overwrite_a=1)
+    if info != 0:
+        raise LinAlgError("the loaded Gram matrix is not positive definite")
+    return factor, loading
 
 
 class ReferenceProjector:
     """Projections onto the delayed copies of one reference pair, factored once.
 
     The 2L x 2L Gram G of the L delayed copies of both references depends
-    on the references alone, so it is built and Cholesky-factored here.
-    The target-only Gram of reference 0 is the leading block of the joint
-    one, so its factor is the leading block of the joint factor; reference
-    1's block is factored on its own.  A Gram that is not positive definite
-    (degenerate references) is diagonally loaded, and every decomposition
-    from it is flagged `regularized`.
+    on the references alone, so it is built and Cholesky-factored here,
+    G = U'U with U upper triangular.  G is exactly symmetric, so G.T is
+    the same matrix in Fortran order, and U is written over G's own memory.
+    The target-only Gram of reference 0 is the leading block of G, so its
+    factor U_a is the leading block of U, kept as a contiguous copy.
+    Reference 1's block is copied before the joint factorization and
+    factored on its own, U_b.  A Gram that is not positive definite
+    (degenerate references) is diagonally loaded, U'U = G + lam I, and
+    every decomposition from it is flagged `regularized`.  The projector
+    keeps these three factors and the references' correlations, never G.
 
     Every correlation, in G and in an estimate's rhs, is needed at lags 0
     to L - 1 only, so it is taken by overlap-save over short blocks, not
     by transforms of the whole signal.  Each reference is cut into K =
     ceil(N / B) segments of B = M - L + 1 samples, block k starting at k B,
-    and the spectra of the segments, zero-padded to M, are kept.  The
-    M-long window of a signal from k B holds every sample that segment k
-    meets at lags below L, so window and segment spectra multiplied, summed
-    over k and inverted once give the correlations without wrap-around.  M
-    is the smaller of the 5-smooth lengths that hold N + L - 1 and 8 L
-    points: 4096 at L = 512, and a single block for a short signal.
+    and the conjugated spectra of the segments, zero-padded to M, are kept.
+    The M-long window of a signal from k B holds every sample that segment
+    k meets at lags below L, so window and segment spectra multiplied,
+    summed over k and inverted once give the correlations without
+    wrap-around.  M is the smaller of the 5-smooth lengths that hold
+    N + L - 1 and 8 L points: 4096 at L = 512, and a single block for a
+    short signal.
 
     An estimate then costs one batched FFT of its K windows and one 2-row
     inverse FFT of length M for its correlations rhs with the delayed
-    references, triangular solves for the joint coefficients c_j and the
-    target coefficients c_t, and O(L^2) quadratic forms in the unloaded G,
-    which is kept beside its factors:
+    references, and triangular solves: z = U'^-1 rhs and the joint
+    coefficients c_j = U^-1 z; z_a = z[:L] (U_a' z_a = rhs_a, as U' is
+    lower block triangular) and c_a = U_a^-1 z_a; z_b = U_b'^-1 rhs_b and
+    c_b = U_b^-1 z_b.  Since c' (G + lam I) c = ||U c||^2 and U c_j = z,
+    every energy is a sum of squares, less the loading's share (lam = 0
+    unless the Gram was loaded):
 
-        ||target||^2       = c_t' G_tt c_t
-        ||interference||^2 = d' G d,  d = c_j - c_t in t's block
-        ||joint||^2        = c_j' G c_j
-        ||artifact||^2     = ||est||^2 - 2 c_j' rhs + ||joint||^2
-        ||interf + artif||^2 = ||est||^2 - 2 c_t' rhs_t + ||target||^2
+        ||joint||^2          = ||z||^2 - lam ||c_j||^2
+        ||target_t||^2       = ||z_t||^2 - lam_t ||c_t||^2
+        ||interference_t||^2 = ||U d||^2 - lam ||d||^2,  d = c_j - c_t in t's block
+        ||artifact||^2       = ||est||^2 - 2 ||z||^2 + ||joint||^2
+        ||interf + artif||^2 = ||est||^2 - 2 ||z_t||^2 + ||target_t||^2
 
-    The interference uses d rather than ||joint||^2 - ||target||^2, which
-    would cancel when the SIR is high.  The artifact and distortion forms
-    do cancel: they keep about 16 - SAR/10 and 16 - SDR/10 significant
-    digits.  The unloaded G matches the waveforms, which are made from the
-    true delayed references.
+    For t = 0, U d = (0, z[L:]), so its interference needs no product; for
+    t = 1, U d is one triangular product.  These sums of squares do not
+    cancel.  The artifact and distortion do, as differences of energies as
+    large as the estimate's: they keep about 16 - SAR/10 and 16 - SDR/10
+    significant digits.  The lam terms make every energy that of the
+    unloaded G, which the waveforms, made from the true delayed
+    references, match.
     """
 
     def __init__(
@@ -213,38 +247,57 @@ class ReferenceProjector:
         segments = np.zeros((2, self._blocks * self._hop))
         segments[:, :n] = ref_a.samples, ref_b.samples
         segments = segments.reshape(2, self._blocks, self._hop)
-        self._spectra = np.fft.rfft(segments, self._nfft).conj()
+        spectra = np.fft.rfft(segments, self._nfft)
+        self._spectra = np.conjugate(spectra, out=spectra)
 
         # corr[a, b, t] = c_ab[t] = sum_m ref_a[m + t] ref_b[m] for 0 <= t < L.
-        # Block (a, b) of the Gram: <delay_i ref_a, delay_j ref_b> = c_ab[j - i].
-        # The block sums hold lags 0 ... L - 1 only (their other points mix
-        # wrapped samples), so c_ab at negative lags is read from c_ba[t] =
-        # c_ab[-t]: row i of the block is the window from L - 1 - i of c_ba
-        # mirrored ahead of c_ab.
-        corr = np.stack([self._correlate(ref_a.samples), self._correlate(ref_b.samples)])
-        self._gram = np.empty((2 * taps, 2 * taps))
+        self._corr = np.stack([self._correlate(ref_a.samples), self._correlate(ref_b.samples)])
+        gram = self._gram
+        # `.copy`, not np.asfortranarray: at L = 1 the block is already
+        # Fortran-contiguous, and a view would be overwritten by U.
+        gram_b = gram[taps:, taps:].copy(order="F")
+        self._factor, self._loading = _cholesky(gram.T, lambda: self._gram.T)
+        self._factor_a = self._factor[:taps, :taps].copy(order="F")
+        self._factor_b, self._loading_b = _cholesky(
+            gram_b, lambda: self._gram[taps:, taps:].copy(order="F")
+        )
+        joint_loaded = self._loading > 0.0
+        self._regularized = (joint_loaded, joint_loaded or self._loading_b > 0.0)
+
+    @property
+    def _gram(self) -> np.ndarray:
+        """The unloaded Gram G, C-ordered, built from the kept correlations.
+
+        Block (a, b): <delay_i ref_a, delay_j ref_b> = c_ab[j - i].  The
+        block sums hold lags 0 ... L - 1 only (their other points mix
+        wrapped samples), so c_ab at negative lags is read from c_ba[t] =
+        c_ab[-t]: row i of the block is the window from L - 1 - i of c_ba
+        mirrored ahead of c_ab.
+        """
+        taps, corr = self.filter_taps, self._corr
+        gram = np.empty((2 * taps, 2 * taps))
         for a, b in ((0, 0), (0, 1), (1, 1)):
             mirrored = np.concatenate([corr[b, a, :0:-1], corr[a, b]])
             block = np.lib.stride_tricks.sliding_window_view(mirrored, taps)[::-1]
-            self._gram[a * taps : (a + 1) * taps, b * taps : (b + 1) * taps] = block
-        self._gram[taps:, :taps] = self._gram[:taps, taps:].T
-        joint, reg_joint = _factor(self._gram)
-        factor_b, reg_b = _factor(self._gram[taps:, taps:])
-        self._joint_factor = joint
-        self._target_factors = ((joint[0][:taps, :taps], joint[1]), factor_b)
-        self._regularized = (reg_joint, reg_joint or reg_b)
+            gram[a * taps : (a + 1) * taps, b * taps : (b + 1) * taps] = block
+        gram[taps:, :taps] = gram[:taps, taps:].T
+        return gram
 
     def _correlate(self, samples: np.ndarray) -> np.ndarray:
         """(2, L) correlations sum_m samples[m + t] references[r][m], lags t < L.
 
         Window k of `samples` (zero-extended past N) meets segment k of each
-        reference; the products are summed over k before one inverse FFT.
+        reference; the products are summed over k, in block order, before
+        one inverse FFT.
         """
         nfft, hop = self._nfft, self._hop
         padded = np.zeros((self._blocks - 1) * hop + nfft)
         padded[: self.length] = samples
         windows = np.lib.stride_tricks.sliding_window_view(padded, nfft)[::hop]
-        cross = (np.fft.rfft(windows) * self._spectra).sum(axis=1)
+        window_spectra = np.fft.rfft(windows)
+        cross = window_spectra[0] * self._spectra[:, 0]
+        for k in range(1, self._blocks):
+            cross += window_spectra[k] * self._spectra[:, k]
         return np.fft.irfft(cross, nfft)[:, : self.filter_taps]
 
     def decompose(self, estimate: Waveform, target: int) -> Decomposition:
@@ -269,33 +322,38 @@ class ReferenceProjector:
             raise ValueError("estimate and references must share one length")
         if estimate.sample_rate != self.sample_rate:
             raise ValueError("estimate and references must share one sample rate")
-        from scipy.linalg import cho_solve
+        from scipy.linalg.blas import dtrmv, dtrsv
 
         taps = self.filter_taps
         est = estimate.samples
-        gram = self._gram
+        factor, loading = self._factor, self._loading
 
         # rhs[r, i] = <estimate, delay_i ref_r> = sum_m est[m + i] ref_r[m]
         rhs = self._correlate(est)
-        rhs_joint = rhs.ravel()
-        coef_joint = cho_solve(self._joint_factor, rhs_joint)
+        z = dtrsv(factor, rhs.ravel(), trans=1)
+        coef_joint = dtrsv(factor, z)
+        z_targets = (z[:taps], dtrsv(self._factor_b, rhs[1], trans=1))
+        coefs = (dtrsv(self._factor_a, z_targets[0]), dtrsv(self._factor_b, z_targets[1]))
+        loadings = (loading, self._loading_b)
         est_energy = float(est @ est)
-        joint_energy = float(coef_joint @ gram @ coef_joint)
-        artifact_energy = est_energy - 2.0 * float(coef_joint @ rhs_joint) + joint_energy
+        projected_energy = float(z @ z)
+        joint_energy = projected_energy - loading * float(coef_joint @ coef_joint)
+        artifact_energy = est_energy - 2.0 * projected_energy + joint_energy
 
         decompositions = []
         for t in (0, 1):
-            block = slice(t * taps, (t + 1) * taps)
-            coef = cho_solve(self._target_factors[t], rhs[t])
-            target_energy = float(coef @ gram[block, block] @ coef)
+            coef, z_target = coefs[t], z_targets[t]
             diff = coef_joint.copy()
-            diff[block] -= coef
+            diff[t * taps : (t + 1) * taps] -= coef
+            u_diff = z[taps:] if t == 0 else dtrmv(factor, diff)  # U d, zeros dropped
+            target_projected = float(z_target @ z_target)
+            target_energy = target_projected - loadings[t] * float(coef @ coef)
             energies = Energies(
                 target=target_energy,
-                interference=float(diff @ gram @ diff),
+                interference=float(u_diff @ u_diff) - loading * float(diff @ diff),
                 artifact=artifact_energy,
                 joint=joint_energy,
-                distortion=est_energy - 2.0 * float(coef @ rhs[t]) + target_energy,
+                distortion=est_energy - 2.0 * target_projected + target_energy,
             )
             components = partial(
                 component_waveforms, estimate, self._references, coef_joint.reshape(2, taps), coef, t

@@ -58,11 +58,15 @@ class CovarianceSet:
         scale = max(1.0, float(np.max(np.abs(r))) if r.size else 1.0)
         if herm_err > HERMITIAN_TOL * scale:
             raise ValueError("covariance matrices must be Hermitian")
-        eigs = np.linalg.eigvalsh(r)
+        # Eigenvalues of [[a, r01], [r10, d]]: (a + d)/2 +- hypot((a - d)/2, |r10|).
+        a, d = r[..., 0, 0].real, r[..., 1, 1].real
+        mean = 0.5 * (a + d)
+        radius = np.hypot(0.5 * (a - d), np.abs(r[..., 1, 0]))
+        largest = mean + radius
         # Round-off in the outer-product averages grows with signal energy,
         # so the PSD tolerance is relative to the largest eigenvalue.
-        floor = -PSD_EIG_TOL * max(1.0, float(np.max(eigs)) if eigs.size else 1.0)
-        if np.min(eigs) < floor:
+        floor = -PSD_EIG_TOL * max(1.0, float(np.max(largest)) if largest.size else 1.0)
+        if np.min(mean - radius) < floor:
             raise ValueError("covariance matrices must be positive semidefinite")
         r.flags.writeable = False
         object.__setattr__(self, "matrices", r)

@@ -189,6 +189,15 @@ def solve_unmixing_projected(
     return w, trace, len(trace) - 1, termination
 
 
+def accepts_as_psd_eigvalsh(r: np.ndarray, tolerance: float = 1e-9) -> bool:
+    """`CovarianceSet`'s semidefiniteness check through `np.linalg.eigvalsh`, the
+    package's first form of it: every eigenvalue of every (2, 2) matrix at
+    least -tolerance times the largest eigenvalue, or times 1 if that is
+    smaller."""
+    eigs = np.linalg.eigvalsh(r)
+    return bool(np.min(eigs) >= -tolerance * max(1.0, float(np.max(eigs))))
+
+
 def apply_unmixing_direct(w: np.ndarray, x1: np.ndarray, x2: np.ndarray):
     """Per-bin 2x2 matrix application by scalar loops."""
     n_bins, n_frames = x1.shape
@@ -431,6 +440,50 @@ def project_decompose_lu(est: np.ndarray, ref_t: np.ndarray, ref_i: np.ndarray, 
     )[:padded]
     est_padded = np.pad(est, (0, taps - 1))
     return target, joint - target, est_padded - joint, reg_joint or reg_target
+
+
+def gram_energies_direct(gram: np.ndarray, est: np.ndarray, refs: np.ndarray, taps: int):
+    """(target, interference, artifact, joint, distortion) energies of `est`
+    for targets 0 and 1, as quadratic forms in the unloaded 2L x 2L Gram of
+    `refs` (rows: the two references).
+
+    This is how `bsseval.ReferenceProjector` first took its energies: rhs
+    by direct correlation; coefficients from Cholesky solves of G, of G's
+    leading block with G's loading (its factor is the leading block of
+    G's) and of G_11, each loaded only if G or G_11 is not positive
+    definite; then c' G c, d' G d and the two differences that cancel.
+    """
+    from scipy.linalg import LinAlgError, cho_factor, cho_solve
+
+    def loading_of(matrix):
+        try:
+            cho_factor(matrix)
+            return 0.0
+        except LinAlgError:
+            return DIAGONAL_LOADING * max(1.0, float(np.trace(matrix)) / matrix.shape[0])
+
+    def solve(matrix, loading, rhs):
+        return cho_solve(cho_factor(matrix + loading * np.eye(len(matrix))), rhs)
+
+    padded = np.pad(est, (0, taps - 1))
+    rhs = np.concatenate([np.correlate(padded, r, "valid") for r in refs])
+    loading = loading_of(gram)
+    coef_joint = solve(gram, loading, rhs)
+    est_energy = float(est @ est)
+    joint = float(coef_joint @ gram @ coef_joint)
+    artifact = est_energy - 2.0 * float(coef_joint @ rhs) + joint
+    energies = []
+    for t in (0, 1):
+        block = slice(t * taps, (t + 1) * taps)
+        target_gram = gram[block, block]
+        target_loading = loading if t == 0 else loading_of(target_gram)
+        coef = solve(target_gram, target_loading, rhs[block])
+        target = float(coef @ target_gram @ coef)
+        diff = coef_joint.copy()
+        diff[block] -= coef
+        distortion = est_energy - 2.0 * float(coef @ rhs[block]) + target
+        energies.append((target, float(diff @ gram @ diff), artifact, joint, distortion))
+    return energies
 
 
 def separate_recording_batch(recording, config) -> SimpleNamespace:

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from oracles import project_decompose_lu
+from oracles import gram_energies_direct, project_decompose_lu
 from scipy.linalg import toeplitz
 
 from cbss.bsseval import (
@@ -311,6 +311,41 @@ def test_energies_match_the_components_property(seed, n, taps_fraction, second, 
         assert np.max(np.abs(np.subtract(d.energies, [_energy(x) for x in sums]))) <= 1e-9 * scale
         if in_span and not d.regularized:
             assert sar_db(d) == 100.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 300),
+    taps_fraction=st.floats(0.0, 1.0),
+    second=st.sampled_from(["noise", "silent", "scaled"]),
+)
+@example(seed=0, n=2, taps_fraction=0.0, second="noise")
+@example(seed=1, n=40, taps_fraction=0.0, second="scaled")
+def test_energies_match_the_gram_quadratic_forms_property(seed, n, taps_fraction, second):
+    # Sums of squares of triangular-solve vectors against c' G c in the
+    # unloaded Gram: the loaded path (silent and, unless rounding leaves it
+    # definite, scaled) and L = 1, where reference 1's block is one element.
+    taps = 1 + int(taps_fraction * (n - 1))
+    rng = np.random.default_rng(seed)
+    r1 = rng.standard_normal(n)
+    r2 = {"noise": rng.standard_normal(n), "silent": np.zeros(n), "scaled": -2.5 * r1}[second]
+    est = rng.standard_normal(n)
+    projector = ReferenceProjector((_wave(r1), _wave(r2)), taps)
+    gram = projector._gram
+    if second == "noise":
+        # Both forms err by about cond(G) * 1e-16 of ||est||^2 (near-square
+        # systems, taps close to N, reach 1e9); loaded Grams put almost no
+        # coefficient weight on their small eigenvalues.
+        eigenvalues = np.linalg.eigvalsh(gram)
+        assume(eigenvalues[0] >= 1e-5 * eigenvalues[-1])
+    want = gram_energies_direct(gram, est, np.stack([r1, r2]), taps)
+    both = projector.decompose_all(_wave(est))
+    if second == "silent":
+        assert all(d.regularized for d in both)
+    scale = _energy(est)
+    for d, energies in zip(both, want):
+        assert np.max(np.abs(np.subtract(d.energies, energies))) <= 1e-12 * scale
 
 
 @settings(max_examples=30, deadline=None)

@@ -27,6 +27,7 @@ from cbss.signals import Waveform, gen_am_source
 from cbss.stft import Spectrogram, StftConfig, analyze
 
 from oracles import (
+    accepts_as_psd_eigvalsh,
     apply_unmixing_direct,
     block_covariances_direct,
     cost_einsum,
@@ -81,6 +82,42 @@ def test_covariance_set_validates():
 
     with pytest.raises(ValueError):
         CovarianceSet(good[..., :1], (5, 5, 5))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    shape=st.tuples(st.integers(1, 6), st.integers(1, 4)),
+    log_scale=st.floats(-6.0, 6.0),
+    smallest=st.sampled_from(["positive", "zero", "just_above", "below"]),
+)
+def test_psd_check_decides_like_eigvalsh_property(seed, shape, log_scale, smallest):
+    # Matrices Q diag(largest, lowest) Q^H; one of them gets an eigenvalue of
+    # the drawn kind, far from the floor -1e-9 max(1, largest eigenvalue)
+    # next to the round-off of either eigenvalue form.
+    rng = np.random.default_rng(seed)
+    scale = 10.0**log_scale
+    largest = scale * rng.uniform(0.5, 1.0, shape)
+    lowest = largest * rng.uniform(0.0, 1.0, shape)
+    floor = 1e-9 * max(1.0, float(np.max(largest)))
+    lowest[0, 0] = {
+        "positive": lowest[0, 0],
+        "zero": 0.0,
+        "just_above": -0.5 * floor,
+        "below": -floor * 10.0 ** rng.uniform(0.3, 6.0),
+    }[smallest]
+    z = rng.standard_normal((*shape, 2, 2)) + 1j * rng.standard_normal((*shape, 2, 2))
+    q, _ = np.linalg.qr(z)
+    r = np.einsum("...ij,...j,...kj->...ik", q, np.stack([largest, lowest], axis=-1), q.conj())
+    r = 0.5 * (r + np.conj(np.swapaxes(r, -1, -2)))
+
+    accepted = accepts_as_psd_eigvalsh(r)
+    assert accepted == (smallest != "below")
+    if accepted:
+        CovarianceSet(r, (1,) * shape[1])
+    else:
+        with pytest.raises(ValueError, match="positive semidefinite"):
+            CovarianceSet(r, (1,) * shape[1])
 
 
 def test_block_covariances_match_direct_sum():
