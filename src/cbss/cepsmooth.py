@@ -14,19 +14,20 @@ Working in the cepstrum separates those concerns by quefrency:
 Each region gets its own first-order recursive smoothing factor, usually
 none for the envelope, mild for the pitch bin, and strong elsewhere.
 
-`smooth_mask` works on all frames of a mask at once, or on one block of
-consecutive frames at a time, with a `CepstrumCarry` handing the last
-smoothed cepstrum of one block to the recursion of the next.  A floored log
-half-spectrum
-(bins 0..K/2) stands for an even length-K spectrum, so its real cepstrum
-is even too and quefrencies 0..K/2 hold all of it.  Between those halves
-the length-K DFT is a type-I DCT (scaled by 1/K going to the cepstrum),
-the real part of the `rfft` of the even extension x[0..K/2], x[K/2-1..1].
-One DCT each gives the cepstra of the mask and of the separated
-magnitudes, one `argmax` picks every frame's pitch quefrency, the
-recursion across frames is the only loop, and one DCT takes the smoothed
-cepstra back to a log mask, which is exponentiated and clamped to
-[floor, 1].
+`smooth_frames` smooths a plain frames x bins mask, all frames of a signal
+or one block of them, and returns the last smoothed cepstrum for the next
+block's recursion to continue from; `smooth_mask` is its whole-mask form
+on a validated `SpectralMask` and `Spectrogram`.
+
+A floored log half-spectrum (bins 0..K/2) stands for an even length-K
+spectrum, so its real cepstrum is even too and quefrencies 0..K/2 hold all
+of it.  Between those halves the length-K DFT is a type-I DCT (scaled by
+1/K going to the cepstrum), the real part of the `rfft` of the even
+extension x[0..K/2], x[K/2-1..1].  One DCT each gives the cepstra of the
+mask and of the separated magnitudes, one `argmax` picks every frame's
+pitch quefrency, the recursion across frames is the only loop, and one DCT
+takes the smoothed cepstra back to a log mask, which is exponentiated and
+clamped to [floor, 1].
 """
 
 from __future__ import annotations
@@ -116,53 +117,47 @@ def estimate_pitch_quefrency(
     return l_low + np.argmax(cepstrum[..., l_low : l_high + 1], axis=-1)
 
 
-class CepstrumCarry:
-    """The smoothed cepstrum of the last frame one mask's recursion has reached."""
-
-    def __init__(self) -> None:
-        self.previous: np.ndarray | None = None
-
-
-def smooth_mask(
-    mask: SpectralMask,
-    separated: Spectrogram,
+def smooth_frames(
+    mask: np.ndarray,
+    magnitudes: np.ndarray,
     params: SmoothingParams,
-    carry: CepstrumCarry | None = None,
-) -> SpectralMask:
-    """Smooth a mask across frames in the cepstral domain.
+    previous: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Smooth a frames x bins mask across frames in the cepstral domain.
 
-    The pitch quefrency is re-estimated every frame from the separated
-    signal the mask belongs to, so the pitch-adaptive band tracks that
-    speaker.  The recursion is seeded with the first frame's own cepstrum,
-    which makes frame 0 pass through (floored and clamped) unchanged.
-    Given a `carry`, the block's first frame instead continues from the
-    carried cepstrum (if any), and the carry is left holding the block's
-    last one, so feeding a mask block by block gives the whole-mask result.
+    The pitch quefrency is re-estimated every frame from `magnitudes`, the
+    separated signal the mask belongs to, so the pitch-adaptive band tracks
+    that speaker.  The first frame continues the recursion from the
+    `previous` smoothed cepstrum, or without one passes through (floored and
+    clamped) unchanged.  The last frame's smoothed cepstrum is returned with
+    the mask, so feeding a mask block by block gives the whole-mask result.
     """
-    if mask.values.shape != separated.values.shape:
-        raise ValueError("mask and spectrogram shapes differ")
-    if separated.config.frame_length != params.dft_length:
-        raise ValueError("params.dft_length must match the spectrogram frame length")
-
     floor = params.mask_floor
-    n_frames = mask.values.shape[1]
+    n_frames = mask.shape[0]
     # Frames on the first axis, quefrencies 0..K/2 on the second.
-    l_pitch = estimate_pitch_quefrency(
-        _cepstra(np.abs(separated.values.T), floor), params.l_low, params.l_high
-    )
-    cep = _cepstra(mask.values.T, floor)
+    l_pitch = estimate_pitch_quefrency(_cepstra(magnitudes, floor), params.l_low, params.l_high)
+    cep = _cepstra(mask, floor)
     betas = np.full(cep.shape, params.beta_peak)
     betas[np.arange(n_frames), l_pitch] = params.beta_pitch
     betas[:, : params.l_env + 1] = params.beta_env
 
-    previous = None if carry is None else carry.previous
     for m in range(n_frames):
         if previous is not None:
             cep[m] = betas[m] * previous + (1.0 - betas[m]) * cep[m]
         previous = cep[m]
-    if carry is not None and previous is not None:
-        carry.previous = previous
 
     mask_values = _dct1(cep)
     np.exp(mask_values, out=mask_values)
-    return SpectralMask(np.clip(mask_values, floor, 1.0, out=mask_values).T, "smoothed")
+    return np.clip(mask_values, floor, 1.0, out=mask_values), previous
+
+
+def smooth_mask(
+    mask: SpectralMask, separated: Spectrogram, params: SmoothingParams
+) -> SpectralMask:
+    """Smooth a whole mask with `smooth_frames`, its pitch tracked on `separated`."""
+    if mask.values.shape != separated.values.shape:
+        raise ValueError("mask and spectrogram shapes differ")
+    if separated.config.frame_length != params.dft_length:
+        raise ValueError("params.dft_length must match the spectrogram frame length")
+    smoothed, _ = smooth_frames(mask.values.T, np.abs(separated.values.T), params)
+    return SpectralMask(smoothed.T, "smoothed")

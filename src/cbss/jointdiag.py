@@ -171,7 +171,7 @@ class CovarianceSums:
 
     Frames [0, n_frames) are partitioned into `block_count` blocks as
     evenly as possible, earlier blocks take the remainder.  `add` takes the
-    channel spectrograms of each run of consecutive frames in turn;
+    two channels' spectra of each run of consecutive frames in turn;
     `covariance_set` averages the sums once every frame is in.  Each sum
     runs frame by frame in order, in real arithmetic, so any split of the
     frames into runs gives the same bits.
@@ -188,26 +188,16 @@ class CovarianceSums:
         # Per block: |x0|^2, |x1|^2 and the real and imaginary parts of x0 x1*.
         self.sums = np.zeros((block_count, 4, n_bins))
 
-    def add(self, spectrograms: tuple[Spectrogram, Spectrogram]) -> None:
-        """Add the outer products of the next run of frames into their blocks."""
-        s1, s2 = spectrograms
-        if s1.values.shape != s2.values.shape or s1.first_frame != s2.first_frame:
-            raise ValueError("channel spectrograms must cover the same frames")
-        if s1.config != s2.config:
-            raise ValueError("channel spectrograms must share one STFT config")
-        if s1.n_bins != self.sums.shape[2]:
-            raise ValueError(f"expected {self.sums.shape[2]} bins, got {s1.n_bins}")
-        first, stop = s1.first_frame, s1.first_frame + s1.n_frames
-        if stop > self.edges[-1]:
-            raise ValueError(f"frames up to {stop} exceed the {self.edges[-1]} being summed")
+    def add(self, x0: np.ndarray, x1: np.ndarray, first: int) -> None:
+        """Add frames first, first + 1, ... of frames-major spectra x0, x1 into their blocks."""
+        stop = first + len(x0)
         for b in range(len(self.frames_per_block)):
             lo, hi = max(first, self.edges[b]), min(stop, self.edges[b + 1])
             if lo >= hi:
                 continue
             # Frames on the first axis: a sum over it adds them in order.
-            x0 = s1.values[:, lo - first : hi - first].T
-            x1 = s2.values[:, lo - first : hi - first].T
-            r0, i0, r1, i1 = x0.real, x0.imag, x1.real, x1.imag
+            y0, y1 = x0[lo - first : hi - first], x1[lo - first : hi - first]
+            r0, i0, r1, i1 = y0.real, y0.imag, y1.real, y1.imag
             terms = np.stack(
                 [r0 * r0 + i0 * i0, r1 * r1 + i1 * i1, r0 * r1 + i0 * i1, i0 * r1 - r0 * i1],
                 axis=1,
@@ -237,8 +227,13 @@ def estimate_block_covariances(
     blocks take the remainder.  The whole-spectrogram case of
     `CovarianceSums`.
     """
-    sums = CovarianceSums(spectrograms[0].n_bins, spectrograms[0].n_frames, block_count)
-    sums.add(spectrograms)
+    s1, s2 = spectrograms
+    if s1.values.shape != s2.values.shape:
+        raise ValueError("channel spectrograms must cover the same frames")
+    if s1.config != s2.config:
+        raise ValueError("channel spectrograms must share one STFT config")
+    sums = CovarianceSums(s1.n_bins, s1.n_frames, block_count)
+    sums.add(s1.values.T, s2.values.T, 0)
     return sums.covariance_set()
 
 
@@ -445,14 +440,20 @@ def solve_unmixing(
     return system, state
 
 
+def unmix(system: UnmixingSystem, x0: np.ndarray, x1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unmix frames-major spectra: y0 = x0 + W01 x1, y1 = W10 x0 + x1 in every bin.
+
+    The system's diagonal is exactly 1, so the 2x2 product needs only the
+    two cross entries.
+    """
+    w01, w10 = system.matrices[:, 0, 1], system.matrices[:, 1, 0]
+    return x0 + w01 * x1, w10 * x0 + x1
+
+
 def apply_unmixing(
     system: UnmixingSystem, spectrograms: tuple[Spectrogram, Spectrogram]
 ) -> tuple[Spectrogram, Spectrogram]:
-    """Unmix each frame: y0 = x0 + W01 x1, y1 = W10 x0 + x1 in every bin.
-
-    The system's diagonal is exactly 1, so the 2x2 product needs only the
-    two cross entries.  Works on whole spectrograms and on blocks of frames.
-    """
+    """Unmix two whole channel spectrograms with `unmix`."""
     s1, s2 = spectrograms
     if s1.values.shape != s2.values.shape or s1.config != s2.config:
         raise ValueError("channel spectrograms must match in shape and config")
@@ -460,7 +461,5 @@ def apply_unmixing(
         raise ValueError(
             f"bin-count mismatch: spectrogram has {s1.n_bins}, system {system.n_bins}"
         )
-    x0, x1 = s1.values, s2.values
-    w01 = system.matrices[:, 0, 1, None]
-    w10 = system.matrices[:, 1, 0, None]
-    return s1.with_values(x0 + w01 * x1), s2.with_values(w10 * x0 + x1)
+    y0, y1 = unmix(system, s1.values.T, s2.values.T)
+    return s1.with_values(y0.T), s2.with_values(y1.T)

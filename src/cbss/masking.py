@@ -62,11 +62,13 @@ def estimate_binary_masks(
     """
     if s1.values.shape != s2.values.shape:
         raise ValueError("spectrograms must have equal shape")
-    a1 = np.abs(s1.values)
-    a2 = np.abs(s2.values)
-    m1 = (a1 > threshold.value * a2).astype(np.float64)
-    m2 = (a2 > threshold.value * a1).astype(np.float64)
+    m1, m2 = dominance_masks(np.abs(s1.values), np.abs(s2.values), threshold.value)
     return SpectralMask(m1, "binary"), SpectralMask(m2, "binary")
+
+
+def dominance_masks(a1: np.ndarray, a2: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
+    """0/1 masks of the units where a1 > tau a2 and where a2 > tau a1."""
+    return (a1 > tau * a2).astype(np.float64), (a2 > tau * a1).astype(np.float64)
 
 
 def apply_mask(mask: SpectralMask, spec: Spectrogram) -> Spectrogram:
@@ -92,32 +94,30 @@ class IsolatedUnitCount:
         # before any block, a silent frame ahead of frame 0 alone.
         self._edge: np.ndarray | None = None
 
-    def add(self, mask: SpectralMask) -> None:
-        """Count every frame of this block but its last, which waits for the next."""
-        block = mask.values > 0.5
+    def add(self, mask: np.ndarray) -> None:
+        """Count every frame of this frames x bins block but its last, which waits."""
+        block = mask > 0.5
         if self._edge is None:
-            self._edge = np.zeros((block.shape[0], 1), dtype=bool)
-        elif self._edge.shape[0] != block.shape[0]:
+            self._edge = np.zeros((1, block.shape[1]), dtype=bool)
+        elif self._edge.shape[1] != block.shape[1]:
             raise ValueError("mask blocks must share one bin count")
-        self._count(np.concatenate([self._edge, block], axis=1))
+        self._count(np.concatenate([self._edge, block]))
 
     def fraction(self) -> float:
         """Isolated share of the active units; 0.0 for an empty mask."""
         if self._edge is not None:
-            self._count(np.pad(self._edge, ((0, 0), (0, 1))))
+            self._count(np.pad(self._edge, ((0, 1), (0, 0))))
             self._edge = None
         return self.isolated / self.active if self.active else 0.0
 
     def _count(self, frames: np.ndarray) -> None:
         """Count frames 1..-2 of `frames`, whose neighbors are all present."""
-        middle = frames[:, 1:-1]
-        padded = np.pad(middle, ((1, 1), (0, 0)))
-        neighbors = (
-            padded[:-2].astype(np.int64) + padded[2:] + frames[:, :-2] + frames[:, 2:]
-        )
+        middle = frames[1:-1]
+        padded = np.pad(middle, ((0, 0), (1, 1)))
+        neighbors = padded[:, :-2].astype(np.int64) + padded[:, 2:] + frames[:-2] + frames[2:]
         self.active += int(np.sum(middle))
         self.isolated += int(np.sum(middle & (neighbors == 0)))
-        self._edge = frames[:, -2:]
+        self._edge = frames[-2:]
 
 
 def isolated_unit_fraction(mask: SpectralMask) -> float:
@@ -129,5 +129,5 @@ def isolated_unit_fraction(mask: SpectralMask) -> float:
     The whole-mask case of `IsolatedUnitCount`.
     """
     count = IsolatedUnitCount()
-    count.add(mask)
+    count.add(mask.values.T)
     return count.fraction()

@@ -7,13 +7,14 @@ smoothed in the cepstral domain, applied back onto the stage-1
 spectrograms, and resynthesized.  Raw mixtures never feed the masks.
 
 Separation makes two passes over blocks of FRAMES_PER_BLOCK STFT frames,
-so no spectrogram or mask of the whole input is ever held.  The first
-sums each block's outer products into the covariances the solver needs.
-The second analyzes each block again, unmixes it, masks and smooths it
-with one frame of state carried across block edges, and overlap-adds
-stage 1 and the final outputs into waveform buffers.  The synthesis window
-already carries the overlap-add gain, so the outputs are those buffers with
-the padding cut off.
+so no spectrogram or mask of the whole input is ever held.  Each block is
+a plain frames x bins array that no stage checks again: the input was
+checked as a `MultichannelRecording`.  The first pass sums each block's
+outer products into the covariances the solver needs.  The second analyzes
+each block again, unmixes it, takes |Y| once for the binary masks and the
+smoothing's pitch track, smooths with one frame of state carried across
+block edges, and overlap-adds stage 1 and the final outputs into waveform
+buffers, from which the outputs need only the padding cut off.
 """
 
 from __future__ import annotations
@@ -33,20 +34,23 @@ from .bsseval import (  # noqa: F401
     sdr_db,
     sir_db,
 )
-from .cepsmooth import CepstrumCarry, smooth_mask
+# The whole-signal analyze, synthesize, estimate_block_covariances, apply_unmixing,
+# estimate_binary_masks, apply_mask, isolated_unit_fraction and smooth_mask are
+# unused here but stay importable from pipeline: bench/tracer.py wraps them by name.
+from .cepsmooth import smooth_frames, smooth_mask  # noqa: F401
 from .config import PipelineConfig
-# estimate_block_covariances, isolated_unit_fraction and synthesize are unused
-# here but stay importable from pipeline: bench/tracer.py wraps them by name.
 from .jointdiag import (  # noqa: F401
     CovarianceSums,
     SolverState,
     apply_unmixing,
     estimate_block_covariances,
     solve_unmixing,
+    unmix,
 )
 from .masking import (  # noqa: F401
     IsolatedUnitCount,
     apply_mask,
+    dominance_masks,
     estimate_binary_masks,
     isolated_unit_fraction,
 )
@@ -59,6 +63,7 @@ from .stft import (  # noqa: F401
     analyze,
     frame_blocks,
     frame_count,
+    frame_spectra,
     overlap_add,
     padded_length,
     strip_padding,
@@ -88,27 +93,28 @@ def separate_recording(recording: MultichannelRecording, config: PipelineConfig)
     n_frames = frame_count(recording.n_samples, stft)
     blocks = frame_blocks(n_frames, FRAMES_PER_BLOCK)
 
-    def analyzed(frames: range):
-        return tuple(analyze(ch, stft, frames) for ch in recording.channels)
+    def spectra(frames: range) -> list[np.ndarray]:
+        return [frame_spectra(ch.samples, stft, frames) for ch in recording.channels]
 
     sums = CovarianceSums(stft.n_bins, n_frames, config.solver.block_count)
     for frames in blocks:
-        sums.add(analyzed(frames))
+        sums.add(*spectra(frames), frames.start)
     system, state = solve_unmixing(sums.covariance_set(), config.solver)
 
     params = config.smoothing_params(recording.sample_rate)
     stage1 = [np.zeros(padded_length(n_frames, stft)) for _ in range(2)]
     final = [np.zeros(padded_length(n_frames, stft)) for _ in range(2)]
-    carries = (CepstrumCarry(), CepstrumCarry())
+    cepstra = [None, None]
     binary_counts = (IsolatedUnitCount(), IsolatedUnitCount())
     smoothed_counts = (IsolatedUnitCount(), IsolatedUnitCount())
     for frames in blocks:
-        separated = apply_unmixing(system, analyzed(frames))
-        masks = estimate_binary_masks(*separated, config.mask_threshold)
+        separated = unmix(system, *spectra(frames))
+        magnitudes = [np.abs(y) for y in separated]
+        masks = dominance_masks(*magnitudes, config.mask_threshold.value)
         for i in (0, 1):
-            overlap_add(separated[i], stage1[i])
-            smoothed = smooth_mask(masks[i], separated[i], params, carries[i])
-            overlap_add(apply_mask(smoothed, separated[i]), final[i])
+            overlap_add(separated[i], frames.start, stft, stage1[i])
+            smoothed, cepstra[i] = smooth_frames(masks[i], magnitudes[i], params, cepstra[i])
+            overlap_add(smoothed * separated[i], frames.start, stft, final[i])
             binary_counts[i].add(masks[i])
             smoothed_counts[i].add(smoothed)
 

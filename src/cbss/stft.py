@@ -9,11 +9,11 @@ overlap-added frames need no normalization afterwards.  Only the
 non-negative-frequency half of each frame spectrum is stored; the missing
 bins are implied by conjugate symmetry.
 
-Both directions also work on a block of consecutive frames: `analyze`
-reads only the samples a range of frames covers, and `overlap_add` adds a
-block's frames into a caller's buffer, from which `strip_padding` cuts the
-waveforms once every block is in.  Whole-signal `analyze` and `synthesize`
-are the one-block case.
+`analyze` and `synthesize` work on whole signals as validated bins x
+frames `Spectrogram`s.  Their plain frames x bins kernels also take a block
+of consecutive frames: `frame_spectra` reads only the samples a range of
+frames covers, and `overlap_add` adds a block's frames into a caller's
+buffer, from which `strip_padding` cuts the waveforms once all are in.
 
 `next_fast_len` picks the zero-padded FFT length at which the room
 simulator and the metrics convolve.
@@ -100,15 +100,13 @@ class Spectrogram:
     """Half-spectrum STFT values: complex (n_bins, n_frames).
 
     `original_length` records the analyzed signal's sample count so
-    synthesis can strip the padding again.  The columns are frames
-    `first_frame`, `first_frame + 1`, ... of that signal's STFT.
+    synthesis can strip the padding again.
     """
 
     values: np.ndarray
     config: StftConfig
     sample_rate: int
     original_length: int
-    first_frame: int = 0
 
     def __post_init__(self) -> None:
         values = np.array(self.values, dtype=np.complex128)
@@ -124,8 +122,6 @@ class Spectrogram:
             raise ValueError("sample_rate must be positive")
         if self.original_length < 0:
             raise ValueError("original_length must be non-negative")
-        if self.first_frame < 0:
-            raise ValueError("first_frame must be non-negative")
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
 
@@ -139,9 +135,7 @@ class Spectrogram:
 
     def with_values(self, values: np.ndarray) -> "Spectrogram":
         """Same geometry and provenance, different bin values."""
-        return Spectrogram(
-            values, self.config, self.sample_rate, self.original_length, self.first_frame
-        )
+        return Spectrogram(values, self.config, self.sample_rate, self.original_length)
 
 
 def frame_count(n_samples: int, config: StftConfig) -> int:
@@ -166,18 +160,16 @@ def frame_blocks(n_frames: int, frames_per_block: int) -> list[range]:
     return [range(a, min(a + frames_per_block, n_frames)) for a in starts]
 
 
-def analyze(signal: Waveform, config: StftConfig, frames: range | None = None) -> Spectrogram:
-    """Transform a waveform, or the frames in `frames` of it, into half-spectrum STFT.
+def frame_spectra(samples: np.ndarray, config: StftConfig, frames: range) -> np.ndarray:
+    """Half spectra of the frames in `frames` of a signal, (len(frames), n_bins).
 
     Frame m covers samples [m*hop, m*hop + K) of the padded signal, where
     K - hop zeros are prepended and at least as many appended.  Only the
     samples the requested frames cover are read; the padding is never
     built for the whole signal.
     """
-    n = len(signal)
+    n = len(samples)
     n_frames = frame_count(n, config)
-    if frames is None:
-        frames = range(n_frames)
     if not 0 <= frames.start < frames.stop <= n_frames or frames.step != 1:
         raise ValueError(f"frames must be a non-empty unit-step range of the {n_frames} frames")
     k, hop = config.frame_length, config.hop
@@ -186,24 +178,30 @@ def analyze(signal: Waveform, config: StftConfig, frames: range | None = None) -
     offset = frames.start * hop - (k - hop)
     buf = np.zeros(padded_length(len(frames), config))
     lo, hi = max(offset, 0), min(offset + len(buf), n)
-    buf[lo - offset : hi - offset] = signal.samples[lo:hi]
+    buf[lo - offset : hi - offset] = samples[lo:hi]
 
     windowed = np.lib.stride_tricks.sliding_window_view(buf, k)[::hop] * config.analysis_window()
-    values = np.fft.rfft(windowed, axis=1).T
-    return Spectrogram(values, config, signal.sample_rate, n, frames.start)
+    return np.fft.rfft(windowed, axis=1)
 
 
-def overlap_add(spec: Spectrogram, out: np.ndarray) -> None:
-    """Add the windowed inverse transforms of spec's frames into `out`.
+def analyze(signal: Waveform, config: StftConfig) -> Spectrogram:
+    """Transform a whole waveform into its half-spectrum STFT."""
+    frames = range(frame_count(len(signal), config))
+    values = frame_spectra(signal.samples, config, frames).T
+    return Spectrogram(values, config, signal.sample_rate, len(signal))
 
-    `out` is an overlap-add buffer in padded-signal coordinates, at least
-    `padded_length` of the last frame long; frames are added in order.
+
+def overlap_add(spectra: np.ndarray, first: int, config: StftConfig, out: np.ndarray) -> None:
+    """Add the windowed inverse transforms of frames first, first + 1, ... into `out`.
+
+    `spectra` holds one half spectrum per row.  `out` is an overlap-add
+    buffer in padded-signal coordinates, at least `padded_length` of the
+    last frame long; frames are added in order.
     """
-    config = spec.config
     k, hop = config.frame_length, config.hop
-    frames = np.fft.irfft(spec.values.T, n=k, axis=1)
+    frames = np.fft.irfft(spectra, n=k, axis=1)
     frames *= config.synthesis_window()
-    for m, frame in enumerate(frames, start=spec.first_frame):
+    for m, frame in enumerate(frames, start=first):
         out[m * hop : m * hop + k] += frame
 
 
@@ -225,13 +223,10 @@ def strip_padding(
 def synthesize(spec: Spectrogram) -> Waveform:
     """Weighted overlap-add resynthesis of every frame, truncated to the original length."""
     n_frames = frame_count(spec.original_length, spec.config)
-    if spec.first_frame != 0 or spec.n_frames != n_frames:
-        raise ValueError(
-            f"synthesis needs all {n_frames} frames from frame 0; got "
-            f"{spec.n_frames} from frame {spec.first_frame}"
-        )
+    if spec.n_frames != n_frames:
+        raise ValueError(f"synthesis needs all {n_frames} frames; got {spec.n_frames}")
     acc = np.zeros(padded_length(n_frames, spec.config))
-    overlap_add(spec, acc)
+    overlap_add(spec.values.T, 0, spec.config, acc)
     (wave,) = strip_padding([acc], spec.config, spec.original_length, spec.sample_rate)
     return wave
 
