@@ -15,24 +15,32 @@ Each region gets its own first-order recursive smoothing factor, usually
 none for the envelope, mild for the pitch bin, and strong elsewhere.
 
 `smooth_frames` smooths a plain frames x bins mask, all frames of a signal
-or one block of them, and returns the last smoothed cepstrum for the next
-block's recursion to continue from; `smooth_mask` is its whole-mask form
-on a validated `SpectralMask` and `Spectrogram`.
+or one block of them, and returns its recursion state for the next block
+to continue from; `smooth_mask` is its whole-mask form on a validated
+`SpectralMask` and `Spectrogram`.
 
 A floored log half-spectrum (bins 0..K/2) stands for an even length-K
 spectrum, so its real cepstrum is even too and quefrencies 0..K/2 hold all
-of it.  Between those halves the length-K DFT is a type-I DCT (scaled by
-1/K going to the cepstrum), the real part of the `rfft` of the even
-extension x[0..K/2], x[K/2-1..1].  One DCT each gives the cepstra of the
-mask and of the separated magnitudes, one `argmax` picks every frame's
-pitch quefrency, the recursion across frames is the only loop, and one DCT
-takes the smoothed cepstra back to a log mask, which is exponentiated and
-clamped to [floor, 1].
+of it.  Between those halves the length-K DFT is a type-I DCT, which is
+its own inverse up to 1/K.  The recursion is linear and uses one factor,
+beta_peak, on every quefrency outside S = [0, l_env] u [l_low, l_high], so
+beta_peak smoothing of the cepstrum is beta_peak smoothing of the log mask
+itself, bin by bin.  `smooth_frames` therefore never transforms a whole
+spectrum: it smooths the log mask with beta_peak and, on S alone, keeps
+two cepstral tracks, one with the true factors and one with beta_peak.
+Their difference, taken back through the S columns of the DCT, corrects
+the log mask, which is exponentiated and clamped to [floor, 1].  Cosine
+products with those columns give the cepstra on S of the mask and, on
+[l_low, l_high], of the separated magnitudes, from which
+`estimate_pitch_quefrency`'s tie rule picks each frame's pitch.  The
+recursion across frames is the only loop.  `magnitude_cepstrum` gives a
+whole cepstrum by the DCT, as the `rfft` of the even extension.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -82,16 +90,7 @@ class SmoothingParams:
 
 def _dct1(x: np.ndarray) -> np.ndarray:
     """Unnormalized type-I DCT on the last axis, bit-equal to SciPy's `dct(type=1)`."""
-    # Copied out of the complex spectrum so that, as with SciPy's output, the
-    # frame recursion and the in-place `exp` run on contiguous rows.
-    return np.fft.rfft(np.concatenate((x, x[..., -2:0:-1]), axis=-1)).real.copy()
-
-
-def _cepstra(half: np.ndarray, floor: float) -> np.ndarray:
-    """Real cepstra (quefrencies 0..K/2) of floored half-spectra on the last axis."""
-    cep = _dct1(np.log(np.maximum(half, floor)))
-    cep /= 2 * (half.shape[-1] - 1)
-    return cep
+    return np.fft.rfft(np.concatenate((x, x[..., -2:0:-1]), axis=-1)).real
 
 
 def magnitude_cepstrum(magnitudes: np.ndarray, floor: float) -> np.ndarray:
@@ -101,20 +100,68 @@ def magnitude_cepstrum(magnitudes: np.ndarray, floor: float) -> np.ndarray:
         raise ValueError("magnitudes must be 1-D with at least two bins")
     if np.any(magnitudes < 0.0):
         raise ValueError("magnitudes must be non-negative")
-    return _cepstra(magnitudes, floor)
+    return _dct1(np.log(np.maximum(magnitudes, floor))) / (2 * (magnitudes.shape[0] - 1))
+
+
+# Pitch candidates within this share of the frame's largest |floored log
+# magnitude| of the best one count as tied.
+PITCH_TIE_TOLERANCE = 1e-9
+
+
+def _first_near_max(band: np.ndarray, log_peak: float | np.ndarray) -> np.ndarray:
+    """Index of the first value within PITCH_TIE_TOLERANCE * log_peak of its row's maximum."""
+    tolerance = PITCH_TIE_TOLERANCE * np.asarray(log_peak, dtype=np.float64)[..., None]
+    return np.argmax(band >= band.max(axis=-1, keepdims=True) - tolerance, axis=-1)
 
 
 def estimate_pitch_quefrency(
-    cepstrum: np.ndarray, l_low: int, l_high: int
+    cepstrum: np.ndarray, l_low: int, l_high: int, log_peak: float | np.ndarray = 0.0
 ) -> int | np.ndarray:
-    """Arg-max over [l_low, l_high] of cepstra (quefrencies 0..K/2) on the last axis.
+    """Pitch quefrency in [l_low, l_high] of cepstra (quefrencies 0..K/2) on the last axis.
 
-    Ties pick the smallest l.  A single cepstrum gives one index, a stack
-    of them one index per cepstrum.
+    The pick is the smallest l whose value lies within tau = 1e-9 *
+    `log_peak` of the band maximum, where `log_peak` is the cepstrum's
+    largest |floored log magnitude| (one per cepstrum, or one for all).
+    That value bounds every cepstral coefficient, so round-off in the
+    transform cannot decide a pick between near-equal peaks, and a frame at
+    the floor everywhere picks l_low.  With the default 0 only exact ties
+    go to the smallest l.  A single cepstrum gives one index, a stack of
+    them one index per cepstrum.
     """
     if not 0 <= l_low <= l_high < np.shape(cepstrum)[-1] - 1:
         raise ValueError("need 0 <= l_low <= l_high < K/2")
-    return l_low + np.argmax(cepstrum[..., l_low : l_high + 1], axis=-1)
+    return l_low + _first_near_max(cepstrum[..., l_low : l_high + 1], log_peak)
+
+
+@lru_cache(maxsize=8)
+def _band_bases(params: SmoothingParams) -> tuple[np.ndarray, np.ndarray]:
+    """The DCT-I columns and rows of the quefrencies S = [0, l_env] u [l_low, l_high].
+
+    `forward` (bins x |S|) takes log half-spectra to their cepstra on S,
+    DCT-I divided by K; `inverse` (|S| x bins) takes cepstra on S back to
+    log half-spectra.
+    """
+    k = params.dft_length
+    quefrencies = np.r_[0 : params.l_env + 1, params.l_low : params.l_high + 1]
+    weights = np.full(k // 2 + 1, 2.0)
+    weights[[0, -1]] = 1.0
+    # cos(pi q n / (K/2)), its argument reduced modulo 2 pi in integers first.
+    cosines = np.cos((2 * np.pi / k) * (np.outer(np.arange(k // 2 + 1), quefrencies) % k))
+    # Fortran order keeps the pitch columns [l_low, l_high] one contiguous block.
+    forward = np.asfortranarray(cosines * (weights[:, None] / k))
+    inverse = np.ascontiguousarray((cosines * weights[quefrencies]).T)
+    for basis in (forward, inverse):
+        basis.flags.writeable = False
+    return forward, inverse
+
+
+def _pitch_quefrencies(magnitudes: np.ndarray, params: SmoothingParams) -> np.ndarray:
+    """Pitch quefrency of each row of frames x bins magnitudes, by the tie rule."""
+    forward, _ = _band_bases(params)
+    log_magnitudes = np.log(np.maximum(magnitudes, params.mask_floor))
+    log_peak = np.maximum(-log_magnitudes.min(axis=1), log_magnitudes.max(axis=1))
+    band = log_magnitudes @ forward[:, params.l_env + 1 :]
+    return params.l_low + _first_near_max(band, log_peak)
 
 
 def smooth_frames(
@@ -127,28 +174,53 @@ def smooth_frames(
 
     The pitch quefrency is re-estimated every frame from `magnitudes`, the
     separated signal the mask belongs to, so the pitch-adaptive band tracks
-    that speaker.  The first frame continues the recursion from the
-    `previous` smoothed cepstrum, or without one passes through (floored and
-    clamped) unchanged.  The last frame's smoothed cepstrum is returned with
-    the mask, so feeding a mask block by block gives the whole-mask result.
+    that speaker.  Three tracks run across frames: the floored log mask
+    smoothed with beta_peak in every bin, its cepstrum on S smoothed with
+    beta_peak, and its cepstrum on S smoothed with the true factors.  The
+    smoothed log mask is the first plus the DCT-I rows of S applied to the
+    third minus the second.  The first frame continues the tracks from
+    `previous`, the state an earlier call returned, or without one passes
+    through (floored and clamped) unchanged.  The last frame's state (for
+    an empty block, `previous`) is returned with the mask, so feeding a
+    mask block by block gives the whole-mask result up to round-off: the
+    cosine products round as the BLAS kernel that the thread count and the
+    block shape select does.
     """
     floor = params.mask_floor
-    n_frames = mask.shape[0]
-    # Frames on the first axis, quefrencies 0..K/2 on the second.
-    l_pitch = estimate_pitch_quefrency(_cepstra(magnitudes, floor), params.l_low, params.l_high)
-    cep = _cepstra(mask, floor)
-    betas = np.full(cep.shape, params.beta_peak)
-    betas[np.arange(n_frames), l_pitch] = params.beta_pitch
-    betas[:, : params.l_env + 1] = params.beta_env
+    forward, inverse = _band_bases(params)
+    n_frames, n_bins = mask.shape
+    if n_frames == 0:
+        return np.empty(mask.shape), previous
+    n_env = params.l_env + 1
+    l_pitch = _pitch_quefrencies(magnitudes, params)
 
-    for m in range(n_frames):
-        if previous is not None:
-            cep[m] = betas[m] * previous + (1.0 - betas[m]) * cep[m]
-        previous = cep[m]
+    log_mask = np.log(np.maximum(mask, floor))
+    # One row per frame: the cepstrum on S to smooth with the true factors,
+    # and the log mask and that cepstrum to smooth with beta_peak.
+    true_track = log_mask @ forward
+    peak_tracks = np.concatenate((log_mask, true_track), axis=1)
+    betas = np.full(true_track.shape, params.beta_peak)
+    betas[:, :n_env] = params.beta_env
+    betas[np.arange(n_frames), n_env - params.l_low + l_pitch] = params.beta_pitch
+    weights = 1.0 - betas
 
-    mask_values = _dct1(cep)
+    if previous is None:  # the first frame passes through
+        previous_peak, previous_true, first = peak_tracks[0], true_track[0], 1
+    else:
+        (previous_peak, previous_true), first = np.split(previous, [peak_tracks.shape[1]]), 0
+    for m in range(first, n_frames):
+        peak_row, true_row = peak_tracks[m], true_track[m]
+        peak_row *= 1.0 - params.beta_peak
+        peak_row += params.beta_peak * previous_peak
+        true_row *= weights[m]
+        true_row += betas[m] * previous_true
+        previous_peak, previous_true = peak_row, true_row
+
+    mask_values = (true_track - peak_tracks[:, n_bins:]) @ inverse
+    mask_values += peak_tracks[:, :n_bins]
     np.exp(mask_values, out=mask_values)
-    return np.clip(mask_values, floor, 1.0, out=mask_values), previous
+    np.clip(mask_values, floor, 1.0, out=mask_values)
+    return mask_values, np.concatenate((peak_tracks[-1], true_track[-1]))
 
 
 def smooth_mask(

@@ -113,10 +113,11 @@ class IsolatedUnitCount:
     def _count(self, frames: np.ndarray) -> None:
         """Count frames 1..-2 of `frames`, whose neighbors are all present."""
         middle = frames[1:-1]
-        padded = np.pad(middle, ((0, 0), (1, 1)))
-        neighbors = padded[:, :-2].astype(np.int64) + padded[:, 2:] + frames[:-2] + frames[2:]
-        self.active += int(np.sum(middle))
-        self.isolated += int(np.sum(middle & (neighbors == 0)))
+        isolated = middle & ~frames[:-2] & ~frames[2:]
+        isolated[:, 1:] &= ~middle[:, :-1]
+        isolated[:, :-1] &= ~middle[:, 1:]
+        self.active += int(np.count_nonzero(middle))
+        self.isolated += int(np.count_nonzero(isolated))
         self._edge = frames[-2:]
 
 

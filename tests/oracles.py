@@ -5,8 +5,9 @@ transforms, scalar loops, no calls into the code under test and no
 numpy.fft.  Slow is fine; these only ever run on small instances.  The
 exceptions are earlier forms of package code, kept as references for what
 replaced them: `separate_recording_batch`, the whole-array separation flow
-behind the block-by-block pipeline, and `generate_rir_per_pair`, the
-per-pair image lattice behind the shared, culled one.
+behind the block-by-block pipeline, `generate_rir_per_pair`, the
+per-pair image lattice behind the shared, culled one, and
+`smooth_frames_dct`, the whole-spectrum DCT smoother behind the banded one.
 """
 
 from types import SimpleNamespace
@@ -308,6 +309,33 @@ def smooth_mask_direct(
         column = np.exp(np.real(dft_direct(state)))
         out[:, m] = np.clip(column[:n_bins], floor, 1.0)
     return out
+
+
+def smooth_frames_dct(mask, magnitudes, params, previous=None):
+    """Cepstral smoothing of a frames x bins block by whole type-I DCTs.
+
+    The package's earlier `smooth_frames`: one DCT each takes the floored
+    log mask and log magnitudes to cepstra on quefrencies 0..K/2, the
+    recursion runs on the whole cepstrum, and one DCT takes it back.  Pitch
+    picks follow the package's tie rule: the smallest quefrency within
+    1e-9 of the frame's largest |floored log magnitude| of the band
+    maximum.  Returns the smoothed block and its last smoothed cepstrum.
+    """
+    floor, k = params.mask_floor, params.dft_length
+    log_magnitudes = np.log(np.maximum(magnitudes, floor))
+    band = (dct(log_magnitudes, type=1, axis=-1) / k)[:, params.l_low : params.l_high + 1]
+    tolerance = 1e-9 * np.max(np.abs(log_magnitudes), axis=1, keepdims=True)
+    l_pitch = params.l_low + np.argmax(band >= band.max(axis=1, keepdims=True) - tolerance, axis=1)
+
+    cep = dct(np.log(np.maximum(mask, floor)), type=1, axis=-1) / k
+    betas = np.full(cep.shape, params.beta_peak)
+    betas[np.arange(len(cep)), l_pitch] = params.beta_pitch
+    betas[:, : params.l_env + 1] = params.beta_env
+    for m in range(len(cep)):
+        if previous is not None:
+            cep[m] = betas[m] * previous + (1.0 - betas[m]) * cep[m]
+        previous = cep[m]
+    return np.clip(np.exp(dct(cep, type=1, axis=-1)), floor, 1.0), previous
 
 
 def schroeder_decay_time(rir: np.ndarray, sample_rate: int, drop_db: float = 60.0) -> float:

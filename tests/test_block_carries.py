@@ -50,7 +50,9 @@ def test_block_carries_equal_whole_signal_results_property(data, k, n_frames):
     spec0 = Spectrogram(x0.T, cfg, 8000, length)
     spec1 = Spectrogram(x1.T, cfg, 8000, length)
     whole = smooth_mask(SpectralMask(mask.T, "binary"), spec0, params)
-    assert np.array_equal(np.concatenate(smoothed), whole.values.T)
+    # The smoothing's cosine products round as the BLAS kernel that the
+    # block shape selects does, so blocks agree with the whole to round-off.
+    assert np.max(np.abs(np.concatenate(smoothed) - whole.values.T)) <= 1e-12
     assert count.fraction() == isolated_unit_fraction(SpectralMask(mask.T, "binary"))
     covariances = estimate_block_covariances((spec0, spec1), block_count)
     assert np.array_equal(sums.covariance_set().matrices, covariances.matrices)

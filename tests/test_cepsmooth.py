@@ -8,6 +8,7 @@ from cbss.cepsmooth import (
     _dct1,
     estimate_pitch_quefrency,
     magnitude_cepstrum,
+    smooth_frames,
     smooth_mask,
 )
 from cbss.masking import SpectralMask, isolated_unit_fraction
@@ -105,6 +106,18 @@ def test_pitch_estimate_argmax_and_ties():
         estimate_pitch_quefrency(tied, 4, 16)
 
 
+def test_pitch_ties_within_tolerance_of_the_log_peak_pick_the_lowest():
+    coeffs = np.zeros(17)
+    coeffs[5], coeffs[9] = 1.0, 1.0 + 4e-9
+    # tau = 1e-9 * log_peak: 5 counts as tied with 9 at log_peak 5, not at 3.
+    assert estimate_pitch_quefrency(coeffs, 4, 10, log_peak=5.0) == 5
+    assert estimate_pitch_quefrency(coeffs, 4, 10, log_peak=3.0) == 9
+    assert estimate_pitch_quefrency(coeffs, 4, 10) == 9
+    # one log peak per cepstrum of a stack
+    stack = np.stack([coeffs, coeffs])
+    assert estimate_pitch_quefrency(stack, 4, 10, np.array([5.0, 3.0])).tolist() == [5, 9]
+
+
 def test_smooth_mask_limit_cases():
     rng = np.random.default_rng(1)
     n_frames = 6
@@ -154,6 +167,14 @@ def test_smooth_mask_never_leaves_bounds():
     assert np.all(out.values >= SMALL.mask_floor)
     assert np.all(out.values <= 1.0)
     assert np.all(np.isfinite(out.values))
+
+
+def test_smooth_frames_passes_an_empty_block_through():
+    state = smooth_frames(np.ones((3, 17)), np.ones((3, 17)), SMALL)[1]
+    for previous in (None, state):
+        smoothed, carried = smooth_frames(np.zeros((0, 17)), np.zeros((0, 17)), SMALL, previous)
+        assert smoothed.shape == (0, 17)
+        assert carried is previous
 
 
 def test_smooth_mask_matches_straight_line_reference():
