@@ -31,10 +31,15 @@ two cepstral tracks, one with the true factors and one with beta_peak.
 Their difference, taken back through the S columns of the DCT, corrects
 the log mask, which is exponentiated and clamped to [floor, 1].  Cosine
 products with those columns give the cepstra on S of the mask and, on
-[l_low, l_high], of the separated magnitudes, from which
-`estimate_pitch_quefrency`'s tie rule picks each frame's pitch.  The
-recursion across frames is the only loop.  `magnitude_cepstrum` gives a
-whole cepstrum by the DCT, as the `rfft` of the even extension.
+[l_low, l_high], of the separated magnitudes, from which each frame's
+pitch is picked by a tie rule: the lowest quefrency within
+`PITCH_TIE_TOLERANCE` times the frame's largest |floored log magnitude|
+of the band maximum.  The products run over bins 0..K/4 only, since bins
+n and K/2 - n enter a cepstral coefficient of even quefrency as their sum
+and one of odd quefrency as their difference.  The recursion across
+frames is the only loop.  `magnitude_cepstrum` gives a whole cepstrum by
+the DCT, as the `rfft` of the even extension, and
+`estimate_pitch_quefrency` a plain arg-max over a band of cepstra.
 """
 
 from __future__ import annotations
@@ -103,64 +108,110 @@ def magnitude_cepstrum(magnitudes: np.ndarray, floor: float) -> np.ndarray:
     return _dct1(np.log(np.maximum(magnitudes, floor))) / (2 * (magnitudes.shape[0] - 1))
 
 
-# Pitch candidates within this share of the frame's largest |floored log
-# magnitude| of the best one count as tied.
-PITCH_TIE_TOLERANCE = 1e-9
-
-
-def _first_near_max(band: np.ndarray, log_peak: float | np.ndarray) -> np.ndarray:
-    """Index of the first value within PITCH_TIE_TOLERANCE * log_peak of its row's maximum."""
-    tolerance = PITCH_TIE_TOLERANCE * np.asarray(log_peak, dtype=np.float64)[..., None]
-    return np.argmax(band >= band.max(axis=-1, keepdims=True) - tolerance, axis=-1)
-
-
 def estimate_pitch_quefrency(
-    cepstrum: np.ndarray, l_low: int, l_high: int, log_peak: float | np.ndarray = 0.0
+    cepstrum: np.ndarray, l_low: int, l_high: int
 ) -> int | np.ndarray:
-    """Pitch quefrency in [l_low, l_high] of cepstra (quefrencies 0..K/2) on the last axis.
+    """Arg-max over [l_low, l_high] of cepstra (quefrencies 0..K/2) on the last axis.
 
-    The pick is the smallest l whose value lies within tau = 1e-9 *
-    `log_peak` of the band maximum, where `log_peak` is the cepstrum's
-    largest |floored log magnitude| (one per cepstrum, or one for all).
-    That value bounds every cepstral coefficient, so round-off in the
-    transform cannot decide a pick between near-equal peaks, and a frame at
-    the floor everywhere picks l_low.  With the default 0 only exact ties
-    go to the smallest l.  A single cepstrum gives one index, a stack of
-    them one index per cepstrum.
+    Ties pick the smallest l.  A single cepstrum gives one index, a stack
+    of them one index per cepstrum.  `smooth_frames` does not pick by exact
+    ties but by the tolerance of `PITCH_TIE_TOLERANCE`.
     """
     if not 0 <= l_low <= l_high < np.shape(cepstrum)[-1] - 1:
         raise ValueError("need 0 <= l_low <= l_high < K/2")
-    return l_low + _first_near_max(cepstrum[..., l_low : l_high + 1], log_peak)
+    return l_low + np.argmax(cepstrum[..., l_low : l_high + 1], axis=-1)
+
+
+# Pitch candidates within this share of the frame's largest |floored log
+# magnitude| of the best one count as tied.  That magnitude bounds every
+# cepstral coefficient, so round-off in a transform cannot decide a pick
+# between near-equal peaks, and a frame at the floor everywhere picks l_low.
+PITCH_TIE_TOLERANCE = 1e-9
+
+
+def _first_near_max(band: np.ndarray, log_peak: np.ndarray) -> np.ndarray:
+    """Index of the first value within PITCH_TIE_TOLERANCE * log_peak of its row's maximum."""
+    tolerance = PITCH_TIE_TOLERANCE * log_peak[:, None]
+    return np.argmax(band >= band.max(axis=1, keepdims=True) - tolerance, axis=1)
 
 
 @lru_cache(maxsize=8)
-def _band_bases(params: SmoothingParams) -> tuple[np.ndarray, np.ndarray]:
-    """The DCT-I columns and rows of the quefrencies S = [0, l_env] u [l_low, l_high].
+def _band_bases(params: SmoothingParams) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+    """The folded DCT-I columns and rows of the quefrencies S = [0, l_env] u [l_low, l_high].
 
-    `forward` (bins x |S|) takes log half-spectra to their cepstra on S,
-    DCT-I divided by K; `inverse` (|S| x bins) takes cepstra on S back to
-    log half-spectra.
+    cos(2 pi q (K/2 - n) / K) = (-1)^q cos(2 pi q n / K), so bins n and
+    K/2 - n enter a cepstrum on S only as their sum, for even q, or their
+    difference, for odd q, and bins n = 0..K/4 suffice.  One (positions,
+    forward, inverse) triple per parity: `positions` are the places in S
+    of its quefrencies, `forward` (K/4 + 1 x quefrencies) takes folded log
+    half-spectra to their cepstra, DCT-I divided by K, and `inverse`
+    (quefrencies x K/4 + 1) takes cepstra back to the parity's share of
+    bins 0..K/4: bin n is the even share plus the odd one, bin K/2 - n the
+    even share minus the odd one.
     """
     k = params.dft_length
-    quefrencies = np.r_[0 : params.l_env + 1, params.l_low : params.l_high + 1]
-    weights = np.full(k // 2 + 1, 2.0)
-    weights[[0, -1]] = 1.0
-    # cos(pi q n / (K/2)), its argument reduced modulo 2 pi in integers first.
-    cosines = np.cos((2 * np.pi / k) * (np.outer(np.arange(k // 2 + 1), quefrencies) % k))
-    # Fortran order keeps the pitch columns [l_low, l_high] one contiguous block.
-    forward = np.asfortranarray(cosines * (weights[:, None] / k))
-    inverse = np.ascontiguousarray((cosines * weights[quefrencies]).T)
-    for basis in (forward, inverse):
-        basis.flags.writeable = False
-    return forward, inverse
+    n_last, quefrencies = k // 2, np.r_[0 : params.l_env + 1, params.l_low : params.l_high + 1]
+    bins = np.arange(n_last // 2 + 1)
+    # cos(2 pi q n / K), its argument reduced modulo 2 pi in integers first.
+    cosines = np.cos((2 * np.pi / k) * (np.outer(bins, quefrencies) % k))
+    # The bin n = K/4 pairs with itself: its sum is twice the bin and its
+    # difference zero, which the odd columns, cos(pi q / 2) = 0, hold exactly.
+    self_paired = 2 * bins == n_last
+    cosines[np.ix_(self_paired, quefrencies % 2 == 1)] = 0.0
+    forward = cosines * (np.where((bins == 0) | self_paired, 1.0, 2.0)[:, None] / k)
+    inverse = (cosines * np.where(quefrencies == 0, 1.0, 2.0)).T
+    parts = []
+    for parity in (0, 1):
+        positions = np.flatnonzero(quefrencies % 2 == parity)
+        # Fortran order keeps the pitch columns of each parity one contiguous block.
+        part = (positions, np.asfortranarray(forward[:, positions]),
+                np.ascontiguousarray(inverse[positions]))
+        for a in part:
+            a.flags.writeable = False
+        parts.append(part)
+    return tuple(parts)
+
+
+def _fold(log_values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sums and differences of bins n and K/2 - n, n = 0..K/4, of rows over bins 0..K/2."""
+    n_last = log_values.shape[1] - 1
+    low, high = log_values[:, : n_last // 2 + 1], log_values[:, n_last - n_last // 2 :][:, ::-1]
+    return low + high, low - high
+
+
+def _band_cepstra(log_values: np.ndarray, params: SmoothingParams, start: int = 0) -> np.ndarray:
+    """Cepstra on the quefrencies S[start:] of rows of log half-spectra."""
+    parts = _band_bases(params)
+    out = np.empty((len(log_values), sum(len(p[0]) for p in parts) - start))
+    for folded, (positions, forward, _) in zip(_fold(log_values), parts):
+        first = np.searchsorted(positions, start)
+        out[:, positions[first:] - start] = folded @ forward[:, first:]
+    return out
+
+
+def _band_log_values(cepstra: np.ndarray, params: SmoothingParams) -> np.ndarray:
+    """Log half-spectra (bins 0..K/2) whose cepstra are rows of `cepstra` on S and 0 elsewhere."""
+    (even, _, inverse_even), (odd, _, inverse_odd) = _band_bases(params)
+    n_bins = params.dft_length // 2 + 1
+    even_part = cepstra[:, even] @ inverse_even
+    odd_part = cepstra[:, odd] @ inverse_odd
+    out = np.empty((len(cepstra), n_bins))
+    np.add(even_part, odd_part, out=out[:, : even_part.shape[1]])
+    # Bins K/2 - n, n = 0..K/4, written through a reversed view.
+    np.subtract(even_part, odd_part, out=out[:, n_bins - even_part.shape[1] :][:, ::-1])
+    return out
 
 
 def _pitch_quefrencies(magnitudes: np.ndarray, params: SmoothingParams) -> np.ndarray:
-    """Pitch quefrency of each row of frames x bins magnitudes, by the tie rule."""
-    forward, _ = _band_bases(params)
+    """Pitch quefrency of each row of frames x bins magnitudes, by the tie rule.
+
+    The pick is the smallest l in [l_low, l_high] whose cepstral value lies
+    within PITCH_TIE_TOLERANCE times the row's largest |floored log
+    magnitude| of the band maximum.
+    """
     log_magnitudes = np.log(np.maximum(magnitudes, params.mask_floor))
     log_peak = np.maximum(-log_magnitudes.min(axis=1), log_magnitudes.max(axis=1))
-    band = log_magnitudes @ forward[:, params.l_env + 1 :]
+    band = _band_cepstra(log_magnitudes, params, params.l_env + 1)
     return params.l_low + _first_near_max(band, log_peak)
 
 
@@ -174,7 +225,9 @@ def smooth_frames(
 
     The pitch quefrency is re-estimated every frame from `magnitudes`, the
     separated signal the mask belongs to, so the pitch-adaptive band tracks
-    that speaker.  Three tracks run across frames: the floored log mask
+    that speaker: the smallest l in [l_low, l_high] whose cepstral value
+    lies within PITCH_TIE_TOLERANCE times the frame's largest |floored log
+    magnitude| of the band maximum.  Three tracks run across frames: the floored log mask
     smoothed with beta_peak in every bin, its cepstrum on S smoothed with
     beta_peak, and its cepstrum on S smoothed with the true factors.  The
     smoothed log mask is the first plus the DCT-I rows of S applied to the
@@ -187,7 +240,6 @@ def smooth_frames(
     block shape select does.
     """
     floor = params.mask_floor
-    forward, inverse = _band_bases(params)
     n_frames, n_bins = mask.shape
     if n_frames == 0:
         return np.empty(mask.shape), previous
@@ -197,7 +249,7 @@ def smooth_frames(
     log_mask = np.log(np.maximum(mask, floor))
     # One row per frame: the cepstrum on S to smooth with the true factors,
     # and the log mask and that cepstrum to smooth with beta_peak.
-    true_track = log_mask @ forward
+    true_track = _band_cepstra(log_mask, params)
     peak_tracks = np.concatenate((log_mask, true_track), axis=1)
     betas = np.full(true_track.shape, params.beta_peak)
     betas[:, :n_env] = params.beta_env
@@ -216,7 +268,7 @@ def smooth_frames(
         true_row += betas[m] * previous_true
         previous_peak, previous_true = peak_row, true_row
 
-    mask_values = (true_track - peak_tracks[:, n_bins:]) @ inverse
+    mask_values = _band_log_values(true_track - peak_tracks[:, n_bins:], params)
     mask_values += peak_tracks[:, :n_bins]
     np.exp(mask_values, out=mask_values)
     np.clip(mask_values, floor, 1.0, out=mask_values)

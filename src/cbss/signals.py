@@ -45,31 +45,19 @@ class EmptyWavError(WavError):
     """File decodes to zero audio samples."""
 
 
-def _frozen_float64(a) -> bool:
-    """Whether `a` is a float64 array that neither it nor its owner lets anyone write."""
-    if not isinstance(a, np.ndarray) or a.dtype != np.float64 or a.flags.writeable:
-        return False
-    owner = a if a.base is None else a.base
-    return isinstance(owner, np.ndarray) and owner.flags.owndata and not owner.flags.writeable
-
-
 @dataclass(frozen=True, eq=False)
 class Waveform:
     """A finite single-channel signal with its sample rate in Hz.
 
     Samples are stored as a read-only float64 array; construction rejects
-    NaN/Inf values and non-positive rates.  A float64 array that is
-    read-only together with the array owning its memory is adopted as it
-    is; anything else is copied.
+    NaN/Inf values and non-positive rates.
     """
 
     samples: np.ndarray
     sample_rate: int
 
     def __post_init__(self) -> None:
-        samples = self.samples
-        if not _frozen_float64(samples):
-            samples = np.array(samples, dtype=np.float64)
+        samples = np.array(self.samples, dtype=np.float64)
         if samples.ndim != 1:
             raise ValueError("waveform samples must be one-dimensional")
         if not np.all(np.isfinite(samples)):

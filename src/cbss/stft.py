@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .signals import Waveform
 
@@ -197,22 +196,13 @@ def overlap_add(spectra: np.ndarray, first: int, config: StftConfig, out: np.nda
 
     `spectra` holds one half spectrum per row.  `out` is an overlap-add
     buffer in padded-signal coordinates, at least `padded_length` of the
-    last frame long.  Every sample receives its frames in increasing order.
+    last frame long; frames are added in order.
     """
     k, hop = config.frame_length, config.hop
-    if len(out) < padded_length(first + len(spectra), config):
-        raise ValueError("overlap-add buffer ends before the last frame")
     frames = np.fft.irfft(spectra, n=k, axis=1)
     frames *= config.synthesis_window()
-    # One add per hop-wide slab [offset, offset + hop) of all frames, whose
-    # slabs tile `out` at the hop.  A sample gets slab `offset` of frame m
-    # before slab `offset - hop` of frame m + 1, so descending offsets keep
-    # the frame order.
-    step = out.strides[0]
-    for offset in reversed(range(0, k, hop)):
-        slab = frames[:, offset : offset + hop]
-        tiles = as_strided(out[first * hop + offset :], slab.shape, (hop * step, step))
-        tiles += slab
+    for m, frame in enumerate(frames, start=first):
+        out[m * hop : m * hop + k] += frame
 
 
 def strip_padding(
@@ -222,15 +212,11 @@ def strip_padding(
 
     Each buffer must hold every frame of an `original_length` signal,
     overlap-added with the synthesis window; no further scaling is needed.
-    The buffers are made read-only and the waveforms are views into them.
     """
     length = padded_length(frame_count(original_length, config), config)
     if any(len(acc) != length for acc in buffers):
         raise ValueError(f"overlap-add buffers must be {length} samples long")
     pad = config.frame_length - config.hop
-    for acc in buffers:
-        # Frozen, so that each Waveform adopts its slice instead of copying it.
-        acc.flags.writeable = False
     return [Waveform(acc[pad : pad + original_length], sample_rate) for acc in buffers]
 
 

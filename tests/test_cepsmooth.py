@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from cbss.cepsmooth import (
     SmoothingParams,
     _dct1,
+    _first_near_max,
     estimate_pitch_quefrency,
     magnitude_cepstrum,
     smooth_frames,
@@ -14,7 +15,7 @@ from cbss.cepsmooth import (
 from cbss.masking import SpectralMask, isolated_unit_fraction
 from cbss.stft import Spectrogram, StftConfig
 
-from oracles import idft_direct, smooth_mask_direct
+from oracles import idft_direct, smooth_frames_dct, smooth_mask_direct
 
 SMALL = SmoothingParams(dft_length=32, l_env=2, l_low=4, l_high=10)
 
@@ -107,15 +108,25 @@ def test_pitch_estimate_argmax_and_ties():
 
 
 def test_pitch_ties_within_tolerance_of_the_log_peak_pick_the_lowest():
-    coeffs = np.zeros(17)
-    coeffs[5], coeffs[9] = 1.0, 1.0 + 4e-9
-    # tau = 1e-9 * log_peak: 5 counts as tied with 9 at log_peak 5, not at 3.
-    assert estimate_pitch_quefrency(coeffs, 4, 10, log_peak=5.0) == 5
-    assert estimate_pitch_quefrency(coeffs, 4, 10, log_peak=3.0) == 9
-    assert estimate_pitch_quefrency(coeffs, 4, 10) == 9
-    # one log peak per cepstrum of a stack
-    stack = np.stack([coeffs, coeffs])
-    assert estimate_pitch_quefrency(stack, 4, 10, np.array([5.0, 3.0])).tolist() == [5, 9]
+    band = np.zeros((2, 7))
+    band[:, 1], band[:, 5] = 1.0, 1.0 + 4e-9
+    # tau = 1e-9 * log_peak: 1 counts as tied with 5 at log_peak 5, not at 3.
+    assert _first_near_max(band, np.array([5.0, 3.0])).tolist() == [1, 5]
+
+
+@pytest.mark.parametrize("k", [18, 20, 30, 32])
+def test_folded_bands_match_whole_dct_smoothing(k):
+    # K/2 odd (18, 30) pairs every bin with another; K/2 even also has bin
+    # K/4, which pairs with itself.
+    params = SmoothingParams(dft_length=k, l_env=2, l_low=4, l_high=k // 2 - 2)
+    rng = np.random.default_rng(k)
+    mask = rng.uniform(0.0, 1.0, (9, k // 2 + 1))
+    mags = rng.uniform(0.0, 3.0, (9, k // 2 + 1))
+    state = reference_state = None
+    for frames in (slice(0, 4), slice(4, 9)):  # two blocks, so the carry too
+        got, state = smooth_frames(mask[frames], mags[frames], params, state)
+        want, reference_state = smooth_frames_dct(mask[frames], mags[frames], params, reference_state)
+        assert np.max(np.abs(got - want)) <= 1e-12
 
 
 def test_smooth_mask_limit_cases():

@@ -29,32 +29,6 @@ def test_waveform_is_read_only():
         w.samples[0] = 1.0
 
 
-def test_waveform_copies_unless_the_samples_are_frozen_with_their_owner():
-    writable = np.zeros(16)
-    assert not np.shares_memory(Waveform(writable, 8000).samples, writable)
-    assert writable.flags.writeable
-
-    # Read-only, but its owner is not: the owner could still change the samples.
-    owner = np.zeros(32)
-    view = owner[4:20]
-    view.flags.writeable = False
-    assert not np.shares_memory(Waveform(view, 8000).samples, owner)
-
-    # Read-only together with its owner: adopted without a copy.
-    owner.flags.writeable = False
-    assert Waveform(owner[4:20], 8000).samples.base is owner
-
-    # Other dtypes are converted, so copied.
-    frozen32 = np.zeros(16, dtype=np.float32)
-    frozen32.flags.writeable = False
-    assert Waveform(frozen32, 8000).samples.dtype == np.float64
-
-    frozen_inf = np.array([0.0, np.inf])
-    frozen_inf.flags.writeable = False
-    with pytest.raises(ValueError, match="finite"):
-        Waveform(frozen_inf, 8000)
-
-
 def test_waveform_length_and_duration():
     w = Waveform(np.zeros(4000), 8000)
     assert len(w) == 4000

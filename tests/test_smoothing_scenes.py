@@ -13,8 +13,8 @@ import pytest
 from cbss.cepsmooth import (
     SmoothingParams,
     _dct1,
+    _first_near_max,
     _pitch_quefrencies,
-    estimate_pitch_quefrency,
     smooth_frames,
 )
 from cbss.config import PipelineConfig
@@ -79,7 +79,7 @@ def _dct_picks(magnitudes, params):
     log_magnitudes = np.log(np.maximum(magnitudes, params.mask_floor))
     cepstra = _dct1(log_magnitudes) / params.dft_length
     log_peak = np.max(np.abs(log_magnitudes), axis=1)
-    return estimate_pitch_quefrency(cepstra, params.l_low, params.l_high, log_peak)
+    return params.l_low + _first_near_max(cepstra[:, params.l_low : params.l_high + 1], log_peak)
 
 
 def test_banded_smoothing_matches_whole_dct_reference(scene):

@@ -1,5 +1,3 @@
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -174,44 +172,6 @@ def test_block_analysis_and_overlap_add_reconstruct_perfectly(data):
     (y,) = strip_padding([buf], cfg, n, x.sample_rate)
     assert len(y) == n
     assert np.max(np.abs(y.samples - x.samples)) <= 1e-12 * np.max(np.abs(x.samples))
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    k=st.sampled_from([4, 8, 16, 64]),
-    hop_share=st.floats(0.0, 1.0),
-    n_frames=st.integers(1, 12),
-    first=st.integers(0, 6),
-    slack=st.integers(0, 5),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_overlap_add_keeps_the_bits_of_a_per_frame_loop(k, hop_share, n_frames, first, slack, seed):
-    # Any hop in [1, K], those that do not divide K included; overlap_add reads
-    # only the frame length, the hop and the synthesis window of its config.
-    hop = 1 + int(hop_share * (k - 1))
-    rng = np.random.default_rng(seed)
-    window = rng.standard_normal(k)
-    cfg = SimpleNamespace(frame_length=k, hop=hop, synthesis_window=lambda: window)
-    shape = (n_frames, k // 2 + 1)
-    spectra = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    out = rng.standard_normal((first + n_frames - 1) * hop + k + slack)
-    expected = out.copy()
-    for m, frame in enumerate(np.fft.irfft(spectra, n=k, axis=1) * window, start=first):
-        expected[m * hop : m * hop + k] += frame
-    overlap_add(spectra, first, cfg, out)
-    assert np.array_equal(out, expected)
-    with pytest.raises(ValueError, match="ends before the last frame"):
-        overlap_add(spectra, first, cfg, np.zeros((first + n_frames - 1) * hop + k - 1))
-
-
-def test_strip_padding_hands_out_views_of_frozen_buffers():
-    cfg = StftConfig(64, 0.75)
-    n = 500
-    buf = np.random.default_rng(8).standard_normal(padded_length(frame_count(n, cfg), cfg))
-    (y,) = strip_padding([buf], cfg, n, 8000)
-    assert not buf.flags.writeable
-    assert np.shares_memory(y.samples, buf)
-    assert np.array_equal(y.samples, buf[cfg.frame_length - cfg.hop :][:n])
 
 
 def test_block_analysis_equals_columns_of_whole_analysis():
