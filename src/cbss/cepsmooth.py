@@ -254,19 +254,20 @@ def smooth_frames(
     betas = np.full(true_track.shape, params.beta_peak)
     betas[:, :n_env] = params.beta_env
     betas[np.arange(n_frames), n_env - params.l_low + l_pitch] = params.beta_pitch
-    weights = 1.0 - betas
 
     if previous is None:  # the first frame passes through
         previous_peak, previous_true, first = peak_tracks[0], true_track[0], 1
     else:
         (previous_peak, previous_true), first = np.split(previous, [peak_tracks.shape[1]]), 0
+    # Each row becomes (1 - beta) * row + beta * previous row: the first
+    # term for all frames at once, the second frame by frame.
+    peak_tracks[first:] *= 1.0 - params.beta_peak
+    true_track[first:] *= 1.0 - betas[first:]
+    peak_term, true_term = np.empty(peak_tracks.shape[1]), np.empty(true_track.shape[1])
     for m in range(first, n_frames):
-        peak_row, true_row = peak_tracks[m], true_track[m]
-        peak_row *= 1.0 - params.beta_peak
-        peak_row += params.beta_peak * previous_peak
-        true_row *= weights[m]
-        true_row += betas[m] * previous_true
-        previous_peak, previous_true = peak_row, true_row
+        peak_tracks[m] += np.multiply(params.beta_peak, previous_peak, out=peak_term)
+        true_track[m] += np.multiply(betas[m], previous_true, out=true_term)
+        previous_peak, previous_true = peak_tracks[m], true_track[m]
 
     mask_values = _band_log_values(true_track - peak_tracks[:, n_bins:], params)
     mask_values += peak_tracks[:, :n_bins]
