@@ -227,10 +227,10 @@ def smooth_frames(
     separated signal the mask belongs to, so the pitch-adaptive band tracks
     that speaker: the smallest l in [l_low, l_high] whose cepstral value
     lies within PITCH_TIE_TOLERANCE times the frame's largest |floored log
-    magnitude| of the band maximum.  Three tracks run across frames: the floored log mask
-    smoothed with beta_peak in every bin, its cepstrum on S smoothed with
-    beta_peak, and its cepstrum on S smoothed with the true factors.  The
-    smoothed log mask is the first plus the DCT-I rows of S applied to the
+    magnitude| of the band maximum.  Three tracks run across frames: the
+    floored log mask smoothed with beta_peak in every bin, its cepstrum on
+    S smoothed with beta_peak, and its cepstrum on S smoothed with the true
+    factors.  The smoothed log mask is the first plus the DCT-I rows of S applied to the
     third minus the second.  The first frame continues the tracks from
     `previous`, the state an earlier call returned, or without one passes
     through (floored and clamped) unchanged.  The last frame's state (for

@@ -125,7 +125,9 @@ def test_folded_bands_match_whole_dct_smoothing(k):
     state = reference_state = None
     for frames in (slice(0, 4), slice(4, 9)):  # two blocks, so the carry too
         got, state = smooth_frames(mask[frames], mags[frames], params, state)
-        want, reference_state = smooth_frames_dct(mask[frames], mags[frames], params, reference_state)
+        want, reference_state = smooth_frames_dct(
+            mask[frames], mags[frames], params, reference_state
+        )
         assert np.max(np.abs(got - want)) <= 1e-12
 
 
