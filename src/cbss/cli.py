@@ -26,9 +26,10 @@ from .pipeline import (
     separate_recording,
     simulate_scene,
 )
+from .roomsim import RoomSpec, sabine_absorption
 from .signals import MultichannelRecording, Waveform, read_wav, write_wav
 
-REPORT_FORMAT_VERSION = 3
+REPORT_FORMAT_VERSION = 4
 FINAL_OUTPUTS_FROM = "stage1_masked"
 SIR_CONVENTION = "10*log10 of an energy ratio"
 
@@ -67,6 +68,16 @@ def _separation_report(
     report = _base_report("separation", config)
     report.update(_separation_block(result), outputs=outputs, **fields)
     return report
+
+
+def _room_block(room: RoomSpec) -> dict:
+    """The Sabine absorption asked for and used, and whether the room became anechoic."""
+    asked, used = sabine_absorption(room.dimensions, room.rt60_ms)
+    return {
+        "absorption_requested": asked,
+        "absorption_used": used,
+        "anechoic_clamped": asked > used,
+    }
 
 
 def _write_outputs(result: SeparationResult, out_dir: Path) -> dict:
@@ -144,6 +155,9 @@ def _write_scene(scene: SimulatedScene, out_dir: Path) -> None:
         lines.append(f"source_{i}_position = {p[0]} {p[1]} {p[2]}")
     for i, p in enumerate(room.mic_positions, start=1):
         lines.append(f"mic_{i}_position = {p[0]} {p[1]} {p[2]}")
+    lines.extend(
+        f"{key} = {str(value).lower()}" for key, value in _room_block(room).items()
+    )
     lines.append(f"rir_length = {scene.bank.rir_length}")
     lines.append("mixture = mixture.wav")
     lines.extend(f"source_{i} = source_{i}.wav" for i in (1, 2))
@@ -273,6 +287,7 @@ def _sweep_row(config: PipelineConfig, rt60: float, rt_dir: Path, seed: int | No
     """
     scene = simulate_scene(config, rt60_ms=rt60, seed=seed)
     _write_scene(scene, rt_dir)
+    room_fields = _room_block(scene.room)
     result = separate_recording(scene.mixture, config)
     outputs = _write_outputs(result, rt_dir)
 
@@ -294,11 +309,12 @@ def _sweep_row(config: PipelineConfig, rt60: float, rt_dir: Path, seed: int | No
         "final_sdr_db": _sir_block(final_eval.sdr),
         "final_sar_db": _sir_block(final_eval.sar),
         "outputs": outputs,
+        **room_fields,
     }
     row.update(_separation_block(result))
 
     sirs = {key: row[key] for key in ("stage1_sir_db", "final_sir_db")}
-    report = _separation_report(config, result, outputs, rt60_ms=rt60, **sirs)
+    report = _separation_report(config, result, outputs, rt60_ms=rt60, **sirs, **room_fields)
     _write_report(report, rt_dir / "report.json")
     return row
 

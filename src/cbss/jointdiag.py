@@ -440,14 +440,27 @@ def solve_unmixing(
     return system, state
 
 
-def unmix(system: UnmixingSystem, x0: np.ndarray, x1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Unmix frames-major spectra: y0 = x0 + W01 x1, y1 = W10 x0 + x1 in every bin.
+def unmix_output(
+    system: UnmixingSystem,
+    i: int,
+    own: np.ndarray,
+    other: np.ndarray,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
+    """Output i of frames-major spectra: y_i = x_i + w_i x_(1-i) in every bin.
 
-    The system's diagonal is exactly 1, so the 2x2 product needs only the
-    two cross entries.
+    `own` is channel i and `other` channel 1 - i; w_0 = W01 and w_1 = W10.
+    The system's diagonal is exactly 1, so each output needs only one cross
+    entry.  The result goes into `out` when given.
     """
-    w01, w10 = system.matrices[:, 0, 1], system.matrices[:, 1, 0]
-    return x0 + w01 * x1, w10 * x0 + x1
+    out = np.multiply(system.matrices[:, i, 1 - i], other, out=out)
+    out += own
+    return out
+
+
+def unmix(system: UnmixingSystem, x0: np.ndarray, x1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unmix frames-major spectra: y0 = x0 + W01 x1, y1 = W10 x0 + x1 in every bin."""
+    return unmix_output(system, 0, x0, x1), unmix_output(system, 1, x1, x0)
 
 
 def apply_unmixing(

@@ -15,11 +15,28 @@ each block again, unmixes it, takes |Y| once for the binary masks and the
 smoothing's pitch track, smooths with one frame of state carried across
 block edges, and overlap-adds stage 1 and the final outputs into waveform
 buffers, from which the outputs need only the padding cut off.
+
+Both passes work in two halves, channel i and then output i, on two
+threads.  For each block, the calling thread runs half 0 and one helper
+thread runs half 1 of three steps, and the halves join after each:
+  * the analysis of channel i (in both passes);
+  * the unmixing of output i, y_i = x_i + w_i x_(1-i), and |y_i|;
+  * output i's dominance mask, stage-1 overlap-add, smoothing, occupancy
+    counts and final overlap-add.
+The covariance sums and the solve run on the calling thread alone.
+`separate_recording` allocates each half's scratch buffers (frames,
+channel and output spectra, magnitudes) once per call, and the kernels
+write into them; a half writes only its own buffers and reads the other's
+only after a join.  numpy's transforms and ufuncs and the BLAS release the
+interpreter lock, so on two cores the halves overlap.  Each half runs the
+operations one thread would run, in the same order, so the outputs keep
+their bits.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Callable, Iterator, Sequence
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,12 +62,12 @@ from .jointdiag import (  # noqa: F401
     apply_unmixing,
     estimate_block_covariances,
     solve_unmixing,
-    unmix,
+    unmix_output,
 )
 from .masking import (  # noqa: F401
     IsolatedUnitCount,
     apply_mask,
-    dominance_masks,
+    dominance_mask,
     estimate_binary_masks,
     isolated_unit_fraction,
 )
@@ -60,6 +77,7 @@ from .roomsim import ImpulseResponseBank, RoomSpec, mix_images, source_images
 from .roomsim import convolve_mix  # noqa: F401
 from .signals import MultichannelRecording, Waveform, gen_am_source
 from .stft import (  # noqa: F401
+    StftConfig,
     analyze,
     frame_blocks,
     frame_count,
@@ -85,46 +103,110 @@ class SeparationResult:
     isolated_fraction_smoothed: tuple[float, float]
 
 
+class _Half:
+    """Channel i, then output i, of one separation: scratch buffers, carries, results.
+
+    The buffers hold `rows` frames; a block of n frames uses their first n.
+    """
+
+    def __init__(self, rows: int, n_frames: int, stft: StftConfig) -> None:
+        self.frames = np.empty((rows, stft.frame_length))  # windowed or inverse-transformed
+        self.channel = np.empty((rows, stft.n_bins), dtype=np.complex128)
+        self.output = np.empty((rows, stft.n_bins), dtype=np.complex128)  # then masked
+        self.magnitudes = np.empty((rows, stft.n_bins))
+        self.stage1 = np.zeros(padded_length(n_frames, stft))
+        self.final = np.zeros(padded_length(n_frames, stft))
+        self.cepstrum: np.ndarray | None = None
+        self.binary_count = IsolatedUnitCount()
+        self.smoothed_count = IsolatedUnitCount()
+
+
+@contextmanager
+def _two_halves() -> Iterator[Callable[..., None]]:
+    """Yield `both(step, *args)`, which runs step(1, *args) on a helper thread
+    and step(0, *args) on this one, and returns once both are done.
+
+    An error in either half is raised by `both` after both have stopped;
+    this thread's error wins.  The helper is joined on exit.
+    """
+    # Imported here: at module level it would add its logging import to
+    # every start of the package.
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=1) as helper:
+
+        def both(step: Callable[..., None], *args) -> None:
+            second = helper.submit(step, 1, *args)
+            try:
+                step(0, *args)
+            except BaseException:
+                second.exception()  # wait for the helper's half
+                raise
+            second.result()
+
+        yield both
+
+
 def separate_recording(recording: MultichannelRecording, config: PipelineConfig) -> SeparationResult:
-    """Run both separation stages on a two-channel mixture, block by block."""
+    """Run both separation stages on a two-channel mixture, block by block.
+
+    Channel and output 1 run on a helper thread, started for this call and
+    joined before it returns, and channel and output 0 on the calling
+    thread; the halves join after each block's analysis, unmixing and
+    masking step (see the module docstring).  The covariance sums and the
+    solve run on the calling thread.  This call owns both halves' scratch
+    buffers.  The outputs are bit for bit those of one thread running the
+    halves in turn.  An error in either half is raised here.
+    """
     if recording.n_channels != 2:
         raise ValueError(f"expected a 2-channel mixture, got {recording.n_channels} channel(s)")
     stft = config.stft
     n_frames = frame_count(recording.n_samples, stft)
     blocks = frame_blocks(n_frames, FRAMES_PER_BLOCK)
-
-    def spectra(frames: range) -> list[np.ndarray]:
-        return [frame_spectra(ch.samples, stft, frames) for ch in recording.channels]
-
     sums = CovarianceSums(stft.n_bins, n_frames, config.solver.block_count)
-    for frames in blocks:
-        sums.add(*spectra(frames), frames.start)
-    system, state = solve_unmixing(sums.covariance_set(), config.solver)
-
     params = config.smoothing_params(recording.sample_rate)
-    stage1 = [np.zeros(padded_length(n_frames, stft)) for _ in range(2)]
-    final = [np.zeros(padded_length(n_frames, stft)) for _ in range(2)]
-    cepstra = [None, None]
-    binary_counts = (IsolatedUnitCount(), IsolatedUnitCount())
-    smoothed_counts = (IsolatedUnitCount(), IsolatedUnitCount())
-    for frames in blocks:
-        separated = unmix(system, *spectra(frames))
-        magnitudes = [np.abs(y) for y in separated]
-        masks = dominance_masks(*magnitudes, config.mask_threshold.value)
-        for i in (0, 1):
-            overlap_add(separated[i], frames.start, stft, stage1[i])
-            smoothed, cepstra[i] = smooth_frames(masks[i], magnitudes[i], params, cepstra[i])
-            overlap_add(smoothed * separated[i], frames.start, stft, final[i])
-            binary_counts[i].add(masks[i])
-            smoothed_counts[i].add(smoothed)
+    tau = config.mask_threshold.value
+    halves = [_Half(len(blocks[0]), n_frames, stft) for _ in range(2)]
 
-    waves = strip_padding(stage1 + final, stft, recording.n_samples, recording.sample_rate)
+    def analysis(i: int, frames: range) -> None:
+        half, n = halves[i], len(frames)
+        samples = recording.channels[i].samples
+        frame_spectra(samples, stft, frames, out=half.channel[:n], work=half.frames[:n])
+
+    def unmixing(i: int, frames: range) -> None:  # runs after the solve has set `system`
+        half, n = halves[i], len(frames)
+        other = halves[1 - i].channel[:n]
+        unmix_output(system, i, half.channel[:n], other, out=half.output[:n])
+        np.abs(half.output[:n], out=half.magnitudes[:n])
+
+    def masking(i: int, frames: range) -> None:
+        half, n = halves[i], len(frames)
+        output, magnitudes, work = half.output[:n], half.magnitudes[:n], half.frames[:n]
+        mask = dominance_mask(magnitudes, halves[1 - i].magnitudes[:n], tau)
+        overlap_add(output, frames.start, stft, half.stage1, work)
+        smoothed, half.cepstrum = smooth_frames(mask, magnitudes, params, half.cepstrum)
+        overlap_add(np.multiply(smoothed, output, out=output), frames.start, stft, half.final, work)
+        half.binary_count.add(mask)
+        half.smoothed_count.add(smoothed)
+
+    with _two_halves() as both:
+        for frames in blocks:
+            both(analysis, frames)
+            n = len(frames)
+            sums.add(halves[0].channel[:n], halves[1].channel[:n], frames.start)
+        system, state = solve_unmixing(sums.covariance_set(), config.solver)
+        for frames in blocks:
+            for step in (analysis, unmixing, masking):
+                both(step, frames)
+
+    buffers = [h.stage1 for h in halves] + [h.final for h in halves]
+    waves = strip_padding(buffers, stft, recording.n_samples, recording.sample_rate)
     return SeparationResult(
         stage1=tuple(waves[:2]),
         final=tuple(waves[2:]),
         solver_state=state,
-        isolated_fraction_binary=tuple(c.fraction() for c in binary_counts),
-        isolated_fraction_smoothed=tuple(c.fraction() for c in smoothed_counts),
+        isolated_fraction_binary=tuple(h.binary_count.fraction() for h in halves),
+        isolated_fraction_smoothed=tuple(h.smoothed_count.fraction() for h in halves),
     )
 
 

@@ -86,12 +86,15 @@ class RoomSpec:
         return max(256, direct + tail)
 
 
-def rt60_to_absorption(dimensions: tuple[float, float, float], rt60_ms: float) -> float:
-    """Uniform Sabine absorption for a box room: alpha = 0.161 V / (T A).
+def sabine_absorption(
+    dimensions: tuple[float, float, float], rt60_ms: float
+) -> tuple[float, float]:
+    """Uniform Sabine absorption for a box room, as asked for and as used.
 
-    rt60_ms = 0 means anechoic (alpha = 1).  A requested RT60 short enough
-    to demand alpha > 1 is physically impossible for this geometry; the
-    coefficient caps at 1 with a warning, which likewise means anechoic.
+    Sabine asks for alpha = 0.161 V / (T A); rt60_ms = 0 asks for an
+    anechoic room (alpha = 1).  A requested RT60 short enough to demand
+    alpha > 1 is physically impossible for this geometry; the coefficient
+    used caps at 1, which likewise means anechoic.
     """
     lx, ly, lz = dimensions
     if any(d <= 0 for d in (lx, ly, lz)):
@@ -99,18 +102,23 @@ def rt60_to_absorption(dimensions: tuple[float, float, float], rt60_ms: float) -
     if rt60_ms < 0:
         raise ValueError("rt60_ms must be non-negative")
     if rt60_ms == 0:
-        return 1.0
+        return 1.0, 1.0
     volume = lx * ly * lz
     area = 2.0 * (lx * ly + lx * lz + ly * lz)
-    alpha = SABINE_COEFF * volume / ((rt60_ms / 1000.0) * area)
-    if alpha > 1.0:
+    alpha = float(SABINE_COEFF * volume / ((rt60_ms / 1000.0) * area))
+    return alpha, min(alpha, 1.0)
+
+
+def rt60_to_absorption(dimensions: tuple[float, float, float], rt60_ms: float) -> float:
+    """The Sabine absorption used for `rt60_ms`; warns when it is capped at 1 (anechoic)."""
+    asked, used = sabine_absorption(dimensions, rt60_ms)
+    if asked > used:
         warnings.warn(
-            f"rt60 {rt60_ms} ms needs absorption {alpha:.3f} > 1 in this room; "
+            f"rt60 {rt60_ms} ms needs absorption {asked:.3f} > 1 in this room; "
             "treating the room as anechoic",
             stacklevel=2,
         )
-        alpha = 1.0
-    return float(alpha)
+    return used
 
 
 def _image_responses(room: RoomSpec, pairs: list[tuple[int, int]]) -> list[np.ndarray]:

@@ -14,6 +14,8 @@ frames `Spectrogram`s.  Their plain frames x bins kernels also take a block
 of consecutive frames: `frame_spectra` reads only the samples a range of
 frames covers, and `overlap_add` adds a block's frames into a caller's
 buffer, from which `strip_padding` cuts the waveforms once all are in.
+Both write their frame-sized intermediates into arrays the caller passes,
+if any, so a loop over blocks need not allocate them block after block.
 
 `next_fast_len` picks the zero-padded FFT length at which the room
 simulator and the metrics convolve.
@@ -160,13 +162,21 @@ def frame_blocks(n_frames: int, frames_per_block: int) -> list[range]:
     return [range(a, min(a + frames_per_block, n_frames)) for a in starts]
 
 
-def frame_spectra(samples: np.ndarray, config: StftConfig, frames: range) -> np.ndarray:
+def frame_spectra(
+    samples: np.ndarray,
+    config: StftConfig,
+    frames: range,
+    out: np.ndarray | None = None,
+    work: np.ndarray | None = None,
+) -> np.ndarray:
     """Half spectra of the frames in `frames` of a signal, (len(frames), n_bins).
 
     Frame m covers samples [m*hop, m*hop + K) of the padded signal, where
     K - hop zeros are prepended and at least as many appended.  Only the
     samples the requested frames cover are read; the padding is never
-    built for the whole signal.
+    built for the whole signal.  The spectra go into `out` and the
+    windowed frames into `work`, (len(frames), K) floats, when given, and
+    into new arrays otherwise; the values are the same either way.
     """
     n = len(samples)
     n_frames = frame_count(n, config)
@@ -180,8 +190,9 @@ def frame_spectra(samples: np.ndarray, config: StftConfig, frames: range) -> np.
     lo, hi = max(offset, 0), min(offset + len(buf), n)
     buf[lo - offset : hi - offset] = samples[lo:hi]
 
-    windowed = np.lib.stride_tricks.sliding_window_view(buf, k)[::hop] * config.analysis_window()
-    return np.fft.rfft(windowed, axis=1)
+    frame_view = np.lib.stride_tricks.sliding_window_view(buf, k)[::hop]
+    windowed = np.multiply(frame_view, config.analysis_window(), out=work)
+    return np.fft.rfft(windowed, axis=1, out=out)
 
 
 def analyze(signal: Waveform, config: StftConfig) -> Spectrogram:
@@ -191,15 +202,23 @@ def analyze(signal: Waveform, config: StftConfig) -> Spectrogram:
     return Spectrogram(values, config, signal.sample_rate, len(signal))
 
 
-def overlap_add(spectra: np.ndarray, first: int, config: StftConfig, out: np.ndarray) -> None:
+def overlap_add(
+    spectra: np.ndarray,
+    first: int,
+    config: StftConfig,
+    out: np.ndarray,
+    work: np.ndarray | None = None,
+) -> None:
     """Add the windowed inverse transforms of frames first, first + 1, ... into `out`.
 
     `spectra` holds one half spectrum per row.  `out` is an overlap-add
     buffer in padded-signal coordinates, at least `padded_length` of the
-    last frame long; frames are added in order.
+    last frame long; frames are added in order.  The inverse transforms go
+    into `work`, (len(spectra), K) floats, when given, and into a new array
+    otherwise.
     """
     k, hop = config.frame_length, config.hop
-    frames = np.fft.irfft(spectra, n=k, axis=1)
+    frames = np.fft.irfft(spectra, n=k, axis=1, out=work)
     frames *= config.synthesis_window()
     for m, frame in enumerate(frames, start=first):
         out[m * hop : m * hop + k] += frame

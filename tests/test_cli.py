@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -162,7 +163,7 @@ def test_separate_happy_path_is_deterministic(tmp_path, fast_cfg):
     report = json.loads((outs[0] / "report.json").read_text())
     assert report["kind"] == "separation"
     assert report["solver"]["final_cost"] <= report["solver"]["initial_cost"]
-    assert report["report_format_version"] == 3
+    assert report["report_format_version"] == 4
     assert report["solver"]["termination"] in TERMINATIONS
     assert report["solver"]["evaluations"] >= report["solver"]["iterations"] + 1
     assert report["outputs"]["stage1"] == ["stage1_1.wav", "stage1_2.wav"]
@@ -326,6 +327,35 @@ def test_sweep_writes_report_and_outputs(tmp_path, fast_cfg):
     rt_dir = out / "rt150"
     for name in ("mixture.wav", "stage1_1.wav", "final_2.wav", "report.json"):
         assert (rt_dir / name).exists()
+
+
+@pytest.mark.parametrize(
+    ("room", "clamped"),
+    [("", True), ("room_height = 3.0\nroom_width = 3.0\nroom_depth = 3.0\n", False)],
+    ids=["default-room", "3m-room"],
+)
+def test_sweep_reports_whether_the_room_was_clamped(tmp_path, room, clamped):
+    # Sabine asks for absorption 1.07 at 100 ms in the default 3.4 x 3.8 x 5.2 m
+    # room, which the simulator renders anechoic, and for 0.81 in a 3 m cube.
+    settings = [line for line in FAST_CONFIG.splitlines() if not line.startswith("room_")]
+    path = tmp_path / "room.cfg"
+    path.write_text("\n".join(settings) + "\n" + room)
+    out = tmp_path / "sweep"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert _run(["sweep", "--rt60", "100", "--config", str(path), "--out", str(out)]) == 0
+    assert any("treating the room as anechoic" in str(w.message) for w in caught) == clamped
+
+    (row,) = json.loads((out / "sweep_report.json").read_text())["rows"]
+    report = json.loads((out / "rt100" / "report.json").read_text())
+    manifest = (out / "rt100" / "manifest.txt").read_text().splitlines()
+    asked = 0.161 * 27.0 / (0.1 * 54.0) if not clamped else 0.161 * 67.184 / (0.1 * 100.72)
+    for fields in (row, report):
+        assert fields["anechoic_clamped"] is clamped
+        assert fields["absorption_requested"] == pytest.approx(asked, rel=1e-12)
+        assert fields["absorption_used"] == (1.0 if clamped else fields["absorption_requested"])
+    assert f"anechoic_clamped = {str(clamped).lower()}" in manifest
+    assert f"absorption_used = {row['absorption_used']}" in manifest
 
 
 def _two_talkers(n=16000, rate=8000):

@@ -1,5 +1,8 @@
 """The block-by-block separation against the whole-array flow it replaced."""
 
+import contextlib
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -88,3 +91,65 @@ def test_separation_memory_grows_only_with_the_waveforms():
     long_peak, long_n = _traced_peak(30.0)
     per_sample = (long_peak - short_peak) / (long_n - short_n)
     assert per_sample <= 120, f"traced peak grows {per_sample:.0f} bytes per input sample"
+
+
+@contextlib.contextmanager
+def _inline_halves():
+    """Both halves of every step on the calling thread, half 0 first."""
+
+    def both(step, *args):
+        step(0, *args)
+        step(1, *args)
+
+    yield both
+
+
+@pytest.mark.parametrize(
+    ("settings", "n_frames", "frames_per_block"),
+    [
+        ({"seed": 1}, 107, 128),  # the default 5 s scene, in one block
+        ({"seed": 2, "synth_duration_s": 7.5}, 156, 128),  # a 28-frame last block
+        ({**SMALL, "seed": 3}, 168, 168),  # exactly one block
+    ],
+    ids=["default-scene", "short-last-block", "one-block"],
+)
+def test_two_threads_keep_the_bits_of_one(monkeypatch, settings, n_frames, frames_per_block):
+    config = PipelineConfig(settings)
+    mixture = simulate_scene(config).mixture
+    assert frame_count(mixture.n_samples, config.stft) == n_frames
+    monkeypatch.setattr(pipeline, "FRAMES_PER_BLOCK", frames_per_block)
+    # A short switch interval interleaves the two threads' Python code finely.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threaded = separate_recording(mixture, config)
+    finally:
+        sys.setswitchinterval(interval)
+    monkeypatch.setattr(pipeline, "_two_halves", _inline_halves)
+    inline = separate_recording(mixture, config)
+    for got, want in zip(threaded.stage1 + threaded.final, inline.stage1 + inline.final):
+        assert np.array_equal(got.samples, want.samples)
+    assert threaded.isolated_fraction_binary == inline.isolated_fraction_binary
+    assert threaded.isolated_fraction_smoothed == inline.isolated_fraction_smoothed
+    assert vars(threaded.solver_state) == vars(inline.solver_state)
+
+
+@pytest.mark.parametrize("failing_output", [1, 0], ids=["helper-half", "caller-half"])
+def test_a_failure_in_either_half_is_raised_and_leaves_no_thread(
+    small_scene, monkeypatch, failing_output
+):
+    config, mixture, _ = small_scene
+    smooth_frames = pipeline.smooth_frames
+
+    def failing(mask, magnitudes, params, previous):
+        # Output 1 is smoothed on the helper thread, output 0 on the caller's.
+        output = int(threading.current_thread() is not threading.main_thread())
+        if output == failing_output:
+            raise RuntimeError(f"smoothing failed for output {output}")
+        return smooth_frames(mask, magnitudes, params, previous)
+
+    monkeypatch.setattr(pipeline, "smooth_frames", failing)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match=f"for output {failing_output}"):
+        separate_recording(mixture, config)
+    assert threading.active_count() == before

@@ -178,9 +178,18 @@ def test_block_analysis_equals_columns_of_whole_analysis():
     cfg = StftConfig(64, 0.75)
     x = _random_wave(np.random.default_rng(5), n=1000)
     whole = analyze(x, cfg)
+    # Scratch arrays reused across blocks, as the separation's block loop does.
+    spectra, work = np.empty((6, cfg.n_bins), dtype=complex), np.empty((6, 64))
+    fresh, reused = (np.zeros(padded_length(whole.n_frames, cfg)) for _ in range(2))
     for frames in frame_blocks(whole.n_frames, 6):
+        n = len(frames)
         block = frame_spectra(x.samples, cfg, frames)
         assert np.array_equal(block, whole.values[:, frames.start : frames.stop].T)
+        into = frame_spectra(x.samples, cfg, frames, out=spectra[:n], work=work[:n])
+        assert into.base is spectra and np.array_equal(into, block)
+        overlap_add(block, frames.start, cfg, fresh)
+        overlap_add(block, frames.start, cfg, reused, work[:n])
+    assert np.array_equal(fresh, reused)
     with pytest.raises(ValueError):
         frame_spectra(x.samples, cfg, range(whole.n_frames - 1, whole.n_frames + 1))
     with pytest.raises(ValueError):
