@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from cbss.cepsmooth import (
     SmoothingParams,
+    _band_bases,
     _dct1,
     _first_near_max,
     estimate_pitch_quefrency,
@@ -114,11 +115,17 @@ def test_pitch_ties_within_tolerance_of_the_log_peak_pick_the_lowest():
     assert _first_near_max(band, np.array([5.0, 3.0])).tolist() == [1, 5]
 
 
-@pytest.mark.parametrize("k", [18, 20, 30, 32])
-def test_folded_bands_match_whole_dct_smoothing(k):
-    # K/2 odd (18, 30) pairs every bin with another; K/2 even also has bin
-    # K/4, which pairs with itself.
-    params = SmoothingParams(dft_length=k, l_env=2, l_low=4, l_high=k // 2 - 2)
+@pytest.mark.parametrize(
+    "params",
+    [SmoothingParams(dft_length=k, l_env=2, l_low=4, l_high=k // 2 - 2) for k in (18, 20, 30, 32)]
+    + [SmoothingParams.from_pitch_range_hz(80, 500, 48000)],
+    ids=["18", "20", "30", "32", "48kHz-80-500Hz"],
+)
+def test_folded_bands_match_whole_dct_smoothing(params):
+    # K/2 odd (18, 30) and even (20, 32) both exercise the DCT-I end weights
+    # of bins 0 and K/2; K = 2048 at 48 kHz with an 80-500 Hz pitch range
+    # puts 514 of 1025 quefrencies in the band.
+    k = params.dft_length
     rng = np.random.default_rng(k)
     mask = rng.uniform(0.0, 1.0, (9, k // 2 + 1))
     mags = rng.uniform(0.0, 3.0, (9, k // 2 + 1))
@@ -129,6 +136,14 @@ def test_folded_bands_match_whole_dct_smoothing(k):
             mask[frames], mags[frames], params, reference_state
         )
         assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def test_band_bases_are_read_only():
+    # Every smoothing call, on both threads of a separation, shares the cached arrays.
+    for params in (SMALL, SmoothingParams()):
+        for basis in _band_bases(params):
+            with pytest.raises(ValueError):
+                basis[0, 0] = basis[0, 0]
 
 
 def test_smooth_mask_limit_cases():
