@@ -12,13 +12,23 @@ where rhs holds the estimate's correlations with the delayed references,
 the joint projection's energy is ||z||^2 and each target's and
 interference's energy is a sum of squares of a triangular-solve vector,
 so none of them cancels.  The artifact and the distortion are differences
-of energies as large as the estimate's and do cancel.  A degenerate
-reference pair's Gram is diagonally loaded, U'U = G + lam I, and each
-energy then subtracts lam times the squared norm of its coefficients, so
-it is still that of the unloaded G.  The projector keeps only the
-factors, never G.  The metrics therefore never need the component
-waveforms, which are built by FFT convolution only when a caller reads
-them.  The factorizations, triangular solves and products come from
+of energies as large as the estimate's and do cancel; where a rounding
+bound says the artifact's difference could move its SAR, it is taken from
+the residual waveform instead.  A degenerate reference pair's Gram is
+diagonally loaded, U'U = G + lam I, and each energy then subtracts lam
+times the squared norm of its coefficients, so it is still that of the
+unloaded G.  The projector keeps only the factors, never G.  The metrics
+therefore never need the component waveforms, which are built only when a
+caller reads them.
+
+No whole-signal transform is left.  Every correlation is taken by
+overlap-save and every waveform (components and residual) built by
+overlap-add over one block geometry (`_block_geometry`).  One helper
+transforms blocks a fixed chunk at a time (`_block_spectra`) for the
+projector's segments, its correlation windows and the components'
+segments, and one (`_overlap_add`) convolves the components and the
+residual, so the working set beyond a function's outputs is one chunk's.
+The factorizations, triangular solves and products come from
 `scipy.linalg`'s LAPACK and BLAS wrappers, imported by the functions that
 call them, so importing the package loads no SciPy.
 
@@ -27,7 +37,7 @@ The dB convention throughout is 10*log10 of an energy ratio.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from functools import cached_property, partial
 from typing import NamedTuple
@@ -42,6 +52,14 @@ ENERGY_RATIO_FLOOR = 1e-12
 DIAGONAL_LOADING = 1e-9
 # Default L: deformation taps allowed per reference.
 FILTER_TAPS = 512
+# Blocks the block loops transform at once: their working set, whatever
+# the signal's length.
+CHUNK_BLOCKS = 16
+# SAR reads its cap wherever artifact <= SAR_CAP_RATIO * joint.
+SAR_CAP_RATIO = 10.0 ** (-SIR_CAP_DB / 10.0)
+# Relative rounding bound past which the cancelling artifact energy is
+# recomputed from the residual waveform; 1e-10 is 4.3e-10 dB of SAR.
+ARTIFACT_ROUNDING_LIMIT = 1e-10
 
 
 class Energies(NamedTuple):
@@ -172,6 +190,69 @@ def _cholesky(
     return factor, loading
 
 
+def _block_geometry(length: int, taps: int) -> tuple[int, int, int]:
+    """(M, B, K): transform length, block length B = M - L + 1 and block count.
+
+    M is the smaller of the 5-smooth lengths that hold N + L - 1 and 8 L
+    points, so a signal with N + L - 1 <= 8 L is one block.  Past 8 L
+    points a longer block saves little: a block of M = 8 L spends 7/8 of
+    its transform on new samples.
+    """
+    nfft = min(next_fast_len(length + taps - 1), next_fast_len(8 * taps))
+    hop = nfft - taps + 1
+    return nfft, hop, -(-length // hop)
+
+
+def _block_spectra(
+    rows: tuple[np.ndarray, ...], blocks: int, hop: int, width: int, nfft: int
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Spectra at length nfft of the `width`-sample blocks of each row, block k from k hop.
+
+    Rows share one length and are zero-extended past it.  Yields (k0,
+    spectra), spectra[r, i] being row r's block k0 + i, for CHUNK_BLOCKS
+    blocks at a time, so neither a copy nor a transform spans the whole
+    signal.  A row's transform does not depend on the batch it is taken
+    in, so the spectra keep the bits of one whole-signal batch.
+    """
+    length = len(rows[0])
+    for first in range(0, blocks, CHUNK_BLOCKS):
+        count = min(CHUNK_BLOCKS, blocks - first)
+        start = first * hop
+        chunk = np.zeros((len(rows), (count - 1) * hop + width))
+        stop = min(length, start + chunk.shape[1])
+        for row, samples in zip(chunk, rows):
+            row[: stop - start] = samples[start:stop]
+        windows = np.lib.stride_tricks.sliding_window_view(chunk, width, axis=1)[:, ::hop]
+        yield first, np.fft.rfft(windows, nfft)
+
+
+def _overlap_add(
+    chunks: Iterable[tuple[int, np.ndarray]],
+    filters: np.ndarray,
+    hop: int,
+    nfft: int,
+    length: int,
+) -> np.ndarray:
+    """(outputs, length) sums over rows r of row r convolved with filter (o, r).
+
+    `chunks` yields (k0, spectra) as `_block_spectra` does, spectra[r, i]
+    being the spectrum at length nfft of row r's hop-sample block k0 + i;
+    `filters` holds the filters' spectra at the same length, (outputs,
+    rows, nfft // 2 + 1).  A block convolved with a filter of at most
+    nfft - hop + 1 taps fits nfft samples, so each block's products,
+    summed over the rows, take one inverse transform per output and are
+    added in at k hop.  The working set is one chunk's.
+    """
+    out = np.zeros((len(filters), length))
+    for first, spectra in chunks:
+        blocks = np.fft.irfft((filters[:, :, None] * spectra).sum(axis=1), nfft)
+        for k in range(spectra.shape[1]):
+            start = (first + k) * hop
+            stop = min(length, start + nfft)
+            out[:, start:stop] += blocks[:, k, : stop - start]
+    return out
+
+
 class ReferenceProjector:
     """Projections onto the delayed copies of one reference pair, factored once.
 
@@ -199,9 +280,10 @@ class ReferenceProjector:
     N + L - 1 and 8 L points: 4096 at L = 512, and a single block for a
     short signal.
 
-    An estimate then costs one batched FFT of its K windows and one 2-row
-    inverse FFT of length M for its correlations rhs with the delayed
-    references, and triangular solves: z = U'^-1 rhs and the joint
+    Segments and windows are transformed CHUNK_BLOCKS blocks at a time
+    (`_block_spectra`).  An estimate then costs the FFTs of its K windows
+    and one 2-row inverse FFT of length M for its correlations rhs with
+    the delayed references, and triangular solves: z = U'^-1 rhs and the joint
     coefficients c_j = U^-1 z; z_a = z[:L] (U_a' z_a = rhs_a, as U' is
     lower block triangular) and c_a = U_a^-1 z_a; z_b = U_b'^-1 rhs_b and
     c_b = U_b^-1 z_b.  Since c' (G + lam I) c = ||U c||^2 and U c_j = z,
@@ -218,7 +300,11 @@ class ReferenceProjector:
     t = 1, U d is one triangular product.  These sums of squares do not
     cancel.  The artifact and distortion do, as differences of energies as
     large as the estimate's: they keep about 16 - SAR/10 and 16 - SDR/10
-    significant digits.  The lam terms make every energy that of the
+    significant digits.  Where a rounding bound says that may move an
+    uncapped SAR (`_artifact_cancels`; near-square systems, L close to N),
+    the artifact is ||pad(est) - joint||^2 instead, the joint waveform
+    overlap-added from the kept segment spectra, and the distortion is
+    interference + artifact.  The lam terms make every energy that of the
     unloaded G, which the waveforms, made from the true delayed
     references, match.
     """
@@ -239,16 +325,11 @@ class ReferenceProjector:
         self.sample_rate = ref_a.sample_rate
         self.filter_taps = taps
         self._references = (ref_a, ref_b)
-        # Past 8 L points a longer block saves little: a block of M = 8 L
-        # spends 7/8 of its transform on new samples.
-        self._nfft = min(next_fast_len(n + taps - 1), next_fast_len(8 * taps))
-        self._hop = self._nfft - taps + 1
-        self._blocks = -(-n // self._hop)
-        segments = np.zeros((2, self._blocks * self._hop))
-        segments[:, :n] = ref_a.samples, ref_b.samples
-        segments = segments.reshape(2, self._blocks, self._hop)
-        spectra = np.fft.rfft(segments, self._nfft)
-        self._spectra = np.conjugate(spectra, out=spectra)
+        self._nfft, self._hop, self._blocks = _block_geometry(n, taps)
+        rows = (ref_a.samples, ref_b.samples)
+        self._spectra = np.empty((2, self._blocks, self._nfft // 2 + 1), dtype=complex)
+        for first, spectra in _block_spectra(rows, self._blocks, self._hop, self._hop, self._nfft):
+            np.conjugate(spectra, out=self._spectra[:, first : first + spectra.shape[1]])
 
         # corr[a, b, t] = c_ab[t] = sum_m ref_a[m + t] ref_b[m] for 0 <= t < L.
         self._corr = np.stack([self._correlate(ref_a.samples), self._correlate(ref_b.samples)])
@@ -291,14 +372,59 @@ class ReferenceProjector:
         one inverse FFT.
         """
         nfft, hop = self._nfft, self._hop
-        padded = np.zeros((self._blocks - 1) * hop + nfft)
-        padded[: self.length] = samples
-        windows = np.lib.stride_tricks.sliding_window_view(padded, nfft)[::hop]
-        window_spectra = np.fft.rfft(windows)
-        cross = window_spectra[0] * self._spectra[:, 0]
-        for k in range(1, self._blocks):
-            cross += window_spectra[k] * self._spectra[:, k]
+        cross = np.zeros((2, nfft // 2 + 1), dtype=complex)
+        for first, (window_spectra,) in _block_spectra((samples,), self._blocks, hop, nfft, nfft):
+            for k, window in enumerate(window_spectra, first):
+                cross += window * self._spectra[:, k]
         return np.fft.irfft(cross, nfft)[:, : self.filter_taps]
+
+    def _artifact_cancels(
+        self,
+        est_energy: float,
+        rhs: np.ndarray,
+        coef_joint: np.ndarray,
+        artifact_energy: float,
+        joint_energy: float,
+    ) -> bool:
+        """Whether the cancelling artifact energy may move an uncapped SAR.
+
+        ||est||^2 - 2 ||z||^2 + ||joint||^2 rounds to within about
+        eps (||est||^2 + 2 |c|'|rhs| + |c|'|G||c|) of the artifact energy
+        (Higham 2002, on inner products), with c the joint coefficients.
+        |G| is taken block by block as |c_ab| Toeplitz products of the kept
+        correlations, as `_gram` lays them out, so G is never formed.  The
+        artifact is taken from the residual where that bound exceeds
+        ARTIFACT_ROUNDING_LIMIT of it, unless the SAR is capped whatever
+        the artifact: the joint energy is not positive, or even the
+        artifact plus the bound lies below the cap's ratio.
+        """
+        corr, magnitude = np.abs(self._corr), np.abs(coef_joint)
+        gram_form = 0.0
+        for a, b in ((0, 0), (0, 1), (1, 1)):
+            mirrored = np.concatenate([corr[b, a, :0:-1], corr[a, b]])
+            # (|G_ab| |c_b|)[i] = sum_j mirrored[L - 1 - i + j] |c_b|[j]
+            block_product = np.correlate(mirrored, magnitude[b], "valid")[::-1]
+            gram_form += (1.0 if a == b else 2.0) * float(magnitude[a] @ block_product)
+        rhs_form = float(magnitude.ravel() @ np.abs(rhs).ravel())
+        bound = np.finfo(float).eps * (est_energy + 2.0 * rhs_form + gram_form)
+        capped = joint_energy <= 0.0 or artifact_energy + bound <= SAR_CAP_RATIO * joint_energy
+        return not capped and bound > ARTIFACT_ROUNDING_LIMIT * artifact_energy
+
+    def _joint_waveform(self, coef_joint: np.ndarray) -> np.ndarray:
+        """sum_r coef_joint[r] convolved with reference r, on N + L - 1 samples.
+
+        The overlap-add of `component_waveforms`, fed the kept segment
+        spectra (conjugated back) instead of new transforms of the
+        references, so it keeps the joint part's bits.
+        """
+        nfft, hop, blocks = self._nfft, self._hop, self._blocks
+        chunks = (
+            (first, np.conjugate(self._spectra[:, first : first + CHUNK_BLOCKS]))
+            for first in range(0, blocks, CHUNK_BLOCKS)
+        )
+        filters = np.fft.rfft(coef_joint[None], nfft)
+        (joint,) = _overlap_add(chunks, filters, hop, nfft, self.length + self.filter_taps - 1)
+        return joint
 
     def decompose(self, estimate: Waveform, target: int) -> Decomposition:
         """Split an estimate with references[target] as the target, the other as interferer.
@@ -339,6 +465,11 @@ class ReferenceProjector:
         projected_energy = float(z @ z)
         joint_energy = projected_energy - loading * float(coef_joint @ coef_joint)
         artifact_energy = est_energy - 2.0 * projected_energy + joint_energy
+        coef_pair = coef_joint.reshape(2, taps)
+        residual = self._artifact_cancels(est_energy, rhs, coef_pair, artifact_energy, joint_energy)
+        if residual:
+            artifact = np.pad(est, (0, taps - 1)) - self._joint_waveform(coef_pair)
+            artifact_energy = float(artifact @ artifact)
 
         decompositions = []
         for t in (0, 1):
@@ -348,15 +479,22 @@ class ReferenceProjector:
             u_diff = z[taps:] if t == 0 else dtrmv(factor, diff)  # U d, zeros dropped
             target_projected = float(z_target @ z_target)
             target_energy = target_projected - loadings[t] * float(coef @ coef)
+            interference_energy = float(u_diff @ u_diff) - loading * float(diff @ diff)
+            if residual:
+                # The interference lies in the delayed references' span, to
+                # which the artifact is orthogonal.
+                distortion_energy = interference_energy + artifact_energy
+            else:
+                distortion_energy = est_energy - 2.0 * target_projected + target_energy
             energies = Energies(
                 target=target_energy,
-                interference=float(u_diff @ u_diff) - loading * float(diff @ diff),
+                interference=interference_energy,
                 artifact=artifact_energy,
                 joint=joint_energy,
-                distortion=est_energy - 2.0 * target_projected + target_energy,
+                distortion=distortion_energy,
             )
             components = partial(
-                component_waveforms, estimate, self._references, coef_joint.reshape(2, taps), coef, t
+                component_waveforms, estimate, self._references, coef_pair, coef, t
             )
             decompositions.append(
                 Decomposition.from_energies(energies, taps, self._regularized[t], components)
@@ -375,18 +513,28 @@ def component_waveforms(
 
     The joint part is coef_joint[r] convolved with references[r], summed
     over r; the target part is coef_target convolved with
-    references[target].  Both convolutions run by FFT.
+    references[target].  Both convolutions run by overlap-add over the
+    projector's blocks, with the helpers the projector itself uses: the
+    references' segment spectra, CHUNK_BLOCKS blocks at a time
+    (`_block_spectra`), times the coefficients' spectra, summed over the
+    references, one inverse transform per block and part
+    (`_overlap_add`).  No transform spans the whole signal, and beyond the
+    three outputs the working set is one chunk's.  A signal that fits one
+    block takes one transform of each reference, as a whole-signal FFT
+    convolution does, and keeps its bits.
     """
-    taps = len(coef_target)
-    padded = len(estimate) + taps - 1
-    nfft = next_fast_len(padded)
-    spectra = np.fft.rfft(np.stack([r.samples for r in references]), nfft)
-    coef_spectra = np.fft.rfft(np.vstack([coef_joint, coef_target]), nfft)
-    joint = np.fft.irfft((coef_spectra[:2] * spectra).sum(axis=0), nfft)[:padded]
-    part = np.fft.irfft(coef_spectra[2] * spectra[target], nfft)[:padded]
+    n, taps = len(estimate), len(coef_target)
+    nfft, hop, blocks = _block_geometry(n, taps)
+    filters = np.zeros((2, 2, taps))
+    filters[0] = coef_joint
+    filters[1, target] = coef_target
+    rows = tuple(r.samples for r in references)
+    chunks = _block_spectra(rows, blocks, hop, hop, nfft)
+    joint, part = _overlap_add(chunks, np.fft.rfft(filters, nfft), hop, nfft, n + taps - 1)
     rate = estimate.sample_rate
-    artifact = np.pad(estimate.samples, (0, taps - 1)) - joint
-    return Waveform(part, rate), Waveform(joint - part, rate), Waveform(artifact, rate)
+    artifact = Waveform(np.pad(estimate.samples, (0, taps - 1)) - joint, rate)
+    joint -= part
+    return Waveform(part, rate), Waveform(joint, rate), artifact
 
 
 def project_decompose(

@@ -6,14 +6,16 @@ numpy.fft.  Slow is fine; these only ever run on small instances.  The
 exceptions are earlier forms of package code, kept as references for what
 replaced them: `separate_recording_batch`, the whole-array separation flow
 behind the block-by-block pipeline, `generate_rir_per_pair`, the
-per-pair image lattice behind the shared, culled one, and
-`smooth_frames_dct`, the whole-spectrum DCT smoother behind the banded one.
+per-pair image lattice behind the shared, culled one,
+`smooth_frames_dct`, the whole-spectrum DCT smoother behind the banded one,
+and the projector's whole-batch block transforms and whole-signal component
+waveforms behind its chunked block loops.
 """
 
 from types import SimpleNamespace
 
 import numpy as np
-from scipy.fft import dct
+from scipy.fft import dct, next_fast_len
 from scipy.linalg import toeplitz
 from scipy.signal import fftconvolve
 
@@ -461,13 +463,58 @@ def project_decompose_lu(est: np.ndarray, ref_t: np.ndarray, ref_i: np.ndarray, 
     coef_joint, reg_joint = _solve_lu(gram, rhs)
     coef_target, reg_target = _solve_lu(blocks[0][0], rhs[:taps])
 
-    padded = n + taps - 1
-    target = fftconvolve(refs[0], coef_target)[:padded]
-    joint = (
-        fftconvolve(refs[0], coef_joint[:taps]) + fftconvolve(refs[1], coef_joint[taps:])
-    )[:padded]
-    est_padded = np.pad(est, (0, taps - 1))
-    return target, joint - target, est_padded - joint, reg_joint or reg_target
+    parts = components_fftconvolve(est, refs, coef_joint.reshape(2, taps), coef_target, 0)
+    return (*parts, reg_joint or reg_target)
+
+
+def components_fftconvolve(est, refs, coef_joint, coef_target, target):
+    """(target, interference, artifact) on N + L - 1 samples: coef_joint[r]
+    convolved with refs[r] and summed is the joint part, coef_target
+    convolved with refs[target] the target part."""
+    padded = len(est) + len(coef_target) - 1
+    part = fftconvolve(refs[target], coef_target)[:padded]
+    joint = (fftconvolve(refs[0], coef_joint[0]) + fftconvolve(refs[1], coef_joint[1]))[:padded]
+    return part, joint - part, np.pad(est, (0, len(coef_target) - 1)) - joint
+
+
+# The projector's whole-signal forms: every block transformed in one batch,
+# and the component waveforms convolved by FFTs of the whole signal.  Kept as
+# the references for `bsseval`'s chunked block loops, which must keep their
+# bits (and, for one block, those of the whole-signal components).
+
+
+def segment_spectra_batch(refs: np.ndarray, nfft: int, hop: int, blocks: int) -> np.ndarray:
+    """Conjugated spectra at nfft of the hop-sample segments of both references."""
+    segments = np.zeros((2, blocks * hop))
+    segments[:, : refs.shape[1]] = refs
+    spectra = np.fft.rfft(segments.reshape(2, blocks, hop), nfft)
+    return np.conjugate(spectra, out=spectra)
+
+
+def correlate_batch(samples, spectra, nfft: int, hop: int, taps: int) -> np.ndarray:
+    """(2, taps) correlations of `samples` with the segments behind `spectra`."""
+    blocks = spectra.shape[1]
+    padded = np.zeros((blocks - 1) * hop + nfft)
+    padded[: len(samples)] = samples
+    windows = np.lib.stride_tricks.sliding_window_view(padded, nfft)[::hop]
+    window_spectra = np.fft.rfft(windows)
+    cross = window_spectra[0] * spectra[:, 0]
+    for k in range(1, blocks):
+        cross += window_spectra[k] * spectra[:, k]
+    return np.fft.irfft(cross, nfft)[:, :taps]
+
+
+def components_whole_signal(est, refs, coef_joint, coef_target, target):
+    """`components_fftconvolve` with one rfft of each whole signal at
+    next_fast_len(N + L - 1), as `bsseval.component_waveforms` once ran."""
+    taps = len(coef_target)
+    padded = len(est) + taps - 1
+    nfft = next_fast_len(padded, real=True)
+    spectra = np.fft.rfft(np.stack(refs), nfft)
+    coef_spectra = np.fft.rfft(np.vstack([coef_joint, coef_target]), nfft)
+    joint = np.fft.irfft((coef_spectra[:2] * spectra).sum(axis=0), nfft)[:padded]
+    part = np.fft.irfft(coef_spectra[2] * spectra[target], nfft)[:padded]
+    return part, joint - part, np.pad(est, (0, taps - 1)) - joint
 
 
 def gram_energies_direct(gram: np.ndarray, est: np.ndarray, refs: np.ndarray, taps: int):

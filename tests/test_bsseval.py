@@ -1,14 +1,25 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from oracles import gram_energies_direct, project_decompose_lu
+from oracles import (
+    components_fftconvolve,
+    components_whole_signal,
+    correlate_batch,
+    gram_energies_direct,
+    project_decompose_lu,
+    segment_spectra_batch,
+)
 from scipy.linalg import toeplitz
 
 from cbss.bsseval import (
     Decomposition,
     ReferenceProjector,
     SegmentAnnotation,
+    _block_geometry,
+    component_waveforms,
     project_decompose,
     sar_db,
     sdr_db,
@@ -163,6 +174,16 @@ def _delay_matrix(x, taps):
     return toeplitz(np.concatenate([x, np.zeros(taps - 1)]), np.r_[x[0], np.zeros(taps - 1)])
 
 
+# A near-square system (N = 55, L = 53) whose cancelling artifact energy put
+# SAR 3.4e-8 dB off the oracle's; the residual puts it within 4e-12 dB.
+NEAR_SQUARE_DRAW = {
+    "seed": 2960123334,
+    "n": 55,
+    "taps_fraction": 0.9884218284741341,
+    "log_scales": (-2.523360229437907, 0.8977854704084178, 1.8234686476330726),
+}
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -170,6 +191,7 @@ def _delay_matrix(x, taps):
     taps_fraction=st.floats(0.0, 1.0),
     log_scales=st.tuples(*[st.floats(-3.0, 3.0)] * 3),
 )
+@example(**NEAR_SQUARE_DRAW)
 def test_projector_matches_lu_oracle_property(seed, n, taps_fraction, log_scales):
     taps = 1 + int(taps_fraction * (n - 2))
     rng = np.random.default_rng(seed)
@@ -268,6 +290,112 @@ def test_multi_block_projector_matches_lu_oracle():
             assert np.max(np.abs(got - want)) <= 1e-9 * peak
         oracle = Decomposition(*(_wave(p) for p in parts), taps)
         assert np.max(np.abs(_metrics(both[target]) - _metrics(oracle))) <= 1e-9
+
+
+@pytest.mark.parametrize("estimate", ["near-square", "mixture", "noisy"])
+def test_cancelling_artifact_is_taken_from_the_residual(monkeypatch, estimate):
+    """Only where the rounding bound says the cancelling form cannot be
+    trusted: not for an estimate whose SAR is capped whatever the artifact
+    (a mixture of the references), nor for an ordinary one."""
+    residuals = []
+    joint_waveform = ReferenceProjector._joint_waveform
+
+    def counting(self, coef_joint):
+        residuals.append(coef_joint)
+        return joint_waveform(self, coef_joint)
+
+    monkeypatch.setattr(ReferenceProjector, "_joint_waveform", counting)
+    if estimate == "near-square":
+        draw = NEAR_SQUARE_DRAW
+        n, taps = draw["n"], 1 + int(draw["taps_fraction"] * (draw["n"] - 2))
+        rng = np.random.default_rng(draw["seed"])
+        est_scale, *ref_scales = 10.0 ** np.array(draw["log_scales"])
+        refs = [s * rng.standard_normal(n) for s in ref_scales]
+        est = est_scale * rng.standard_normal(n)
+    else:
+        n, taps = 4000, 64
+        rng = np.random.default_rng(9)
+        refs = list(rng.standard_normal((2, n)))
+        est = refs[0] + refs[1]
+        if estimate == "noisy":
+            est = est + 0.1 * rng.standard_normal(n)
+    both = ReferenceProjector((_wave(refs[0]), _wave(refs[1])), taps).decompose_all(_wave(est))
+    assert len(residuals) == (estimate == "near-square")
+
+    for target in (0, 1):
+        *parts, _ = project_decompose_lu(est, refs[target], refs[1 - target], taps)
+        oracle = Decomposition(*(_wave(p) for p in parts), taps)
+        assert np.max(np.abs(_metrics(both[target]) - _metrics(oracle))) <= 1e-9
+        if estimate == "mixture":
+            assert sar_db(both[target]) == 100.0
+
+
+# (N, L): one block; one chunk of several blocks and several chunks
+# (CHUNK_BLOCKS = 16), one with a one-sample last block (N = 16 B + 1); and
+# 30 s of the evaluate workload's 10,125 Hz references, 85 blocks of 3585.
+@pytest.mark.parametrize(
+    "n, taps", [(5, 5), (300, 1), (529, 37), (20000, 512), (57361, 512), (303750, 512)]
+)
+def test_chunked_projector_keeps_the_whole_batch_bits(n, taps):
+    rng = np.random.default_rng(n + taps)
+    refs = rng.standard_normal((2, n))
+    est = rng.standard_normal(n)
+    projector = ReferenceProjector((_wave(refs[0]), _wave(refs[1])), taps)
+    nfft, hop, blocks = projector._nfft, projector._hop, projector._blocks
+    spectra = segment_spectra_batch(refs, nfft, hop, blocks)
+    assert np.array_equal(projector._spectra, spectra)
+    # The Gram, its factors and every energy follow from these correlations.
+    for samples in (est, *refs):
+        want = correlate_batch(samples, spectra, nfft, hop, taps)
+        assert np.array_equal(projector._correlate(samples), want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 700),
+    taps_kind=st.sampled_from(["one", "all", "some"]),
+    taps_fraction=st.floats(0.0, 1.0),
+)
+@example(seed=0, n=300, taps_kind="one", taps_fraction=0.0)  # 38 blocks of 8, the last of 4
+@example(seed=1, n=529, taps_kind="some", taps_fraction=0.0682)  # L = 37: 3 blocks of 264
+@example(seed=2, n=60, taps_kind="all", taps_fraction=0.0)  # L = N: one block
+@example(seed=3, n=5, taps_kind="one", taps_fraction=0.0)  # L = 1: one block
+def test_components_match_fftconvolve_property(seed, n, taps_kind, taps_fraction):
+    taps = {"one": 1, "all": n, "some": 1 + int(taps_fraction * (n - 1))}[taps_kind]
+    rng = np.random.default_rng(seed)
+    refs = rng.standard_normal((2, n))
+    est = rng.standard_normal(n)
+    coef_joint, coef_target = rng.standard_normal((2, taps)), rng.standard_normal(taps)
+    blocks = _block_geometry(n, taps)[2]
+    for target in (0, 1):
+        args = (coef_joint, coef_target, target)
+        got = [w.samples for w in component_waveforms(_wave(est), tuple(map(_wave, refs)), *args)]
+        want = components_fftconvolve(est, refs, *args)
+        peak = max(np.max(np.abs(w)) for w in want)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape == (n + taps - 1,)
+            assert np.max(np.abs(g - w)) <= 1e-12 * peak
+        if blocks == 1:
+            for g, w in zip(got, components_whole_signal(est, refs, *args)):
+                assert np.array_equal(g, w)
+
+
+def test_component_waveforms_hold_little_beyond_their_outputs():
+    """One 60 s decomposition at L = 512: the whole-signal form's
+    temporaries peaked at about 3.7 times the three outputs' bytes."""
+    rate, taps = 10000, 512
+    rng = np.random.default_rng(60)
+    refs = tuple(_wave(rng.standard_normal(60 * rate), rate) for _ in (0, 1))
+    est = _wave(refs[0].samples + 0.3 * refs[1].samples + 0.1 * rng.standard_normal(60 * rate))
+    decomposition = ReferenceProjector(refs, taps).decompose(est, 0)
+    tracemalloc.start()
+    try:
+        parts = decomposition.target, decomposition.interference, decomposition.artifact
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * sum(p.samples.nbytes for p in parts)
 
 
 def _energy(x):
