@@ -22,12 +22,13 @@ therefore never need the component waveforms, which are built only when a
 caller reads them.
 
 No whole-signal transform is left.  Every correlation is taken by
-overlap-save and every waveform (components and residual) built by
-overlap-add over one block geometry (`_block_geometry`).  One helper
-transforms blocks a fixed chunk at a time (`_block_spectra`) for the
-projector's segments, its correlation windows and the components'
-segments, and one (`_overlap_add`) convolves the components and the
-residual, so the working set beyond a function's outputs is one chunk's.
+overlap-save and every waveform built by overlap-add over one block
+geometry (`_block_geometry`).  One helper transforms blocks a fixed chunk
+at a time (`_block_spectra`) for the projector's segments, its
+correlation windows and the components' segments, and one function
+(`component_waveforms`) convolves coefficients with the references, for
+the components and for the residual alike, so the working set beyond a
+function's outputs is one chunk's.
 The factorizations, triangular solves and products come from
 `scipy.linalg`'s LAPACK and BLAS wrappers, imported by the functions that
 call them, so importing the package loads no SciPy.
@@ -302,8 +303,8 @@ class ReferenceProjector:
     large as the estimate's: they keep about 16 - SAR/10 and 16 - SDR/10
     significant digits.  Where a rounding bound says that may move an
     uncapped SAR (`_artifact_cancels`; near-square systems, L close to N),
-    the artifact is ||pad(est) - joint||^2 instead, the joint waveform
-    overlap-added from the kept segment spectra, and the distortion is
+    the artifact is ||pad(est) - joint||^2 instead, the artifact waveform
+    that `component_waveforms` builds, and the distortion is
     interference + artifact.  The lam terms make every energy that of the
     unloaded G, which the waveforms, made from the true delayed
     references, match.
@@ -349,20 +350,28 @@ class ReferenceProjector:
     def _gram(self) -> np.ndarray:
         """The unloaded Gram G, C-ordered, built from the kept correlations.
 
-        Block (a, b): <delay_i ref_a, delay_j ref_b> = c_ab[j - i].  The
-        block sums hold lags 0 ... L - 1 only (their other points mix
-        wrapped samples), so c_ab at negative lags is read from c_ba[t] =
-        c_ab[-t]: row i of the block is the window from L - 1 - i of c_ba
-        mirrored ahead of c_ab.
+        Block (a, b): <delay_i ref_a, delay_j ref_b> = c_ab[j - i], so row
+        i of the block is the window from L - 1 - i of `_block_lags`'s
+        c_ab.
         """
-        taps, corr = self.filter_taps, self._corr
+        taps = self.filter_taps
         gram = np.empty((2 * taps, 2 * taps))
-        for a, b in ((0, 0), (0, 1), (1, 1)):
-            mirrored = np.concatenate([corr[b, a, :0:-1], corr[a, b]])
-            block = np.lib.stride_tricks.sliding_window_view(mirrored, taps)[::-1]
+        for a, b, lags in self._block_lags():
+            block = np.lib.stride_tricks.sliding_window_view(lags, taps)[::-1]
             gram[a * taps : (a + 1) * taps, b * taps : (b + 1) * taps] = block
         gram[taps:, :taps] = gram[:taps, taps:].T
         return gram
+
+    def _block_lags(self) -> Iterator[tuple[int, int, np.ndarray]]:
+        """(a, b, c_ab at lags -(L - 1) ... L - 1) for blocks (0, 0), (0, 1), (1, 1) of G.
+
+        The block sums hold lags 0 ... L - 1 only (their other points mix
+        wrapped samples), so c_ab at negative lags is read from
+        c_ba[t] = c_ab[-t], mirrored ahead of c_ab.
+        """
+        corr = self._corr
+        for a, b in ((0, 0), (0, 1), (1, 1)):
+            yield a, b, np.concatenate([corr[b, a, :0:-1], corr[a, b]])
 
     def _correlate(self, samples: np.ndarray) -> np.ndarray:
         """(2, L) correlations sum_m samples[m + t] references[r][m], lags t < L.
@@ -391,58 +400,33 @@ class ReferenceProjector:
         ||est||^2 - 2 ||z||^2 + ||joint||^2 rounds to within about
         eps (||est||^2 + 2 |c|'|rhs| + |c|'|G||c|) of the artifact energy
         (Higham 2002, on inner products), with c the joint coefficients.
-        |G| is taken block by block as |c_ab| Toeplitz products of the kept
-        correlations, as `_gram` lays them out, so G is never formed.  The
+        |G| is taken block by block as Toeplitz products of |c_ab| from
+        `_block_lags`, as `_gram` lays them out, so G is never formed.  The
         artifact is taken from the residual where that bound exceeds
         ARTIFACT_ROUNDING_LIMIT of it, unless the SAR is capped whatever
         the artifact: the joint energy is not positive, or even the
         artifact plus the bound lies below the cap's ratio.
         """
-        corr, magnitude = np.abs(self._corr), np.abs(coef_joint)
+        magnitude = np.abs(coef_joint)
         gram_form = 0.0
-        for a, b in ((0, 0), (0, 1), (1, 1)):
-            mirrored = np.concatenate([corr[b, a, :0:-1], corr[a, b]])
-            # (|G_ab| |c_b|)[i] = sum_j mirrored[L - 1 - i + j] |c_b|[j]
-            block_product = np.correlate(mirrored, magnitude[b], "valid")[::-1]
+        for a, b, lags in self._block_lags():
+            # (|G_ab| |c_b|)[i] = sum_j |lags|[L - 1 - i + j] |c_b|[j]
+            block_product = np.correlate(np.abs(lags), magnitude[b], "valid")[::-1]
             gram_form += (1.0 if a == b else 2.0) * float(magnitude[a] @ block_product)
         rhs_form = float(magnitude.ravel() @ np.abs(rhs).ravel())
         bound = np.finfo(float).eps * (est_energy + 2.0 * rhs_form + gram_form)
         capped = joint_energy <= 0.0 or artifact_energy + bound <= SAR_CAP_RATIO * joint_energy
         return not capped and bound > ARTIFACT_ROUNDING_LIMIT * artifact_energy
 
-    def _joint_waveform(self, coef_joint: np.ndarray) -> np.ndarray:
-        """sum_r coef_joint[r] convolved with reference r, on N + L - 1 samples.
-
-        The overlap-add of `component_waveforms`, fed the kept segment
-        spectra (conjugated back) instead of new transforms of the
-        references, so it keeps the joint part's bits.
-        """
-        nfft, hop, blocks = self._nfft, self._hop, self._blocks
-        chunks = (
-            (first, np.conjugate(self._spectra[:, first : first + CHUNK_BLOCKS]))
-            for first in range(0, blocks, CHUNK_BLOCKS)
-        )
-        filters = np.fft.rfft(coef_joint[None], nfft)
-        (joint,) = _overlap_add(chunks, filters, hop, nfft, self.length + self.filter_taps - 1)
-        return joint
-
-    def decompose(self, estimate: Waveform, target: int) -> Decomposition:
-        """Split an estimate with references[target] as the target, the other as interferer.
-
-        The target component is the projection onto the target's L delayed
-        copies alone; interference is what the joint two-reference
-        projection adds on top; the artifact is the remainder.  Components
-        live on a zero-extended domain of length N + L - 1.
-        """
-        if target not in (0, 1):
-            raise ValueError(f"target must be 0 or 1, got {target!r}")
-        return self.decompose_all(estimate)[int(target)]
-
     def decompose_all(self, estimate: Waveform) -> tuple[Decomposition, Decomposition]:
-        """`decompose(estimate, t)` for t = 0 and 1, indexed by target.
+        """Split an estimate with each reference as the target, indexed by target.
 
-        The joint projection and the artifact do not depend on the target,
-        so they are computed once and shared by both decompositions.
+        Decomposition t takes references[t] as the target: its target
+        component is the projection onto that reference's L delayed copies,
+        interference is what the joint projection adds on top, and the
+        artifact is the remainder, all on N + L - 1 samples.  The joint
+        projection and the artifact do not depend on the target, so both
+        decompositions share them.
         """
         if len(estimate) != self.length:
             raise ValueError("estimate and references must share one length")
@@ -468,8 +452,8 @@ class ReferenceProjector:
         coef_pair = coef_joint.reshape(2, taps)
         residual = self._artifact_cancels(est_energy, rhs, coef_pair, artifact_energy, joint_energy)
         if residual:
-            artifact = np.pad(est, (0, taps - 1)) - self._joint_waveform(coef_pair)
-            artifact_energy = float(artifact @ artifact)
+            artifact = component_waveforms(estimate, self._references, coef_pair, coefs[0], 0)[2]
+            artifact_energy = float(artifact.samples @ artifact.samples)
 
         decompositions = []
         for t in (0, 1):
@@ -545,11 +529,11 @@ def project_decompose(
     """Least-squares split of an estimate against (target, interferer) references.
 
     references[0] is the target.  One-off form of
-    `ReferenceProjector(references, filter_taps).decompose(estimate, 0)`;
+    `ReferenceProjector(references, filter_taps).decompose_all(estimate)[0]`;
     build the projector directly to score several estimates against one
     reference pair.
     """
-    return ReferenceProjector(references, filter_taps).decompose(estimate, 0)
+    return ReferenceProjector(references, filter_taps).decompose_all(estimate)[0]
 
 
 def _ratio_db(numerator: float, denominator: float) -> float:

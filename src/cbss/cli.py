@@ -377,8 +377,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_eval = sub.add_parser("evaluate", help="score two estimates")
     p_eval.add_argument("estimates", nargs=2, help="two mono estimate WAV files")
-    p_eval.add_argument("--references", nargs=2, default=None, help="two mono reference WAVs")
-    p_eval.add_argument(
+    mode = p_eval.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--references", nargs=2, default=None, help="two mono reference WAVs")
+    mode.add_argument(
         "--segments",
         type=_parse_segments,
         default=None,
@@ -404,12 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "evaluate":
-        given = (args.references is not None) + (args.segments is not None)
-        if given != 1:
-            parser.error("evaluate needs exactly one of --references or --segments")
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except Exception as exc:  # noqa: BLE001 - CLI boundary

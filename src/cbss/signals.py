@@ -149,8 +149,9 @@ def read_wav(path) -> MultichannelRecording:
     unchanged.
 
     Raises FileNotFoundError for a missing file, UnsupportedWavError for
-    malformed or truncated files or encodings outside the supported pair,
-    and EmptyWavError for files with no audio frames.
+    malformed or truncated files, encodings outside the supported pair or
+    NaN or infinite float samples (naming the first), and EmptyWavError for
+    files with no audio frames.
     """
     with open(path, "rb") as f:
         fmt, size = _seek_data(f, path)
@@ -183,6 +184,11 @@ def read_wav(path) -> MultichannelRecording:
         data = np.fromfile(f, dtype=sample_type, count=n_frames * n_channels)
 
     data = data.reshape(n_frames, n_channels)
+    finite = np.isfinite(data)
+    if not finite.all():
+        sample, channel = np.unravel_index(np.argmin(finite), finite.shape)
+        value = data[sample, channel]
+        raise _corrupt(path, f"sample {sample} of channel {channel + 1} is {value}, not finite")
     scaled = data / PCM16_SCALE if tag == _PCM else data.astype(np.float64)
     channels = tuple(Waveform(scaled[:, c], rate) for c in range(n_channels))
     return MultichannelRecording(channels)

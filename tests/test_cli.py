@@ -387,6 +387,46 @@ def test_separate_rejects_too_short_input(tmp_path, capsys, n_samples, block_cou
     assert not out.exists()
 
 
+def test_separate_needs_the_minimum_length_it_names(tmp_path, capsys):
+    # 16 frames of K = 512 at hop 128 span 16 * 128 - 512 + 1 = 1537 samples.
+    cfg = tmp_path / "cfg"
+    cfg.write_text(FAST_CONFIG.replace("block_count = 4", "block_count = 16"))
+    left, right = _two_talkers()
+    for n_samples, code in ((1537, 0), (1536, 1)):
+        mixture = tmp_path / f"{n_samples}.wav"
+        _write_stereo(mixture, left[:n_samples], right[:n_samples])
+        out = tmp_path / f"out{n_samples}"
+        assert _run(["separate", str(mixture), "--config", str(cfg), "--out", str(out)]) == code
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [
+        "error: input of 1536 samples is too short: 15 frames cannot fill 16 blocks; "
+        "separation needs at least 1537 samples"
+    ]
+    assert len(read_wav(tmp_path / "out1537" / "final_1.wav").channels[0]) == 1537
+
+
+@pytest.mark.parametrize("command", ["separate", "evaluate"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_non_finite_samples_fail_naming_the_file(tmp_path, fast_cfg, capsys, command, bad):
+    left, right = _two_talkers()
+    samples = np.stack([left, right], axis=1).astype(np.float32)
+    samples[1234, 1] = bad
+    path = tmp_path / "bad.wav"
+    if command == "separate":
+        wavfile.write(path, 8000, samples)
+        argv = ["separate", str(path), "--config", fast_cfg, "--out", str(tmp_path / "out")]
+    else:
+        wavfile.write(path, 8000, samples[:, 1:])
+        good = tmp_path / "good.wav"
+        _write_mono(good, left)
+        argv = ["evaluate", str(good), str(good), "--references", str(good), str(path)]
+    assert _run(argv) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    channel = 2 if command == "separate" else 1
+    assert len(err) == 1 and err[0].startswith("error:") and str(path) in err[0]
+    assert f"sample 1234 of channel {channel} is {bad}" in err[0]
+
+
 @pytest.mark.parametrize(
     ("case", "rate"),
     [("silent-channel", 8000), ("identical-channels", 8000), ("two-talkers", 16000)],
