@@ -51,14 +51,14 @@ from functools import lru_cache
 import numpy as np
 
 from .masking import SpectralMask
-from .stft import Spectrogram
+from .stft import Spectrogram, StftConfig
 
 
 @dataclass(frozen=True)
 class SmoothingParams:
     """Per-quefrency smoothing factors and band edges for one DFT length."""
 
-    dft_length: int = 2048
+    dft_length: int = StftConfig.frame_length
     beta_env: float = 0.0
     beta_pitch: float = 0.4
     beta_peak: float = 0.9

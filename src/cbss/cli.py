@@ -122,15 +122,14 @@ def cmd_separate(args: argparse.Namespace) -> int:
 
 
 def _scene_from_args(args: argparse.Namespace, config: PipelineConfig) -> SimulatedScene:
-    seed = args.seed if args.seed is not None else config.seed
     if args.synthetic:
         if args.sources:
             raise ValueError("give either --synthetic or two source files, not both")
-        return simulate_scene(config, rt60_ms=args.rt60, seed=seed)
+        return simulate_scene(config, rt60_ms=args.rt60, seed=args.seed)
     if len(args.sources) != 2:
         raise ValueError("simulation needs two source WAV files (or --synthetic)")
     sources = tuple(_read_mono(path, "source") for path in args.sources)
-    return simulate_scene(config, rt60_ms=args.rt60, sources=sources, seed=seed)
+    return simulate_scene(config, rt60_ms=args.rt60, sources=sources, seed=args.seed)
 
 
 def _write_scene(scene: SimulatedScene, out_dir: Path) -> None:

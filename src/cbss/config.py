@@ -8,11 +8,18 @@ override those bins per sample rate at run time.  The STFT, solver,
 masking, smoothing and speed-of-sound defaults are the field defaults of
 the parameter classes those settings build; the evaluation filter taps
 default to `bsseval.FILTER_TAPS`.
+
+Config text and the dict given to `PipelineConfig` share one coercion rule,
+`_coerce`: a value takes the type of its key's default.  Integer keys take
+Python or numpy integers and integer strings (not 1024.0), float keys real
+numbers and numeric strings, `window` strings; bools are rejected.  Each
+rejection is a `ConfigError` naming the key; readers of settings never cast.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field, fields
 
 from .bsseval import FILTER_TAPS
@@ -68,16 +75,19 @@ DEFAULTS: dict[str, object] = {
 }
 
 
-def _coerce(key: str, raw: str) -> object:
-    default = DEFAULTS[key]
+def _coerce(key: str, value: object) -> object:
+    """`value` as the type of `key`'s default, by the rule in the module docstring."""
+    if key not in DEFAULTS:
+        raise ConfigError(f"unknown key {key!r}")
+    kind = type(DEFAULTS[key])
     try:
-        if isinstance(default, int):
-            return int(raw)
-        if isinstance(default, float):
-            return float(raw)
-        return str(raw)
-    except ValueError as exc:
-        raise ConfigError(f"bad value for {key!r}: {raw!r}") from exc
+        if isinstance(value, bool) or (kind is str and not isinstance(value, str)):
+            raise TypeError
+        if kind is int and not isinstance(value, str):
+            return operator.index(value)
+        return kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"bad value for {key!r}: {value!r}") from exc
 
 
 def parse_config_text(text: str) -> dict[str, object]:
@@ -91,12 +101,12 @@ def parse_config_text(text: str) -> dict[str, object]:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
         key, _, raw = stripped.partition("=")
         key = key.strip()
-        raw = raw.strip()
-        if key not in DEFAULTS:
-            raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        values[key] = _coerce(key, raw)
+        try:
+            values[key] = _coerce(key, raw.strip())
+        except ConfigError as exc:
+            raise ConfigError(f"line {lineno}: {exc}") from exc
     merged = dict(DEFAULTS)
     merged.update(values)
     return merged
@@ -113,10 +123,7 @@ class PipelineConfig:
 
     def __post_init__(self) -> None:
         settings = dict(DEFAULTS)
-        for key, value in self.settings.items():
-            if key not in DEFAULTS:
-                raise ConfigError(f"unknown key {key!r}")
-            settings[key] = value
+        settings.update((key, _coerce(key, value)) for key, value in self.settings.items())
         object.__setattr__(self, "settings", settings)
         try:
             stft = StftConfig(**{name: settings[key] for key, name in _STFT_FIELDS.items()})
@@ -133,50 +140,49 @@ class PipelineConfig:
 
     @property
     def seed(self) -> int:
-        return int(self.settings["seed"])
+        return self.settings["seed"]
 
     @property
     def rt60_ms(self) -> float:
-        return float(self.settings["rt60_ms"])
+        return self.settings["rt60_ms"]
 
     @property
     def decomp_filter_taps(self) -> int:
-        return int(self.settings["decomp_filter_taps"])
+        return self.settings["decomp_filter_taps"]
 
     def smoothing_params(self, sample_rate: int) -> SmoothingParams:
         """Resolve smoothing knobs; a positive Hz pitch range overrides bins."""
         s = self.settings
-        kwargs = {name: type(default)(s[name]) for name, default in _SMOOTHING_DEFAULTS.items()}
-        f_min, f_max = float(s["pitch_min_hz"]), float(s["pitch_max_hz"])
+        kwargs = {name: s[name] for name in _SMOOTHING_DEFAULTS}
+        f_min, f_max = s["pitch_min_hz"], s["pitch_max_hz"]
         if f_min > 0 or f_max > 0:
             del kwargs["l_low"], kwargs["l_high"]
             try:
                 return SmoothingParams.from_pitch_range_hz(f_min, f_max, sample_rate, **kwargs)
-            except ValueError as exc:
+            except (ValueError, OverflowError) as exc:  # a tiny f_min overflows l_high
                 raise ConfigError(f"pitch_min_hz/pitch_max_hz: {exc}") from exc
         return SmoothingParams(**kwargs)
 
     def room_spec(self, sample_rate: int, rt60_ms: float | None = None) -> RoomSpec:
         """Build the simulation geometry: mics at room center, sources at +/-angle."""
         s = self.settings
-        dims = (float(s["room_height"]), float(s["room_width"]), float(s["room_depth"]))
+        dims = (s["room_height"], s["room_width"], s["room_depth"])
         center = tuple(d / 2.0 for d in dims)
-        half_spacing = float(s["mic_spacing"]) / 2.0
+        half_spacing = s["mic_spacing"] / 2.0
         mic1 = (center[0], center[1] - half_spacing, center[2])
         mic2 = (center[0], center[1] + half_spacing, center[2])
-        angle = math.radians(float(s["source_angle_deg"]))
-        dist = float(s["source_distance"])
+        angle = math.radians(s["source_angle_deg"])
+        dist = s["source_distance"]
         src1 = (center[0], center[1] + dist * math.sin(angle), center[2] + dist * math.cos(angle))
         src2 = (center[0], center[1] - dist * math.sin(angle), center[2] + dist * math.cos(angle))
-        max_rir_ms = float(s["max_rir_ms"])
-        max_rir = int(round(max_rir_ms * sample_rate / 1000.0)) if max_rir_ms > 0 else None
+        max_rir = round(s["max_rir_ms"] * sample_rate / 1000.0) if s["max_rir_ms"] > 0 else None
         return RoomSpec(
             dimensions=dims,
             source_positions=(src1, src2),
             mic_positions=(mic1, mic2),
             rt60_ms=self.rt60_ms if rt60_ms is None else float(rt60_ms),
             sample_rate=sample_rate,
-            speed_of_sound=float(s["speed_of_sound"]),
+            speed_of_sound=s["speed_of_sound"],
             max_rir_length=max_rir,
         )
 

@@ -164,15 +164,20 @@ def separate_recording(recording: MultichannelRecording, config: PipelineConfig)
     if recording.n_channels != 2:
         raise ValueError(f"expected a 2-channel mixture, got {recording.n_channels} channel(s)")
     stft = config.stft
-    n_frames = frame_count(recording.n_samples, stft)
     block_count = config.solver.block_count
-    if n_frames < block_count:
-        # frame_count has required one frame, K samples; B frames need B hop - K + 1.
-        minimum = max(stft.frame_length, block_count * stft.hop - stft.frame_length + 1)
+    # One frame needs K samples of input and B frames B hop - K + 1.
+    n, k = recording.n_samples, stft.frame_length
+    minimum = max(k, block_count * stft.hop - k + 1)
+    if n < minimum:
+        if n < k:
+            reason = f"shorter than one frame ({k})"
+        else:
+            reason = f"{frame_count(n, stft)} frames cannot fill {block_count} blocks"
         raise ValueError(
-            f"input of {recording.n_samples} samples is too short: {n_frames} frames cannot "
-            f"fill {block_count} blocks; separation needs at least {minimum} samples"
+            f"input of {n} samples is too short: {reason}; "
+            f"separation needs at least {minimum} samples"
         )
+    n_frames = frame_count(n, stft)
     blocks = frame_blocks(n_frames, FRAMES_PER_BLOCK)
     sums = CovarianceSums(stft.n_bins, n_frames, block_count)
     params = config.smoothing_params(recording.sample_rate)
@@ -230,7 +235,7 @@ class SimulatedScene:
     images: tuple[tuple[Waveform, Waveform], tuple[Waveform, Waveform]]
     bank: ImpulseResponseBank
     room: RoomSpec
-    seed: int | None
+    seed: int
 
 
 def simulate_scene(
@@ -239,29 +244,16 @@ def simulate_scene(
     sources: tuple[Waveform, Waveform] | None = None,
     seed: int | None = None,
 ) -> SimulatedScene:
-    """Convolve two sources (given or synthetic) through an image-method room."""
-    used_seed: int | None
+    """Convolve two sources (given, or synthetic from the seed) through an image-method room."""
+    used_seed = config.seed if seed is None else seed
     if sources is None:
-        used_seed = config.seed if seed is None else seed
         s = config.settings
-        sources = (
-            gen_am_source(
-                used_seed,
-                float(s["synth_duration_s"]),
-                int(s["synth_sample_rate"]),
-                float(s["synth_mod_rate_1"]),
-            ),
-            gen_am_source(
-                used_seed + 1,
-                float(s["synth_duration_s"]),
-                int(s["synth_sample_rate"]),
-                float(s["synth_mod_rate_2"]),
-            ),
+        sources = tuple(
+            gen_am_source(used_seed + offset, s["synth_duration_s"], s["synth_sample_rate"], mod)
+            for offset, mod in ((0, s["synth_mod_rate_1"]), (1, s["synth_mod_rate_2"]))
         )
-    else:
-        used_seed = seed
-        if sources[0].sample_rate != sources[1].sample_rate:
-            raise ValueError("source files must share one sample rate")
+    elif sources[0].sample_rate != sources[1].sample_rate:
+        raise ValueError("source files must share one sample rate")
 
     rate = sources[0].sample_rate
     room = config.room_spec(rate, rt60_ms)

@@ -43,9 +43,9 @@ def _run(argv):
     return main(argv)
 
 
-def _scipy_modules_after(code: str) -> list[str]:
-    """The scipy modules a fresh interpreter has loaded once `code` has run."""
-    listing = "print(json.dumps(sorted(m for m in sys.modules if m.startswith('scipy'))))"
+def _modules_after(code: str, prefixes: tuple[str, ...] = ("scipy",)) -> list[str]:
+    """The `prefixes` modules that a fresh interpreter has loaded once `code` has run."""
+    listing = f"print(json.dumps(sorted(m for m in sys.modules if m.startswith({prefixes!r}))))"
     src = str(Path(cbss.__file__).resolve().parents[1])
     proc = subprocess.run(
         [sys.executable, "-c", f"import json, sys\n{code}\n{listing}"],
@@ -59,7 +59,10 @@ def _scipy_modules_after(code: str) -> list[str]:
 
 
 def test_package_imports_without_scipy():
-    assert _scipy_modules_after("import cbss, cbss.cli") == []
+    # Nor logging or concurrent.futures (see pipeline._two_halves): every cold
+    # start of the command line would pay for them.
+    prefixes = ("scipy", "logging", "concurrent")
+    assert _modules_after("import cbss, cbss.cli", prefixes) == []
 
 
 def test_simulate_and_separate_load_no_scipy(tmp_path, fast_cfg):
@@ -69,7 +72,7 @@ def test_simulate_and_separate_load_no_scipy(tmp_path, fast_cfg):
         ["separate", str(scene / "mixture.wav"), "--config", fast_cfg, "--out", str(out)],
     ]
     run = f"from cbss.cli import main\nif any(main(a) for a in {argvs!r}):\n    sys.exit(1)"
-    assert _scipy_modules_after(run) == []
+    assert _modules_after(run) == []
     assert (out / "final_2.wav").exists()
 
 
@@ -371,8 +374,12 @@ def _write_stereo(path, left, right, rate=8000):
 
 @pytest.mark.parametrize(
     ("n_samples", "block_count", "message"),
-    [(300, 4, "shorter than one frame"), (600, 16, "8 frames cannot fill 16 blocks")],
-    ids=["shorter-than-a-frame", "fewer-frames-than-blocks"],
+    [
+        (300, 4, "shorter than one frame"),
+        (600, 16, "8 frames cannot fill 16 blocks"),
+        (300, 16, "1537"),
+    ],
+    ids=["shorter-than-a-frame", "fewer-frames-than-blocks", "shorter-than-a-frame-names-minimum"],
 )
 def test_separate_rejects_too_short_input(tmp_path, capsys, n_samples, block_count, message):
     cfg = tmp_path / "cfg"

@@ -1,6 +1,10 @@
+import math
 from dataclasses import fields
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cbss.cepsmooth import SmoothingParams
 from cbss.config import (
@@ -95,6 +99,8 @@ def test_pipeline_config_validates_combinations():
         PipelineConfig({"pitch_max_hz": 500.0})  # f_min left at 0
     with pytest.raises(ConfigError):
         PipelineConfig({"pitch_min_hz": 5.0, "pitch_max_hz": 500.0})  # l_high >= K/2
+    with pytest.raises(ConfigError, match="pitch_min_hz"):
+        PipelineConfig({"pitch_min_hz": 1e-310, "pitch_max_hz": 500.0})  # l_high overflows
     with pytest.raises(ConfigError):
         PipelineConfig({"nonsense": 1})
 
@@ -137,3 +143,59 @@ def test_flat_returns_plain_settings():
     flat = cfg.flat()
     assert flat["seed"] == 5
     assert set(flat) == set(DEFAULTS)
+
+
+def test_dict_values_are_coerced_like_config_text():
+    assert PipelineConfig({"block_count": "8"}).solver.block_count == 8
+    assert type(PipelineConfig({"seed": np.int64(3)}).seed) is int
+    assert PipelineConfig({"rt60_ms": 150}).rt60_ms == 150.0
+    rejected = [
+        {"max_iters": 10.7},
+        {"seed": 2.5},
+        {"rt60_ms": "abc"},
+        {"mask_threshold": True},
+        {"dft_length": 1024.0},
+        {"window": 1},
+        {"rt60_ms": 10**400},
+    ]
+    for bad in rejected:
+        (key,) = bad
+        with pytest.raises(ConfigError, match=f"'{key}'"):
+            PipelineConfig(bad)
+    with pytest.raises(ConfigError, match="line 2: bad value for 'seed'"):
+        parse_config_text("dft_length = 512\nseed = 1.5")
+
+
+# Integers stay within 2**20: a power-of-two dft_length far above that is a
+# valid setting whose window and COLA check take gigabytes.
+_INTS = st.integers(-(2**20), 2**20)
+_VALUES = st.one_of(
+    _INTS,
+    _INTS.map(float),
+    st.floats(),
+    _INTS.map(str),
+    st.floats().map(str),
+    st.text(alphabet="abcdehinprstx_.-+0123456789", max_size=10),
+    st.booleans(),
+    st.none(),
+    _INTS.map(np.int64),
+    st.floats().map(np.float64),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(key=st.sampled_from(sorted(DEFAULTS)), value=_VALUES)
+def test_dict_and_text_share_one_coercion_property(key, value):
+    outcomes = []
+    for make in (lambda: {key: value}, lambda: parse_config_text(f"{key} = {value}")):
+        try:
+            outcomes.append(PipelineConfig(make()).settings[key])
+        except ConfigError:
+            outcomes.append(ConfigError)
+    from_dict, from_text = outcomes
+    if ConfigError in (from_dict, from_text):
+        assert from_dict is from_text is ConfigError
+        return
+    assert type(from_dict) is type(from_text) is type(DEFAULTS[key])
+    if not (isinstance(from_dict, float) and math.isnan(from_dict)):
+        assert from_dict == from_text

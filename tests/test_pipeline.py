@@ -11,6 +11,7 @@ import pytest
 from cbss import pipeline
 from cbss.config import PipelineConfig
 from cbss.pipeline import separate_recording, simulate_scene
+from cbss.signals import gen_am_source
 from cbss.stft import frame_count
 from oracles import separate_recording_batch
 
@@ -153,3 +154,10 @@ def test_a_failure_in_either_half_is_raised_and_leaves_no_thread(
     with pytest.raises(RuntimeError, match=f"for output {failing_output}"):
         separate_recording(mixture, config)
     assert threading.active_count() == before
+
+
+def test_simulate_scene_records_the_config_seed_for_given_sources():
+    config = PipelineConfig({"seed": 7})
+    sources = tuple(gen_am_source(seed, 0.5, 10000, 1.0) for seed in (1, 2))
+    assert simulate_scene(config, sources=sources).seed == 7
+    assert simulate_scene(config, sources=sources, seed=3).seed == 3
