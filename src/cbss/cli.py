@@ -16,7 +16,7 @@ from pathlib import Path
 # project_decompose is unused here but stays importable as cli.project_decompose:
 # bench/tracer.py wraps it by that name.
 from .bsseval import SegmentAnnotation, project_decompose, segment_sir  # noqa: F401
-from .config import PipelineConfig, default_config, load_config
+from .config import SEPARATION_KEYS, PipelineConfig, default_config, load_config
 from .pipeline import (
     SeparationResult,
     SimulatedScene,
@@ -29,7 +29,7 @@ from .pipeline import (
 from .roomsim import RoomSpec, sabine_absorption
 from .signals import MultichannelRecording, Waveform, read_wav, write_wav
 
-REPORT_FORMAT_VERSION = 4
+REPORT_FORMAT_VERSION = 5
 FINAL_OUTPUTS_FROM = "stage1_masked"
 SIR_CONVENTION = "10*log10 of an energy ratio"
 
@@ -116,6 +116,8 @@ def cmd_separate(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     outputs = _write_outputs(result, out_dir)
     report = _separation_report(config, result, outputs, input=str(args.mixture))
+    # A recording that was never simulated echoes only the settings its separation read.
+    report["parameters"] = config.flat(SEPARATION_KEYS)
     _write_report(report, out_dir / "report.json")
     print(f"wrote separation outputs and report.json to {out_dir}")
     return 0

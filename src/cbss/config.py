@@ -11,9 +11,9 @@ default to `bsseval.FILTER_TAPS`.
 
 Config text and the dict given to `PipelineConfig` share one coercion rule,
 `_coerce`: a value takes the type of its key's default.  Integer keys take
-Python or numpy integers and integer strings (not 1024.0), float keys real
-numbers and numeric strings, `window` strings; bools are rejected.  Each
-rejection is a `ConfigError` naming the key; readers of settings never cast.
+Python or numpy integers and integer strings (not 1024.0), float keys finite
+real numbers and numeric strings, `window` strings; bools are rejected.
+Each rejection is a `ConfigError` naming the key; readers never cast.
 """
 
 from __future__ import annotations
@@ -45,7 +45,8 @@ _STFT_FIELDS = {"dft_length": "frame_length", "overlap_factor": "overlap_fractio
 _SOLVER_DEFAULTS = _field_defaults(SolverParams)
 _SMOOTHING_DEFAULTS = _field_defaults(SmoothingParams)
 
-DEFAULTS: dict[str, object] = {
+# The settings a separation reads; the rest configure simulation and scoring.
+_SEPARATION_DEFAULTS: dict[str, object] = {
     **{key: _field_defaults(StftConfig)[name] for key, name in _STFT_FIELDS.items()},
     **_SOLVER_DEFAULTS,
     "mask_threshold": _field_defaults(MaskThreshold)["value"],
@@ -53,6 +54,11 @@ DEFAULTS: dict[str, object] = {
     # Pitch search range in Hz; 0 keeps l_low/l_high
     "pitch_min_hz": 0.0,
     "pitch_max_hz": 0.0,
+}
+SEPARATION_KEYS = tuple(_SEPARATION_DEFAULTS)
+
+DEFAULTS: dict[str, object] = {
+    **_SEPARATION_DEFAULTS,
     # Room geometry and placement
     "room_height": 3.4,
     "room_width": 3.8,
@@ -85,6 +91,8 @@ def _coerce(key: str, value: object) -> object:
             raise TypeError
         if kind is int and not isinstance(value, str):
             return operator.index(value)
+        if kind is float and not math.isfinite(float(value)):
+            raise ValueError
         return kind(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad value for {key!r}: {value!r}") from exc
@@ -127,6 +135,10 @@ class PipelineConfig:
         object.__setattr__(self, "settings", settings)
         try:
             stft = StftConfig(**{name: settings[key] for key, name in _STFT_FIELDS.items()})
+        except ValueError as exc:  # name the config keys, not StftConfig's fields
+            named = ", ".join(f"{key} = {settings[key]!r}" for key in _STFT_FIELDS)
+            raise ConfigError(f"{named}: {exc}") from exc
+        try:
             solver = SolverParams(**{name: settings[name] for name in _SOLVER_DEFAULTS})
             threshold = MaskThreshold(settings["mask_threshold"])
             if settings["filter_support"] >= settings["dft_length"]:
@@ -186,9 +198,9 @@ class PipelineConfig:
             max_rir_length=max_rir,
         )
 
-    def flat(self) -> dict[str, object]:
-        """The resolved settings, for echoing into reports."""
-        return dict(self.settings)
+    def flat(self, keys: tuple[str, ...] | None = None) -> dict[str, object]:
+        """The resolved settings, or those of `keys`, for echoing into reports."""
+        return {key: self.settings[key] for key in (self.settings if keys is None else keys)}
 
 
 def default_config() -> PipelineConfig:

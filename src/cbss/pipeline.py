@@ -208,22 +208,18 @@ def separate_recording(recording: MultichannelRecording, config: PipelineConfig)
     with _two_halves() as both:
         for frames in blocks:
             both(analysis, frames)
-            n = len(frames)
-            sums.add(halves[0].channel[:n], halves[1].channel[:n], frames.start)
+            sums.add(*(h.channel[: len(frames)] for h in halves), frames.start)
         system, state = solve_unmixing(sums.covariance_set(), config.solver)
         for frames in blocks:
             for step in (analysis, unmixing, masking):
                 both(step, frames)
 
+    binary = tuple(h.binary_count.fraction() for h in halves)
+    smoothed = tuple(h.smoothed_count.fraction() for h in halves)
     buffers = [h.stage1 for h in halves] + [h.final for h in halves]
-    waves = strip_padding(buffers, stft, recording.n_samples, recording.sample_rate)
-    return SeparationResult(
-        stage1=tuple(waves[:2]),
-        final=tuple(waves[2:]),
-        solver_state=state,
-        isolated_fraction_binary=tuple(h.binary_count.fraction() for h in halves),
-        isolated_fraction_smoothed=tuple(h.smoothed_count.fraction() for h in halves),
-    )
+    del halves  # free the scratch and carries, then each buffer once its output is cut
+    waves = [strip_padding(buffers.pop(0), stft, n, recording.sample_rate) for _ in range(4)]
+    return SeparationResult(tuple(waves[:2]), tuple(waves[2:]), state, binary, smoothed)
 
 
 @dataclass(eq=False)

@@ -211,32 +211,34 @@ class ImpulseResponseBank:
         return len(self.responses[0][0])
 
 
-def _padded_sources(sources: tuple[Waveform, Waveform], rate: int) -> list[np.ndarray]:
+def source_images(
+    sources: tuple[Waveform, Waveform], bank: ImpulseResponseBank
+) -> tuple[tuple[Waveform, Waveform], tuple[Waveform, Waveform]]:
+    """Per-source contribution h[mic][src] * s[src] at each mic, full length.
+
+    Both mics' images of a source come from its one spectrum, freed before
+    the next source is transformed; each response transform is freed as soon
+    as its image is built, so the next one can take its memory.
+    """
+    rate = bank.sample_rate
     if any(s.sample_rate != rate for s in sources):
         raise ValueError("sources and impulse responses must share one sample rate")
     n = max(len(s) for s in sources)
     if n == 0:
         raise ValueError("sources must contain samples")
-    return [np.pad(s.samples, (0, n - len(s))) for s in sources]
-
-
-def source_images(
-    sources: tuple[Waveform, Waveform], bank: ImpulseResponseBank
-) -> tuple[tuple[Waveform, Waveform], tuple[Waveform, Waveform]]:
-    """Per-source contribution h[mic][src] * s[src] at each mic, full length."""
-    rate = bank.sample_rate
-    padded = _padded_sources(sources, rate)
-    full = len(padded[0]) + bank.rir_length - 1
+    full = n + bank.rir_length - 1
     nfft = next_fast_len(full)
-    spectra = [np.fft.rfft(s, nfft) for s in padded]
-
-    def image(mic: int, src: int) -> Waveform:
-        # Bound to a name: `spectra[src] * rfft(...)` would let numpy reuse the
-        # temporary in place, a different loop that moves the last bit.
-        response = np.fft.rfft(bank.responses[mic][src].samples, nfft)
-        return Waveform(np.fft.irfft(spectra[src] * response, nfft)[:full], rate)
-
-    return tuple(tuple(image(mic, src) for src in (0, 1)) for mic in (0, 1))
+    images = ([None, None], [None, None])
+    for src, source in enumerate(sources):
+        spectrum = np.fft.rfft(source.samples, nfft)  # zero-extends a shorter source
+        for mic in (0, 1):
+            # Bound to a name: `spectrum * rfft(...)` would let numpy reuse the
+            # temporary in place, a different loop that moves the last bit.
+            response = np.fft.rfft(bank.responses[mic][src].samples, nfft)
+            images[mic][src] = Waveform(np.fft.irfft(spectrum * response, nfft)[:full], rate)
+            del response
+        del spectrum
+    return tuple(map(tuple, images))
 
 
 def mix_images(

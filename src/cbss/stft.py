@@ -13,7 +13,7 @@ bins are implied by conjugate symmetry.
 frames `Spectrogram`s.  Their plain frames x bins kernels also take a block
 of consecutive frames: `frame_spectra` reads only the samples a range of
 frames covers, and `overlap_add` adds a block's frames into a caller's
-buffer, from which `strip_padding` cuts the waveforms once all are in.
+buffer, from which `strip_padding` cuts the waveform once all are in.
 Both write their frame-sized intermediates into arrays the caller passes,
 if any, so a loop over blocks need not allocate them block after block.
 
@@ -30,6 +30,8 @@ import numpy as np
 from .signals import Waveform
 
 COLA_TOL = 1e-10
+# Longest frame a StftConfig may ask for; its checks alone take ~56 bytes a sample.
+MAX_FRAME_LENGTH = 2**16
 
 _WINDOW_NAMES = ("sqrt_hann", "hann", "rect")
 
@@ -47,7 +49,7 @@ def _window(name: str, frame_length: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class StftConfig:
-    """Frame length (power of two), overlap fraction, and window pair id."""
+    """Frame length (a power of two up to MAX_FRAME_LENGTH), overlap fraction, window id."""
 
     frame_length: int = 2048
     overlap_fraction: float = 0.75
@@ -57,8 +59,8 @@ class StftConfig:
 
     def __post_init__(self) -> None:
         k = self.frame_length
-        if k <= 0 or (k & (k - 1)) != 0:
-            raise ValueError("frame_length must be a positive power of two")
+        if not 0 < k <= MAX_FRAME_LENGTH or (k & (k - 1)) != 0:
+            raise ValueError(f"frame_length {k} is not a power of two up to {MAX_FRAME_LENGTH}")
         if not 0.0 <= self.overlap_fraction < 1.0:
             raise ValueError("overlap_fraction must lie in [0, 1)")
         hop_exact = k * (1.0 - self.overlap_fraction)
@@ -225,18 +227,18 @@ def overlap_add(
 
 
 def strip_padding(
-    buffers: list[np.ndarray], config: StftConfig, original_length: int, sample_rate: int
-) -> list[Waveform]:
-    """Cut the original signals out of full overlap-add buffers.
+    buffer: np.ndarray, config: StftConfig, original_length: int, sample_rate: int
+) -> Waveform:
+    """Cut the original signal out of a full overlap-add buffer, as a copy.
 
-    Each buffer must hold every frame of an `original_length` signal,
+    The buffer must hold every frame of an `original_length` signal,
     overlap-added with the synthesis window; no further scaling is needed.
     """
     length = padded_length(frame_count(original_length, config), config)
-    if any(len(acc) != length for acc in buffers):
-        raise ValueError(f"overlap-add buffers must be {length} samples long")
+    if len(buffer) != length:
+        raise ValueError(f"the overlap-add buffer must be {length} samples long")
     pad = config.frame_length - config.hop
-    return [Waveform(acc[pad : pad + original_length], sample_rate) for acc in buffers]
+    return Waveform(buffer[pad : pad + original_length], sample_rate)
 
 
 def synthesize(spec: Spectrogram) -> Waveform:
@@ -246,8 +248,7 @@ def synthesize(spec: Spectrogram) -> Waveform:
         raise ValueError(f"synthesis needs all {n_frames} frames; got {spec.n_frames}")
     acc = np.zeros(padded_length(n_frames, spec.config))
     overlap_add(spec.values.T, 0, spec.config, acc)
-    (wave,) = strip_padding([acc], spec.config, spec.original_length, spec.sample_rate)
-    return wave
+    return strip_padding(acc, spec.config, spec.original_length, spec.sample_rate)
 
 
 def next_fast_len(n: int) -> int:

@@ -12,7 +12,7 @@ from scipy.io import wavfile
 
 import cbss
 from cbss.cli import main
-from cbss.config import load_config
+from cbss.config import DEFAULTS, SEPARATION_KEYS, load_config
 from cbss.jointdiag import TERMINATIONS
 from cbss.pipeline import simulate_scene
 from cbss.signals import MultichannelRecording, Waveform, gen_am_source, read_wav, write_wav
@@ -166,7 +166,9 @@ def test_separate_happy_path_is_deterministic(tmp_path, fast_cfg):
     report = json.loads((outs[0] / "report.json").read_text())
     assert report["kind"] == "separation"
     assert report["solver"]["final_cost"] <= report["solver"]["initial_cost"]
-    assert report["report_format_version"] == 4
+    assert report["report_format_version"] == 5
+    assert set(report["parameters"]) == set(SEPARATION_KEYS)
+    assert not {"rt60_ms", "room_height", "seed", "decomp_filter_taps"} & set(report["parameters"])
     assert report["solver"]["termination"] in TERMINATIONS
     assert report["solver"]["evaluations"] >= report["solver"]["iterations"] + 1
     assert report["outputs"]["stage1"] == ["stage1_1.wav", "stage1_2.wav"]
@@ -330,6 +332,10 @@ def test_sweep_writes_report_and_outputs(tmp_path, fast_cfg):
     rt_dir = out / "rt150"
     for name in ("mixture.wav", "stage1_1.wav", "final_2.wav", "report.json"):
         assert (rt_dir / name).exists()
+    # A simulated scene's reports keep the settings that made it.
+    rt_report = json.loads((rt_dir / "report.json").read_text())
+    for parameters in (report["parameters"], rt_report["parameters"]):
+        assert set(parameters) == set(DEFAULTS)
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -157,6 +158,11 @@ def test_dict_values_are_coerced_like_config_text():
         {"dft_length": 1024.0},
         {"window": 1},
         {"rt60_ms": 10**400},
+        {"tolerance": math.nan},
+        {"synth_duration_s": np.float64(np.nan)},
+        {"speed_of_sound": math.inf},
+        {"room_height": "-inf"},
+        {"mask_threshold": "nan"},
     ]
     for bad in rejected:
         (key,) = bad
@@ -164,10 +170,28 @@ def test_dict_values_are_coerced_like_config_text():
             PipelineConfig(bad)
     with pytest.raises(ConfigError, match="line 2: bad value for 'seed'"):
         parse_config_text("dft_length = 512\nseed = 1.5")
+    for line in ("tolerance = nan", "synth_duration_s = inf", "rt60_ms = -Infinity"):
+        with pytest.raises(ConfigError, match=f"line 1: bad value for '{line.split()[0]}'"):
+            parse_config_text(line)
 
 
-# Integers stay within 2**20: a power-of-two dft_length far above that is a
-# valid setting whose window and COLA check take gigabytes.
+def test_dft_length_is_bounded_before_any_window_is_built():
+    PipelineConfig({"dft_length": 2**16, "filter_support": 512})
+    tracemalloc.start()
+    try:
+        for values in ({"dft_length": 2**30}, parse_config_text("dft_length = 1073741824")):
+            with pytest.raises(ConfigError, match="dft_length = 1073741824.*up to 65536"):
+                PipelineConfig(values)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, f"rejecting it allocated {peak} bytes"
+    with pytest.raises(ValueError, match="131072 is not a power of two up to 65536"):
+        StftConfig(2**17)
+
+
+# Integers stay within 2**20, which spans every valid dft_length (up to
+# 2**16) and powers of two past the bound.
 _INTS = st.integers(-(2**20), 2**20)
 _VALUES = st.one_of(
     _INTS,

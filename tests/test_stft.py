@@ -97,7 +97,7 @@ def test_synthesize_rejects_spectrogram_missing_frames():
             synthesize(partial)
     short = np.zeros(padded_length(spec.n_frames - 3, cfg))
     with pytest.raises(ValueError, match="samples long"):
-        strip_padding([short], cfg, len(x), x.sample_rate)
+        strip_padding(short, cfg, len(x), x.sample_rate)
 
 
 def test_analyze_rejects_short_signal():
@@ -169,7 +169,7 @@ def test_block_analysis_and_overlap_add_reconstruct_perfectly(data):
     buf = np.zeros(padded_length(n_frames, cfg))
     for frames in frame_blocks(n_frames, block):
         overlap_add(frame_spectra(x.samples, cfg, frames), frames.start, cfg, buf)
-    (y,) = strip_padding([buf], cfg, n, x.sample_rate)
+    y = strip_padding(buf, cfg, n, x.sample_rate)
     assert len(y) == n
     assert np.max(np.abs(y.samples - x.samples)) <= 1e-12 * np.max(np.abs(x.samples))
 
