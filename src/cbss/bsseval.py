@@ -573,10 +573,10 @@ def segment_sir(
     """
     w1, w2 = outputs
     if len(w1) != len(w2):
-        raise ValueError("outputs must share one length")
+        raise ValueError(f"outputs must share one length, got {len(w1)} and {len(w2)} samples")
     for start, end in (segments.first, segments.second):
         if end > len(w1):
-            raise ValueError("segment extends past the signal end")
+            raise ValueError(f"segment {start}:{end} extends past the signal's {len(w1)} samples")
 
     def mean_power(w: Waveform, bounds: tuple[int, int]) -> float:
         start, end = bounds

@@ -1,8 +1,8 @@
 """Command-line front end: separate, simulate, evaluate, sweep.
 
-Commands parse arguments, read files, leave the work to `pipeline` and
-`bsseval`, then write WAV artifacts plus a versioned JSON report and print.
-Exit codes: 0 success, 2 usage error, 1 runtime failure.
+Commands parse arguments, read files, leave the work and every report's
+contents to `pipeline`, then write WAV artifacts plus a versioned JSON
+report and print.  Exit codes: 0 success, 2 usage error, 1 runtime failure.
 """
 
 from __future__ import annotations
@@ -15,85 +15,33 @@ from pathlib import Path
 
 # project_decompose is unused here but stays importable as cli.project_decompose:
 # bench/tracer.py wraps it by that name.
-from .bsseval import SegmentAnnotation, project_decompose, segment_sir  # noqa: F401
-from .config import SEPARATION_KEYS, PipelineConfig, default_config, load_config
+from .bsseval import SegmentAnnotation, project_decompose  # noqa: F401
+from .config import ConfigError, PipelineConfig, default_config, load_config
 from .pipeline import (
-    SeparationResult,
     SimulatedScene,
-    decompose_pairs,
     evaluate_outputs,
-    resolve_permutation,
+    evaluation_report,
+    output_waves,
+    scene_manifest,
+    scene_waves,
     separate_recording,
+    separation_report,
     simulate_scene,
+    sweep_report,
+    sweep_row,
 )
-from .roomsim import RoomSpec, sabine_absorption
 from .signals import MultichannelRecording, Waveform, read_wav, write_wav
-
-REPORT_FORMAT_VERSION = 5
-FINAL_OUTPUTS_FROM = "stage1_masked"
-SIR_CONVENTION = "10*log10 of an energy ratio"
 
 
 def _write_report(report: dict, path: Path) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def _base_report(kind: str, config: PipelineConfig) -> dict:
-    return {
-        "report_format_version": REPORT_FORMAT_VERSION,
-        "kind": kind,
-        "parameters": config.flat(),
-    }
-
-
-def _separation_block(result: SeparationResult) -> dict:
-    trace = result.solver_state.cost_trace
-    return {
-        "solver": {
-            "initial_cost": trace[0],
-            "final_cost": trace[-1],
-            "iterations": result.solver_state.iterations,
-            "evaluations": result.solver_state.evaluations,
-            "termination": result.solver_state.termination,
-        },
-        "isolated_fraction_binary": list(result.isolated_fraction_binary),
-        "isolated_fraction_smoothed": list(result.isolated_fraction_smoothed),
-        "final_outputs_from": FINAL_OUTPUTS_FROM,
-    }
-
-
-def _separation_report(
-    config: PipelineConfig, result: SeparationResult, outputs: dict, **fields
-) -> dict:
-    report = _base_report("separation", config)
-    report.update(_separation_block(result), outputs=outputs, **fields)
-    return report
-
-
-def _room_block(room: RoomSpec) -> dict:
-    """The Sabine absorption asked for and used, and whether the room became anechoic."""
-    asked, used = sabine_absorption(room.dimensions, room.rt60_ms)
-    return {
-        "absorption_requested": asked,
-        "absorption_used": used,
-        "anechoic_clamped": asked > used,
-    }
-
-
-def _write_outputs(result: SeparationResult, out_dir: Path) -> dict:
-    paths = {}
-    for stage, pair in (("stage1", result.stage1), ("final", result.final)):
-        names = []
-        for i, wave in enumerate(pair, start=1):
-            name = f"{stage}_{i}.wav"
-            write_wav(MultichannelRecording((wave,)), out_dir / name)
-            names.append(name)
-        paths[stage] = names
-    return paths
-
-
-def _load_config_arg(path: str | None) -> PipelineConfig:
-    return default_config() if path is None else load_config(path)
+def _write_mono(waves: dict[str, Waveform], out_dir: Path) -> None:
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, wave in waves.items():
+        write_wav(MultichannelRecording((wave,)), out_dir / name)
 
 
 def _read_mono(path: str, role: str) -> Waveform:
@@ -103,93 +51,52 @@ def _read_mono(path: str, role: str) -> Waveform:
     return recording.channels[0]
 
 
-def cmd_separate(args: argparse.Namespace) -> int:
-    config = _load_config_arg(args.config)
-    recording = read_wav(args.mixture)
-    if recording.n_channels != 2:
-        raise ValueError(
-            f"separation needs a 2-channel mixture; {args.mixture} has "
-            f"{recording.n_channels}"
-        )
-    result = separate_recording(recording, config)
+def cmd_separate(args: argparse.Namespace, config: PipelineConfig) -> int:
+    result = separate_recording(read_wav(args.mixture), config)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    outputs = _write_outputs(result, out_dir)
-    report = _separation_report(config, result, outputs, input=str(args.mixture))
-    # A recording that was never simulated echoes only the settings its separation read.
-    report["parameters"] = config.flat(SEPARATION_KEYS)
-    _write_report(report, out_dir / "report.json")
+    _write_mono(output_waves(result), out_dir)
+    _write_report(separation_report(config, result, str(args.mixture)), out_dir / "report.json")
     print(f"wrote separation outputs and report.json to {out_dir}")
     return 0
 
 
-def _scene_from_args(args: argparse.Namespace, config: PipelineConfig) -> SimulatedScene:
-    if args.synthetic:
-        if args.sources:
-            raise ValueError("give either --synthetic or two source files, not both")
-        return simulate_scene(config, rt60_ms=args.rt60, seed=args.seed)
-    if len(args.sources) != 2:
-        raise ValueError("simulation needs two source WAV files (or --synthetic)")
-    sources = tuple(_read_mono(path, "source") for path in args.sources)
-    return simulate_scene(config, rt60_ms=args.rt60, sources=sources, seed=args.seed)
-
-
 def _write_scene(scene: SimulatedScene, out_dir: Path) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
+    _write_mono(scene_waves(scene), out_dir)
     write_wav(scene.mixture, out_dir / "mixture.wav")
-    for i, src in enumerate(scene.sources, start=1):
-        write_wav(MultichannelRecording((src,)), out_dir / f"source_{i}.wav")
-    for mic in (0, 1):
-        for src in (0, 1):
-            write_wav(
-                MultichannelRecording((scene.images[mic][src],)),
-                out_dir / f"image_m{mic + 1}_s{src + 1}.wav",
-            )
-    room = scene.room
-    lines = [
-        f"rt60_ms = {room.rt60_ms}",
-        f"sample_rate = {scene.mixture.sample_rate}",
-        f"seed = {scene.seed}",
-        f"room_dimensions = {room.dimensions[0]} {room.dimensions[1]} {room.dimensions[2]}",
-    ]
-    for i, p in enumerate(room.source_positions, start=1):
-        lines.append(f"source_{i}_position = {p[0]} {p[1]} {p[2]}")
-    for i, p in enumerate(room.mic_positions, start=1):
-        lines.append(f"mic_{i}_position = {p[0]} {p[1]} {p[2]}")
-    lines.extend(
-        f"{key} = {str(value).lower()}" for key, value in _room_block(room).items()
-    )
-    lines.append(f"rir_length = {scene.bank.rir_length}")
-    lines.append("mixture = mixture.wav")
-    lines.extend(f"source_{i} = source_{i}.wav" for i in (1, 2))
-    lines.extend(
-        f"image_m{m}_s{s} = image_m{m}_s{s}.wav" for m in (1, 2) for s in (1, 2)
-    )
-    (out_dir / "manifest.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    (out_dir / "manifest.txt").write_text(scene_manifest(scene), encoding="utf-8")
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
-    config = _load_config_arg(args.config)
-    scene = _scene_from_args(args, config)
+def cmd_simulate(args: argparse.Namespace, config: PipelineConfig) -> int:
+    if args.synthetic and args.sources:
+        raise ValueError("give either --synthetic or two source files, not both")
+    if not args.synthetic and len(args.sources) != 2:
+        raise ValueError("simulation needs two source WAV files (or --synthetic)")
+    sources = None if args.synthetic else tuple(_read_mono(path, "source") for path in args.sources)
+    scene = simulate_scene(config, rt60_ms=args.rt60, sources=sources, seed=args.seed)
     _write_scene(scene, Path(args.out))
     print(f"wrote mixture, images, and manifest.txt to {args.out}")
     return 0
 
 
 def _parse_segments(raw: str) -> SegmentAnnotation:
-    try:
-        parts = raw.split(",")
-        if len(parts) != 2:
-            raise ValueError
-        bounds = []
-        for part in parts:
-            start, _, end = part.partition(":")
-            bounds.append((int(start), int(end)))
-        return SegmentAnnotation(bounds[0], bounds[1])
+    parts = [part.partition(":") for part in raw.split(",")]
+    try:  # unpacking fails on any count of parts but two
+        first, second = [(int(start), int(end)) for start, _, end in parts]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(
             f"bad segments {raw!r}; expected start1:end1,start2:end2"
         ) from exc
+    try:
+        return SegmentAnnotation(first, second)
+    except ValueError as exc:  # well formed, but empty or overlapping
+        raise argparse.ArgumentTypeError(f"bad segments {raw!r}: {exc}") from exc
+
+
+def _parse_seed(raw: str) -> int:
+    try:  # the config file's own rule for its seed key
+        return PipelineConfig({"seed": raw}).seed
+    except ConfigError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 def _rt_dir_name(rt60: float) -> str:
@@ -197,9 +104,8 @@ def _rt_dir_name(rt60: float) -> str:
 
 
 def _parse_rt60_list(raw: str) -> list[float]:
-    parts = [part.strip() for part in raw.split(",")]
-    try:
-        values = [float(part) for part in parts]
+    try:  # float() takes surrounding whitespace itself
+        values = [float(part) for part in raw.split(",")]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad rt60 list {raw!r}") from exc
     # Each row writes into its own rtNNN directory, so two values that round
@@ -219,17 +125,12 @@ def _parse_rt60_list(raw: str) -> list[float]:
     return values
 
 
-def cmd_evaluate(args: argparse.Namespace) -> int:
-    config = _load_config_arg(args.config)
-    estimates = [_read_mono(path, "estimate") for path in args.estimates]
-    if estimates[0].sample_rate != estimates[1].sample_rate:
+def cmd_evaluate(args: argparse.Namespace, config: PipelineConfig) -> int:
+    estimates = tuple(_read_mono(path, "estimate") for path in args.estimates)
+    if estimates[0].sample_rate != estimates[1].sample_rate:  # the scorers check lengths
         raise ValueError("estimates must share one sample rate")
-    if len(estimates[0]) != len(estimates[1]):
-        raise ValueError("estimates must share one length")
 
-    report = _base_report("evaluation", config)
-    report["sir_convention"] = SIR_CONVENTION
-
+    evaluation = None
     if args.references is not None:
         refs = tuple(_read_mono(path, "reference") for path in args.references)
         taps = config.decomp_filter_taps
@@ -239,45 +140,18 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
                 "the length of the references in samples"
             )
         # Estimate i is scored against the references with reference i as its target.
-        evaluation = evaluate_outputs(tuple(estimates), (refs, refs), taps, permutation=(0, 1))
-        regularized = [d.regularized for d in evaluation.decompositions]
-        if any(regularized):
+        evaluation = evaluate_outputs(estimates, (refs, refs), taps, permutation=(0, 1))
+        if any(d.regularized for d in evaluation.decompositions):
             print(
                 "warning: the references are degenerate (one is silent or a scaled copy of "
                 "the other); the metrics are not meaningful",
                 file=sys.stderr,
             )
-        report["mode"] = "reference"
-        report["filter_taps"] = taps
-        report["sir_db"] = list(evaluation.sir)
-        report["sdr_db"] = list(evaluation.sdr)
-        report["sar_db"] = list(evaluation.sar)
-        report["regularized"] = regularized
-    else:
-        segments = args.segments
-        sir1, sir2 = segment_sir(tuple(estimates), segments)
-        report["mode"] = "segment"
-        report["segments"] = {
-            "first": list(segments.first),
-            "second": list(segments.second),
-        }
-        report["sir_db"] = [sir1, sir2]
-
-    text = json.dumps(report, indent=2, sort_keys=True)
-    print(text)
+    report = evaluation_report(config, estimates, evaluation, args.segments)
+    print(json.dumps(report, indent=2, sort_keys=True))
     if args.out is not None:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        _write_report(report, out_dir / "report.json")
+        _write_report(report, Path(args.out) / "report.json")
     return 0
-
-
-def _sir_block(pair: tuple[float, float]) -> dict:
-    return {
-        "signal_1": pair[0],
-        "signal_2": pair[1],
-        "average": 0.5 * (pair[0] + pair[1]),
-    }
 
 
 def _sweep_row(config: PipelineConfig, rt60: float, rt_dir: Path, seed: int | None) -> dict:
@@ -288,34 +162,9 @@ def _sweep_row(config: PipelineConfig, rt60: float, rt_dir: Path, seed: int | No
     """
     scene = simulate_scene(config, rt60_ms=rt60, seed=seed)
     _write_scene(scene, rt_dir)
-    room_fields = _room_block(scene.room)
     result = separate_recording(scene.mixture, config)
-    outputs = _write_outputs(result, rt_dir)
-
-    stage1_table, final_table, input_table = decompose_pairs(
-        (result.stage1, result.final, tuple(scene.mixture.channels)),
-        scene.images,
-        config.decomp_filter_taps,
-    )
-    stage1_eval = resolve_permutation(stage1_table)
-    final_eval = resolve_permutation(final_table, stage1_eval.permutation)
-    input_eval = resolve_permutation(input_table, (0, 1))
-
-    row = {
-        "rt60_ms": rt60,
-        "permutation": list(stage1_eval.permutation),
-        "input_sir_db": _sir_block(input_eval.sir),
-        "stage1_sir_db": _sir_block(stage1_eval.sir),
-        "final_sir_db": _sir_block(final_eval.sir),
-        "final_sdr_db": _sir_block(final_eval.sdr),
-        "final_sar_db": _sir_block(final_eval.sar),
-        "outputs": outputs,
-        **room_fields,
-    }
-    row.update(_separation_block(result))
-
-    sirs = {key: row[key] for key in ("stage1_sir_db", "final_sir_db")}
-    report = _separation_report(config, result, outputs, rt60_ms=rt60, **sirs, **room_fields)
+    _write_mono(output_waves(result), rt_dir)
+    row, report = sweep_row(config, rt60, scene, result)
     _write_report(report, rt_dir / "report.json")
     return row
 
@@ -327,13 +176,10 @@ def run_sweep(
     seed: int | None = None,
 ) -> dict:
     """Simulate, separate, and evaluate one synthetic scene per RT60 value."""
-    out_dir.mkdir(parents=True, exist_ok=True)
     rows = [_sweep_row(config, rt60, out_dir / _rt_dir_name(rt60), seed) for rt60 in rt60_values]
-    sweep_report = _base_report("sweep", config)
-    sweep_report["sir_convention"] = SIR_CONVENTION
-    sweep_report["rows"] = rows
-    _write_report(sweep_report, out_dir / "sweep_report.json")
-    return sweep_report
+    report = sweep_report(config, rows)
+    _write_report(report, out_dir / "sweep_report.json")
+    return report
 
 
 def _print_sweep_table(report: dict) -> None:
@@ -346,8 +192,7 @@ def _print_sweep_table(report: dict) -> None:
             )
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
-    config = _load_config_arg(args.config)
+def cmd_sweep(args: argparse.Namespace, config: PipelineConfig) -> int:
     report = run_sweep(config, args.rt60, Path(args.out), seed=args.seed)
     _print_sweep_table(report)
     print(f"wrote per-RT artifacts and sweep_report.json to {args.out}")
@@ -373,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--rt60", type=float, default=None, help="reverberation time in ms")
     p_sim.add_argument("--config", default=None)
     p_sim.add_argument("--out", required=True)
-    p_sim.add_argument("--seed", type=int, default=None)
+    p_sim.add_argument("--seed", type=_parse_seed, default=None)
     p_sim.set_defaults(func=cmd_simulate)
 
     p_eval = sub.add_parser("evaluate", help="score two estimates")
@@ -399,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sweep.add_argument("--config", default=None)
     p_sweep.add_argument("--out", required=True)
-    p_sweep.add_argument("--seed", type=int, default=None)
+    p_sweep.add_argument("--seed", type=_parse_seed, default=None)
     p_sweep.set_defaults(func=cmd_sweep)
 
     return parser
@@ -408,7 +253,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        config = default_config() if args.config is None else load_config(args.config)
+        return args.func(args, config)
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -90,8 +90,10 @@ def _coerce(key: str, value: object) -> object:
         if isinstance(value, bool) or (kind is str and not isinstance(value, str)):
             raise TypeError
         if kind is int and not isinstance(value, str):
-            return operator.index(value)
+            value = operator.index(value)
         if kind is float and not math.isfinite(float(value)):
+            raise ValueError
+        if key == "seed" and int(value) < 0:  # numpy's generators take no negative seed
             raise ValueError
         return kind(value)
     except (TypeError, ValueError, OverflowError) as exc:

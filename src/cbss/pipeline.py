@@ -1,4 +1,4 @@
-"""End-to-end separation and simulation flows shared by the CLI and tests.
+"""End-to-end separation, simulation and scoring, and what every report holds.
 
 Stage 1 unmixes the STFT-domain mixture with the joint-diagonalization
 solver.  The final outputs are always produced from the stage-1
@@ -38,6 +38,7 @@ from __future__ import annotations
 from collections.abc import Callable, Iterator, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -46,16 +47,18 @@ import numpy as np
 from .bsseval import (  # noqa: F401
     Decomposition,
     ReferenceProjector,
+    SegmentAnnotation,
     project_decompose,
     sar_db,
     sdr_db,
+    segment_sir,
     sir_db,
 )
 # The whole-signal analyze, synthesize, estimate_block_covariances, apply_unmixing,
 # estimate_binary_masks, apply_mask, isolated_unit_fraction and smooth_mask are
 # unused here but stay importable from pipeline: bench/tracer.py wraps them by name.
 from .cepsmooth import smooth_frames, smooth_mask  # noqa: F401
-from .config import PipelineConfig
+from .config import SEPARATION_KEYS, PipelineConfig
 from .jointdiag import (  # noqa: F401
     CovarianceSums,
     SolverState,
@@ -71,7 +74,7 @@ from .masking import (  # noqa: F401
     estimate_binary_masks,
     isolated_unit_fraction,
 )
-from .roomsim import ImpulseResponseBank, RoomSpec, mix_images, source_images
+from .roomsim import ImpulseResponseBank, RoomSpec, mix_images, sabine_absorption, source_images
 # convolve_mix is unused here but stays importable as pipeline.convolve_mix:
 # bench/tracer.py wraps it by that name.
 from .roomsim import convolve_mix  # noqa: F401
@@ -233,6 +236,16 @@ class SimulatedScene:
     room: RoomSpec
     seed: int
 
+    @cached_property
+    def absorption(self) -> dict:
+        """The Sabine absorption asked for and used, and whether the room became anechoic."""
+        asked, used = sabine_absorption(self.room.dimensions, self.room.rt60_ms)
+        return {
+            "absorption_requested": asked,
+            "absorption_used": used,
+            "anechoic_clamped": asked > used,
+        }
+
 
 def simulate_scene(
     config: PipelineConfig,
@@ -357,9 +370,148 @@ def evaluate_outputs(
     permutation[j] as its target.  When no permutation is pinned, both
     source assignments are tried and the one with the higher average SIR
     wins; pinning exists so stage-1 and final outputs of one run are
-    scored under the same assignment.  To score several pairs of one
-    scene, call `decompose_pairs` once and `resolve_permutation` per pair.
+    scored under the same assignment, as `score_separation` scores them.
     """
     _candidates(permutation)  # reject a bad permutation before any work
     (table,) = decompose_pairs([estimates], images, taps)
     return resolve_permutation(table, permutation)
+
+
+def score_separation(
+    result: SeparationResult, scene: SimulatedScene, taps: int
+) -> tuple[PairEvaluation, PairEvaluation, PairEvaluation]:
+    """Score a scene's input as given, stage 1 under its better assignment and the
+    final outputs under stage 1's, from one `decompose_pairs` call."""
+    pairs = (result.stage1, result.final, tuple(scene.mixture.channels))
+    stage1, final, given = decompose_pairs(pairs, scene.images, taps)
+    stage1_eval = resolve_permutation(stage1)
+    final_eval = resolve_permutation(final, stage1_eval.permutation)
+    return resolve_permutation(given, (0, 1)), stage1_eval, final_eval
+
+
+# What the reports hold; each is written with sorted keys.
+REPORT_FORMAT_VERSION = 5
+FINAL_OUTPUTS_FROM = "stage1_masked"
+SIR_CONVENTION = "10*log10 of an energy ratio"
+
+
+def base_report(kind: str, config: PipelineConfig, keys: tuple[str, ...] | None = None) -> dict:
+    """The fields every report starts with; `parameters` echoes the settings of `keys`, or all."""
+    return {
+        "report_format_version": REPORT_FORMAT_VERSION,
+        "kind": kind,
+        "parameters": config.flat(keys),
+    }
+
+
+def output_waves(result: SeparationResult) -> dict[str, Waveform]:
+    """Each separation output by file name: stage 1's pair, then the final pair."""
+    waves = {f"stage1_{i}.wav": wave for i, wave in enumerate(result.stage1, start=1)}
+    waves.update((f"final_{i}.wav", wave) for i, wave in enumerate(result.final, start=1))
+    return waves
+
+
+def _separation_block(result: SeparationResult) -> dict:
+    state, names = result.solver_state, list(output_waves(result))
+    return {
+        "solver": {
+            "initial_cost": state.cost_trace[0],
+            "final_cost": state.cost_trace[-1],
+            "iterations": state.iterations,
+            "evaluations": state.evaluations,
+            "termination": state.termination,
+        },
+        "isolated_fraction_binary": list(result.isolated_fraction_binary),
+        "isolated_fraction_smoothed": list(result.isolated_fraction_smoothed),
+        "final_outputs_from": FINAL_OUTPUTS_FROM,
+        "outputs": {"stage1": names[:2], "final": names[2:]},
+    }
+
+
+def separation_report(config: PipelineConfig, result: SeparationResult, mixture: str) -> dict:
+    """The report of separating the file `mixture`: only the settings a separation reads."""
+    report = base_report("separation", config, SEPARATION_KEYS)
+    report.update(_separation_block(result), input=mixture)
+    return report
+
+
+def scene_waves(scene: SimulatedScene) -> dict[str, Waveform]:
+    """A written scene's mono files by name: the dry sources, then each mic's images."""
+    waves = {f"source_{i}.wav": source for i, source in enumerate(scene.sources, start=1)}
+    for m, s in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        waves[f"image_m{m + 1}_s{s + 1}.wav"] = scene.images[m][s]
+    return waves
+
+
+def _manifest_line(key: str, value: object) -> str:
+    """`key = value`, a tuple's items space-separated and a boolean lowercase."""
+    if isinstance(value, tuple):
+        value = " ".join(map(str, value))
+    return f"{key} = {str(value).lower() if isinstance(value, bool) else value}\n"
+
+
+def scene_manifest(scene: SimulatedScene) -> str:
+    """A written scene's manifest.txt."""
+    room = scene.room
+    entries = [
+        ("rt60_ms", room.rt60_ms),
+        ("sample_rate", scene.mixture.sample_rate),
+        ("seed", scene.seed),
+        ("room_dimensions", room.dimensions),
+        *((f"source_{i}_position", p) for i, p in enumerate(room.source_positions, start=1)),
+        *((f"mic_{i}_position", p) for i, p in enumerate(room.mic_positions, start=1)),
+        *scene.absorption.items(),
+        ("rir_length", scene.bank.rir_length),
+        ("mixture", "mixture.wav"),
+        *((name.removesuffix(".wav"), name) for name in scene_waves(scene)),
+    ]
+    return "".join(_manifest_line(key, value) for key, value in entries)
+
+
+def _sir_block(pair: tuple[float, float]) -> dict:
+    return {"signal_1": pair[0], "signal_2": pair[1], "average": 0.5 * (pair[0] + pair[1])}
+
+
+def sweep_row(
+    config: PipelineConfig, rt60: float, scene: SimulatedScene, result: SeparationResult
+) -> tuple[dict, dict]:
+    """Score one RT60's separation; returns its sweep report row and its own report,
+    which is the base report plus the row but for the row's sweep-only fields."""
+    given, stage1, final = score_separation(result, scene, config.decomp_filter_taps)
+    fields = {
+        "rt60_ms": rt60,
+        "stage1_sir_db": _sir_block(stage1.sir),
+        "final_sir_db": _sir_block(final.sir),
+        **scene.absorption,
+        **_separation_block(result),
+    }
+    row = {
+        **fields,
+        "permutation": list(stage1.permutation),
+        "input_sir_db": _sir_block(given.sir),
+        "final_sdr_db": _sir_block(final.sdr),
+        "final_sar_db": _sir_block(final.sar),
+    }
+    return row, {**base_report("separation", config), **fields}
+
+
+def sweep_report(config: PipelineConfig, rows: list[dict]) -> dict:
+    return {**base_report("sweep", config), "sir_convention": SIR_CONVENTION, "rows": rows}
+
+
+def evaluation_report(
+    config: PipelineConfig,
+    estimates: tuple[Waveform, Waveform],
+    evaluation: PairEvaluation | None,
+    segments: SegmentAnnotation | None,
+) -> dict:
+    """Reference mode's report from `evaluation`, or else segment mode's over `segments`."""
+    report = {**base_report("evaluation", config), "sir_convention": SIR_CONVENTION}
+    if evaluation is None:
+        report.update(mode="segment", sir_db=list(segment_sir(estimates, segments)))
+        report["segments"] = {"first": list(segments.first), "second": list(segments.second)}
+        return report
+    report.update((f"{name}_db", list(getattr(evaluation, name))) for name in ("sir", "sdr", "sar"))
+    report.update(mode="reference", filter_taps=config.decomp_filter_taps)
+    report["regularized"] = [d.regularized for d in evaluation.decompositions]
+    return report

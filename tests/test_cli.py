@@ -260,13 +260,41 @@ def test_evaluate_segment_mode_matches_rms_ratio(tmp_path, capsys):
     assert report["segments"]["first"] == [0, 100]
 
 
-def test_evaluate_malformed_segments_is_usage_error(tmp_path):
+def test_evaluate_malformed_segments_is_usage_error(tmp_path, capsys):
     est = tmp_path / "e.wav"
     _write_mono(est, 0.1 * np.ones(100))
-    for bad in ("0:100", "a:b,c:d", "0:100,100:200,200:300", ""):
+    form = "expected start1:end1,start2:end2"
+    for bad, reason in (
+        ("0:100", form),
+        ("a:b,c:d", form),
+        ("0:100,100:200,200:300", form),
+        ("", form),
+        ("0:100,50:200", "segments must not overlap"),
+        ("5:5,10:20", "segments must satisfy 0 <= start < end"),
+    ):
         with pytest.raises(SystemExit) as info:
             _run(["evaluate", str(est), str(est), "--segments", bad])
         assert info.value.code == 2
+        assert reason in capsys.readouterr().err
+
+
+def test_evaluate_segment_past_the_end_names_it(tmp_path, capsys):
+    est = tmp_path / "e.wav"
+    _write_mono(est, 0.1 * np.ones(100))
+    assert _run(["evaluate", str(est), str(est), "--segments", "0:50,60:120"]) == 1
+    assert "segment 60:120 extends past the signal's 100 samples" in capsys.readouterr().err
+
+
+def test_negative_seed_is_usage_error(tmp_path, fast_cfg, capsys):
+    for argv in (
+        ["simulate", "--synthetic", "--seed", "-1", "--config", fast_cfg],
+        ["sweep", "--rt60", "100", "--seed", "-1", "--config", fast_cfg],
+    ):
+        with pytest.raises(SystemExit) as info:
+            _run(argv + ["--out", str(tmp_path / "out")])
+        assert info.value.code == 2
+        assert "bad value for 'seed': '-1'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_stereo_file_where_mono_is_required_names_its_role(tmp_path, fast_cfg, capsys):
@@ -285,12 +313,13 @@ def test_stereo_file_where_mono_is_required_names_its_role(tmp_path, fast_cfg, c
         assert f"error: {role} {stereo} must be mono" in capsys.readouterr().err
 
 
-def test_evaluate_mismatched_estimates_fail(tmp_path):
+def test_evaluate_mismatched_estimates_fail(tmp_path, capsys):
     est1 = tmp_path / "e1.wav"
     est2 = tmp_path / "e2.wav"
     _write_mono(est1, 0.1 * np.ones(100))
     _write_mono(est2, 0.1 * np.ones(150))
     assert _run(["evaluate", str(est1), str(est2), "--segments", "0:10,10:20"]) == 1
+    assert "outputs must share one length, got 100 and 150 samples" in capsys.readouterr().err
 
 
 def test_sweep_empty_rt60_is_usage_error(tmp_path, fast_cfg):
@@ -365,6 +394,24 @@ def test_sweep_reports_whether_the_room_was_clamped(tmp_path, room, clamped):
         assert fields["absorption_used"] == (1.0 if clamped else fields["absorption_requested"])
     assert f"anechoic_clamped = {str(clamped).lower()}" in manifest
     assert f"absorption_used = {row['absorption_used']}" in manifest
+
+
+def test_each_rt_report_is_the_base_report_plus_its_row(tmp_path, fast_cfg):
+    out = tmp_path / "sweep"
+    assert _run(["sweep", "--rt60", "150,250", "--config", fast_cfg, "--out", str(out)]) == 0
+    sweep = json.loads((out / "sweep_report.json").read_text())
+    base = {
+        "report_format_version": sweep["report_format_version"],
+        "kind": "separation",
+        "parameters": sweep["parameters"],
+    }
+    sweep_only = {"permutation", "input_sir_db", "final_sdr_db", "final_sar_db"}
+    assert len(sweep["rows"]) == 2
+    for row in sweep["rows"]:
+        assert sweep_only <= set(row)
+        expected = {**base, **{key: value for key, value in row.items() if key not in sweep_only}}
+        rt_dir = out / f"rt{int(row['rt60_ms']):03d}"
+        assert json.loads((rt_dir / "report.json").read_text()) == expected
 
 
 def _two_talkers(n=16000, rate=8000):

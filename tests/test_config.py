@@ -163,6 +163,9 @@ def test_dict_values_are_coerced_like_config_text():
         {"speed_of_sound": math.inf},
         {"room_height": "-inf"},
         {"mask_threshold": "nan"},
+        {"seed": -1},
+        {"seed": np.int64(-3)},
+        {"seed": "-3"},
     ]
     for bad in rejected:
         (key,) = bad
@@ -170,7 +173,7 @@ def test_dict_values_are_coerced_like_config_text():
             PipelineConfig(bad)
     with pytest.raises(ConfigError, match="line 2: bad value for 'seed'"):
         parse_config_text("dft_length = 512\nseed = 1.5")
-    for line in ("tolerance = nan", "synth_duration_s = inf", "rt60_ms = -Infinity"):
+    for line in ("tolerance = nan", "synth_duration_s = inf", "rt60_ms = -Infinity", "seed = -3"):
         with pytest.raises(ConfigError, match=f"line 1: bad value for '{line.split()[0]}'"):
             parse_config_text(line)
 
