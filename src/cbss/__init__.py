@@ -55,7 +55,6 @@ from .roomsim import (
     RoomSpec,
     convolve_mix,
     generate_rir,
-    rt60_to_absorption,
     source_images,
 )
 from .signals import (

@@ -72,7 +72,9 @@ def cmd_simulate(args: argparse.Namespace, config: PipelineConfig) -> int:
     if not args.synthetic and len(args.sources) != 2:
         raise ValueError("simulation needs two source WAV files (or --synthetic)")
     sources = None if args.synthetic else tuple(_read_mono(path, "source") for path in args.sources)
-    scene = simulate_scene(config, rt60_ms=args.rt60, sources=sources, seed=args.seed)
+    if args.seed is not None:
+        config = config.with_settings(seed=args.seed)
+    scene = simulate_scene(config, rt60_ms=args.rt60, sources=sources)
     _write_scene(scene, Path(args.out))
     print(f"wrote mixture, images, and manifest.txt to {args.out}")
     return 0
@@ -103,19 +105,22 @@ def _rt_dir_name(rt60: float) -> str:
     return f"rt{int(round(rt60)):03d}"
 
 
-def _parse_rt60_list(raw: str) -> list[float]:
+def _parse_rt60(raw: str) -> float:
     try:  # float() takes surrounding whitespace itself
-        values = [float(part) for part in raw.split(",")]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad rt60 list {raw!r}") from exc
+        value = float(raw)
+        if math.isfinite(value) and value >= 0:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"bad rt60 {raw!r}: not a finite, non-negative number of ms")
+
+
+def _parse_rt60_list(raw: str) -> list[float]:
+    values = [_parse_rt60(part) for part in raw.split(",")]
     # Each row writes into its own rtNNN directory, so two values that round
     # alike would overwrite one another's files.
     seen: dict[str, float] = {}
     for value in values:
-        if not math.isfinite(value) or value < 0:
-            raise argparse.ArgumentTypeError(
-                f"bad rt60 {value!r} in {raw!r}; each must be a finite, non-negative ms value"
-            )
         name = _rt_dir_name(value)
         if name in seen:
             raise argparse.ArgumentTypeError(
@@ -154,17 +159,17 @@ def cmd_evaluate(args: argparse.Namespace, config: PipelineConfig) -> int:
     return 0
 
 
-def _sweep_row(config: PipelineConfig, rt60: float, rt_dir: Path, seed: int | None) -> dict:
-    """Simulate, separate, score and write one RT60's scene; returns its report row.
+def _sweep_row(config: PipelineConfig, rt_dir: Path) -> dict:
+    """Simulate, separate, score and write the scene of a row's config; returns its row.
 
     Its own function so that the row's scene, outputs and decompositions are
     released before the next row is simulated.
     """
-    scene = simulate_scene(config, rt60_ms=rt60, seed=seed)
+    scene = simulate_scene(config)
     _write_scene(scene, rt_dir)
     result = separate_recording(scene.mixture, config)
     _write_mono(output_waves(result), rt_dir)
-    row, report = sweep_row(config, rt60, scene, result)
+    row, report = sweep_row(config, scene, result)
     _write_report(report, rt_dir / "report.json")
     return row
 
@@ -175,8 +180,14 @@ def run_sweep(
     out_dir: Path,
     seed: int | None = None,
 ) -> dict:
-    """Simulate, separate, and evaluate one synthetic scene per RT60 value."""
-    rows = [_sweep_row(config, rt60, out_dir / _rt_dir_name(rt60), seed) for rt60 in rt60_values]
+    """Simulate, separate, and evaluate one synthetic scene per RT60 value, each
+    under the config with that RT60 and with `seed`, when given, as its seed."""
+    if seed is not None:
+        config = config.with_settings(seed=seed)
+    rows = [
+        _sweep_row(config.with_settings(rt60_ms=rt60), out_dir / _rt_dir_name(rt60))
+        for rt60 in rt60_values
+    ]
     report = sweep_report(config, rows)
     _write_report(report, out_dir / "sweep_report.json")
     return report
@@ -215,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="render a room mixture with ground truth")
     p_sim.add_argument("sources", nargs="*", help="two mono source WAV files")
     p_sim.add_argument("--synthetic", action="store_true", help="generate AM-noise sources")
-    p_sim.add_argument("--rt60", type=float, default=None, help="reverberation time in ms")
+    p_sim.add_argument("--rt60", type=_parse_rt60, default=None, help="reverberation time in ms")
     p_sim.add_argument("--config", default=None)
     p_sim.add_argument("--out", required=True)
     p_sim.add_argument("--seed", type=_parse_seed, default=None)

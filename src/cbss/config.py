@@ -152,6 +152,10 @@ class PipelineConfig:
         object.__setattr__(self, "solver", solver)
         object.__setattr__(self, "mask_threshold", threshold)
 
+    def with_settings(self, **settings: object) -> "PipelineConfig":
+        """This config with `settings` replaced, each checked as in a config file."""
+        return PipelineConfig({**self.settings, **settings})
+
     @property
     def seed(self) -> int:
         return self.settings["seed"]

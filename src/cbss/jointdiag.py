@@ -458,15 +458,10 @@ def unmix_output(
     return out
 
 
-def unmix(system: UnmixingSystem, x0: np.ndarray, x1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Unmix frames-major spectra: y0 = x0 + W01 x1, y1 = W10 x0 + x1 in every bin."""
-    return unmix_output(system, 0, x0, x1), unmix_output(system, 1, x1, x0)
-
-
 def apply_unmixing(
     system: UnmixingSystem, spectrograms: tuple[Spectrogram, Spectrogram]
 ) -> tuple[Spectrogram, Spectrogram]:
-    """Unmix two whole channel spectrograms with `unmix`."""
+    """Unmix two whole channel spectrograms with `unmix_output`."""
     s1, s2 = spectrograms
     if s1.values.shape != s2.values.shape or s1.config != s2.config:
         raise ValueError("channel spectrograms must match in shape and config")
@@ -474,5 +469,6 @@ def apply_unmixing(
         raise ValueError(
             f"bin-count mismatch: spectrogram has {s1.n_bins}, system {system.n_bins}"
         )
-    y0, y1 = unmix(system, s1.values.T, s2.values.T)
+    x0, x1 = s1.values.T, s2.values.T
+    y0, y1 = unmix_output(system, 0, x0, x1), unmix_output(system, 1, x1, x0)
     return s1.with_values(y0.T), s2.with_values(y1.T)

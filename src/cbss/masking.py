@@ -62,18 +62,14 @@ def estimate_binary_masks(
     """
     if s1.values.shape != s2.values.shape:
         raise ValueError("spectrograms must have equal shape")
-    m1, m2 = dominance_masks(np.abs(s1.values), np.abs(s2.values), threshold.value)
+    a1, a2 = np.abs(s1.values), np.abs(s2.values)
+    m1, m2 = dominance_mask(a1, a2, threshold.value), dominance_mask(a2, a1, threshold.value)
     return SpectralMask(m1, "binary"), SpectralMask(m2, "binary")
 
 
 def dominance_mask(a: np.ndarray, other: np.ndarray, tau: float) -> np.ndarray:
-    """0/1 mask of the units where a > tau * other: one output's side of `dominance_masks`."""
+    """0/1 mask of the units where a > tau * other: one output's binary mask."""
     return (a > tau * other).astype(np.float64)
-
-
-def dominance_masks(a1: np.ndarray, a2: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
-    """0/1 masks of the units where a1 > tau a2 and where a2 > tau a1."""
-    return dominance_mask(a1, a2, tau), dominance_mask(a2, a1, tau)
 
 
 def apply_mask(mask: SpectralMask, spec: Spectrogram) -> Spectrogram:

@@ -38,7 +38,6 @@ from __future__ import annotations
 from collections.abc import Callable, Iterator, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -74,7 +73,7 @@ from .masking import (  # noqa: F401
     estimate_binary_masks,
     isolated_unit_fraction,
 )
-from .roomsim import ImpulseResponseBank, RoomSpec, mix_images, sabine_absorption, source_images
+from .roomsim import ImpulseResponseBank, RoomSpec, mix_images, source_images
 # convolve_mix is unused here but stays importable as pipeline.convolve_mix:
 # bench/tracer.py wraps it by that name.
 from .roomsim import convolve_mix  # noqa: F401
@@ -236,29 +235,18 @@ class SimulatedScene:
     room: RoomSpec
     seed: int
 
-    @cached_property
-    def absorption(self) -> dict:
-        """The Sabine absorption asked for and used, and whether the room became anechoic."""
-        asked, used = sabine_absorption(self.room.dimensions, self.room.rt60_ms)
-        return {
-            "absorption_requested": asked,
-            "absorption_used": used,
-            "anechoic_clamped": asked > used,
-        }
-
 
 def simulate_scene(
     config: PipelineConfig,
     rt60_ms: float | None = None,
     sources: tuple[Waveform, Waveform] | None = None,
-    seed: int | None = None,
 ) -> SimulatedScene:
-    """Convolve two sources (given, or synthetic from the seed) through an image-method room."""
-    used_seed = config.seed if seed is None else seed
+    """Convolve two sources (given, or synthetic from the config's seed) through an
+    image-method room at `rt60_ms`, or else at the config's RT60."""
     if sources is None:
         s = config.settings
         sources = tuple(
-            gen_am_source(used_seed + offset, s["synth_duration_s"], s["synth_sample_rate"], mod)
+            gen_am_source(config.seed + offset, s["synth_duration_s"], s["synth_sample_rate"], mod)
             for offset, mod in ((0, s["synth_mod_rate_1"]), (1, s["synth_mod_rate_2"]))
         )
     elif sources[0].sample_rate != sources[1].sample_rate:
@@ -275,7 +263,7 @@ def simulate_scene(
         images=images,
         bank=bank,
         room=room,
-        seed=used_seed,
+        seed=config.seed,
     )
 
 
@@ -460,7 +448,7 @@ def scene_manifest(scene: SimulatedScene) -> str:
         ("room_dimensions", room.dimensions),
         *((f"source_{i}_position", p) for i, p in enumerate(room.source_positions, start=1)),
         *((f"mic_{i}_position", p) for i, p in enumerate(room.mic_positions, start=1)),
-        *scene.absorption.items(),
+        *room.absorption.items(),
         ("rir_length", scene.bank.rir_length),
         ("mixture", "mixture.wav"),
         *((name.removesuffix(".wav"), name) for name in scene_waves(scene)),
@@ -473,16 +461,17 @@ def _sir_block(pair: tuple[float, float]) -> dict:
 
 
 def sweep_row(
-    config: PipelineConfig, rt60: float, scene: SimulatedScene, result: SeparationResult
+    config: PipelineConfig, scene: SimulatedScene, result: SeparationResult
 ) -> tuple[dict, dict]:
-    """Score one RT60's separation; returns its sweep report row and its own report,
-    which is the base report plus the row but for the row's sweep-only fields."""
+    """Score the separation of a scene simulated under `config`, the config of one
+    RT60; returns its sweep report row and its own report, which is the base report
+    plus the row but for the row's sweep-only fields."""
     given, stage1, final = score_separation(result, scene, config.decomp_filter_taps)
     fields = {
-        "rt60_ms": rt60,
+        "rt60_ms": config.rt60_ms,
         "stage1_sir_db": _sir_block(stage1.sir),
         "final_sir_db": _sir_block(final.sir),
-        **scene.absorption,
+        **scene.room.absorption,
         **_separation_block(result),
     }
     row = {

@@ -85,40 +85,26 @@ class RoomSpec:
         tail = int(np.ceil(self.sample_rate * 1.5 * self.rt60_ms / 1000.0))
         return max(256, direct + tail)
 
+    @property
+    def absorption(self) -> dict[str, float | bool]:
+        """The uniform wall absorption asked for and used, and whether it was clamped.
 
-def sabine_absorption(
-    dimensions: tuple[float, float, float], rt60_ms: float
-) -> tuple[float, float]:
-    """Uniform Sabine absorption for a box room, as asked for and as used.
-
-    Sabine asks for alpha = 0.161 V / (T A); rt60_ms = 0 asks for an
-    anechoic room (alpha = 1).  A requested RT60 short enough to demand
-    alpha > 1 is physically impossible for this geometry; the coefficient
-    used caps at 1, which likewise means anechoic.
-    """
-    lx, ly, lz = dimensions
-    if any(d <= 0 for d in (lx, ly, lz)):
-        raise ValueError("room dimensions must be positive")
-    if rt60_ms < 0:
-        raise ValueError("rt60_ms must be non-negative")
-    if rt60_ms == 0:
-        return 1.0, 1.0
-    volume = lx * ly * lz
-    area = 2.0 * (lx * ly + lx * lz + ly * lz)
-    alpha = float(SABINE_COEFF * volume / ((rt60_ms / 1000.0) * area))
-    return alpha, min(alpha, 1.0)
-
-
-def rt60_to_absorption(dimensions: tuple[float, float, float], rt60_ms: float) -> float:
-    """The Sabine absorption used for `rt60_ms`; warns when it is capped at 1 (anechoic)."""
-    asked, used = sabine_absorption(dimensions, rt60_ms)
-    if asked > used:
-        warnings.warn(
-            f"rt60 {rt60_ms} ms needs absorption {asked:.3f} > 1 in this room; "
-            "treating the room as anechoic",
-            stacklevel=2,
-        )
-    return used
+        Sabine asks for alpha = 0.161 V / (T A); rt60_ms = 0 asks for an
+        anechoic room (alpha = 1).  A requested RT60 short enough to demand
+        alpha > 1 is physically impossible for this geometry; the coefficient
+        used caps at 1, which likewise means anechoic.
+        """
+        asked = 1.0
+        if self.rt60_ms > 0:
+            lx, ly, lz = self.dimensions
+            volume = lx * ly * lz
+            area = 2.0 * (lx * ly + lx * lz + ly * lz)
+            asked = float(SABINE_COEFF * volume / ((self.rt60_ms / 1000.0) * area))
+        return {
+            "absorption_requested": asked,
+            "absorption_used": min(asked, 1.0),
+            "anechoic_clamped": asked > 1.0,
+        }
 
 
 def _image_responses(room: RoomSpec, pairs: list[tuple[int, int]]) -> list[np.ndarray]:
@@ -142,8 +128,13 @@ def _image_responses(room: RoomSpec, pairs: list[tuple[int, int]]) -> list[np.nd
     if any(float(np.linalg.norm(src - mic)) == 0.0 for src, mic in points):
         raise ValueError("source and microphone positions coincide")
 
-    alpha = rt60_to_absorption(room.dimensions, room.rt60_ms)
-    beta = float(np.sqrt(1.0 - alpha))
+    absorption = room.absorption
+    if absorption["anechoic_clamped"]:
+        warnings.warn(
+            f"rt60 {room.rt60_ms} ms needs absorption {absorption['absorption_requested']:.3f} > 1 "
+            "in this room; treating the room as anechoic"
+        )
+    beta = float(np.sqrt(1.0 - absorption["absorption_used"]))
     responses = [np.zeros(length) for _ in pairs]
 
     max_distance = (length - 1) * c / fs

@@ -11,8 +11,9 @@ import pytest
 from scipy.io import wavfile
 
 import cbss
-from cbss.cli import main
-from cbss.config import DEFAULTS, SEPARATION_KEYS, load_config
+from cbss import cli
+from cbss.cli import main, run_sweep
+from cbss.config import DEFAULTS, SEPARATION_KEYS, ConfigError, load_config
 from cbss.jointdiag import TERMINATIONS
 from cbss.pipeline import simulate_scene
 from cbss.signals import MultichannelRecording, Waveform, gen_am_source, read_wav, write_wav
@@ -297,6 +298,34 @@ def test_negative_seed_is_usage_error(tmp_path, fast_cfg, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("seed", [-1, True, 2.5], ids=["negative", "bool", "float"])
+def test_run_sweep_checks_its_seed_as_a_config_seed(tmp_path, fast_cfg, monkeypatch, seed):
+    def no_scene(*args, **kwargs):
+        raise AssertionError("a scene was simulated")
+
+    monkeypatch.setattr(cli, "simulate_scene", no_scene)
+    out = tmp_path / "sweep"
+    with pytest.raises(ConfigError, match="'seed'"):
+        run_sweep(load_config(fast_cfg), [100.0], out, seed=seed)
+    assert not out.exists()
+
+
+def test_sweep_reports_echo_the_seed_and_rt60_each_scene_was_built_with(tmp_path, fast_cfg):
+    out = tmp_path / "sweep"
+    argv = ["sweep", "--rt60", "100,150", "--seed", "5", "--config", fast_cfg, "--out", str(out)]
+    assert _run(argv) == 0
+    sweep = json.loads((out / "sweep_report.json").read_text())
+    assert sweep["parameters"]["seed"] == 5
+    assert sweep["parameters"]["rt60_ms"] == DEFAULTS["rt60_ms"]
+    assert [row["rt60_ms"] for row in sweep["rows"]] == [100.0, 150.0]
+    for row in sweep["rows"]:
+        rt_dir = out / f"rt{int(row['rt60_ms']):03d}"
+        parameters = json.loads((rt_dir / "report.json").read_text())["parameters"]
+        assert "seed = 5" in (rt_dir / "manifest.txt").read_text().splitlines()
+        assert parameters["seed"] == 5
+        assert parameters["rt60_ms"] == row["rt60_ms"]
+
+
 def test_stereo_file_where_mono_is_required_names_its_role(tmp_path, fast_cfg, capsys):
     stereo = tmp_path / "stereo.wav"
     wave = Waveform(0.1 * np.ones(4000), 8000)
@@ -345,6 +374,16 @@ def test_sweep_rejects_bad_rt60_values(tmp_path, fast_cfg, capsys, bad, message)
         _run(["sweep", "--rt60", bad, "--config", fast_cfg, "--out", str(out)])
     assert info.value.code == 2
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("bad", ["-5", "nan", "inf"])
+def test_simulate_rejects_bad_rt60_values(tmp_path, fast_cfg, capsys, bad):
+    out = tmp_path / "s"
+    with pytest.raises(SystemExit) as info:
+        _run(["simulate", "--synthetic", "--rt60", bad, "--config", fast_cfg, "--out", str(out)])
+    assert info.value.code == 2
+    assert f"bad rt60 {bad!r}: not a finite, non-negative number of ms" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -400,16 +439,17 @@ def test_each_rt_report_is_the_base_report_plus_its_row(tmp_path, fast_cfg):
     out = tmp_path / "sweep"
     assert _run(["sweep", "--rt60", "150,250", "--config", fast_cfg, "--out", str(out)]) == 0
     sweep = json.loads((out / "sweep_report.json").read_text())
-    base = {
-        "report_format_version": sweep["report_format_version"],
-        "kind": "separation",
-        "parameters": sweep["parameters"],
-    }
+    base = {"report_format_version": sweep["report_format_version"], "kind": "separation"}
     sweep_only = {"permutation", "input_sir_db", "final_sdr_db", "final_sar_db"}
     assert len(sweep["rows"]) == 2
     for row in sweep["rows"]:
         assert sweep_only <= set(row)
-        expected = {**base, **{key: value for key, value in row.items() if key not in sweep_only}}
+        expected = {
+            **base,
+            # Each row's scene was built at the row's RT60, and its report says so.
+            "parameters": {**sweep["parameters"], "rt60_ms": row["rt60_ms"]},
+            **{key: value for key, value in row.items() if key not in sweep_only},
+        }
         rt_dir = out / f"rt{int(row['rt60_ms']):03d}"
         assert json.loads((rt_dir / "report.json").read_text()) == expected
 

@@ -166,7 +166,6 @@ def test_simulate_scene_records_the_config_seed_for_given_sources():
     config = PipelineConfig({"seed": 7})
     sources = tuple(gen_am_source(seed, 0.5, 10000, 1.0) for seed in (1, 2))
     assert simulate_scene(config, sources=sources).seed == 7
-    assert simulate_scene(config, sources=sources, seed=3).seed == 3
 
 
 def test_simulate_scene_holds_one_source_spectrum_at_a_time():

@@ -18,7 +18,6 @@ from cbss.roomsim import (
     RoomSpec,
     convolve_mix,
     generate_rir,
-    rt60_to_absorption,
     source_images,
 )
 from cbss.signals import Waveform
@@ -54,23 +53,35 @@ def test_room_spec_validates_geometry():
         _room(100.0, mics=((1.0, 1.0, 1.0),))
 
 
+def _absorption(room):
+    fields = room.absorption
+    return fields["absorption_requested"], fields["absorption_used"], fields["anechoic_clamped"]
+
+
 def test_absorption_from_sabine():
     # V = 67.184 m^3, A = 100.72 m^2 for the 3.4 x 3.8 x 5.2 box
     v = 3.4 * 3.8 * 5.2
     a = 2 * (3.4 * 3.8 + 3.4 * 5.2 + 3.8 * 5.2)
     expected = 0.161 * v / (0.200 * a)
-    assert rt60_to_absorption(DIMS, 200.0) == pytest.approx(expected, rel=1e-12)
+    asked, used, clamped = _absorption(_room(200.0))
+    assert asked == used == pytest.approx(expected, rel=1e-12) and not clamped
     assert expected == pytest.approx(0.5369650516, abs=1e-9)
 
-    assert rt60_to_absorption(DIMS, 0.0) == 1.0
+    assert _absorption(_room(0.0)) == (1.0, 1.0, False)
     # inverse proportionality below the cap
-    assert rt60_to_absorption(DIMS, 400.0) == pytest.approx(expected / 2, rel=1e-12)
+    assert _absorption(_room(400.0))[1] == pytest.approx(expected / 2, rel=1e-12)
+    # a 3 m cube at 200 ms: 0.161 V / (T A), used as asked
+    asked, used, clamped = _absorption(_room(200.0, dims=(3.0, 3.0, 3.0)))
+    assert asked == used == pytest.approx(0.161 * 27.0 / (0.2 * 54.0), rel=1e-12) and not clamped
 
 
 def test_absorption_caps_with_warning():
-    with pytest.warns(UserWarning):
-        alpha = rt60_to_absorption(DIMS, 30.0)
-    assert alpha == 1.0
+    asked, used, clamped = _absorption(_room(100.0))
+    assert asked == pytest.approx(1.074, abs=5e-4) and used == 1.0 and clamped
+    assert _absorption(_room(30.0))[1:] == (1.0, True)
+    with pytest.warns(UserWarning, match="needs absorption 1.074 > 1"):
+        rir = generate_rir(_room(100.0), 0, 0)
+    assert np.count_nonzero(rir.samples) == 1
 
 
 def test_anechoic_rir_is_single_scaled_tap():

@@ -18,8 +18,8 @@ from cbss.cepsmooth import (
     smooth_frames,
 )
 from cbss.config import PipelineConfig
-from cbss.jointdiag import CovarianceSums, solve_unmixing, unmix
-from cbss.masking import dominance_masks
+from cbss.jointdiag import CovarianceSums, solve_unmixing, unmix_output
+from cbss.masking import dominance_mask
 from cbss.pipeline import FRAMES_PER_BLOCK, simulate_scene
 from cbss.stft import frame_blocks, frame_count, frame_spectra
 
@@ -55,10 +55,11 @@ def _separated_blocks(name):
     system, _ = solve_unmixing(sums.covariance_set(), config.solver)
     outputs = ([], [])
     for frames in blocks:
-        magnitudes = [np.abs(y) for y in unmix(system, *spectra(frames))]
-        masks = dominance_masks(*magnitudes, config.mask_threshold.value)
+        x = spectra(frames)
+        magnitudes = [np.abs(unmix_output(system, i, x[i], x[1 - i])) for i in (0, 1)]
         for i in (0, 1):
-            outputs[i].append((masks[i], magnitudes[i]))
+            mask = dominance_mask(magnitudes[i], magnitudes[1 - i], config.mask_threshold.value)
+            outputs[i].append((mask, magnitudes[i]))
     return config.smoothing_params(recording.sample_rate), outputs
 
 
