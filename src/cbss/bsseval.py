@@ -262,12 +262,12 @@ class ReferenceProjector:
     G = U'U with U upper triangular.  G is exactly symmetric, so G.T is
     the same matrix in Fortran order, and U is written over G's own memory.
     The target-only Gram of reference 0 is the leading block of G, so its
-    factor U_a is the leading block of U, kept as a contiguous copy.
-    Reference 1's block is copied before the joint factorization and
-    factored on its own, U_b.  A Gram that is not positive definite
-    (degenerate references) is diagonally loaded, U'U = G + lam I, and
-    every decomposition from it is flagged `regularized`.  The projector
-    keeps these three factors and the references' correlations, never G.
+    factor U_a is the leading block of U, read in place.  Reference 1's
+    block is copied before the joint factorization and factored on its
+    own, U_b.  A Gram that is not positive definite (degenerate
+    references) is diagonally loaded, U'U = G + lam I, and every
+    decomposition from it is flagged `regularized`.  The projector keeps
+    U, U_b, the references' segment spectra and correlations, never G.
 
     Every correlation, in G and in an estimate's rhs, is needed at lags 0
     to L - 1 only, so it is taken by overlap-save over short blocks, not
@@ -339,7 +339,6 @@ class ReferenceProjector:
         # Fortran-contiguous, and a view would be overwritten by U.
         gram_b = gram[taps:, taps:].copy(order="F")
         self._factor, self._loading = _cholesky(gram.T, lambda: self._gram.T)
-        self._factor_a = self._factor[:taps, :taps].copy(order="F")
         self._factor_b, self._loading_b = _cholesky(
             gram_b, lambda: self._gram[taps:, taps:].copy(order="F")
         )
@@ -443,7 +442,7 @@ class ReferenceProjector:
         z = dtrsv(factor, rhs.ravel(), trans=1)
         coef_joint = dtrsv(factor, z)
         z_targets = (z[:taps], dtrsv(self._factor_b, rhs[1], trans=1))
-        coefs = (dtrsv(self._factor_a, z_targets[0]), dtrsv(self._factor_b, z_targets[1]))
+        coefs = (dtrsv(factor[:taps, :taps], z_targets[0]), dtrsv(self._factor_b, z_targets[1]))
         loadings = (loading, self._loading_b)
         est_energy = float(est @ est)
         projected_energy = float(z @ z)

@@ -170,7 +170,9 @@ def _pitch_quefrencies(magnitudes: np.ndarray, params: SmoothingParams) -> np.nd
     magnitude| of the band maximum.
     """
     forward, _ = _band_bases(params)
-    log_magnitudes = np.log(np.maximum(magnitudes, params.mask_floor))
+    # Logged in place: one block-sized array per call, not two.
+    log_magnitudes = np.maximum(magnitudes, params.mask_floor)
+    np.log(log_magnitudes, out=log_magnitudes)
     log_peak = np.maximum(-log_magnitudes.min(axis=1), log_magnitudes.max(axis=1))
     band = log_magnitudes @ forward[:, params.l_env + 1 :]
     return params.l_low + _first_near_max(band, log_peak)
@@ -208,7 +210,8 @@ def smooth_frames(
     n_env = params.l_env + 1
     l_pitch = _pitch_quefrencies(magnitudes, params)
 
-    log_mask = np.log(np.maximum(mask, floor))
+    log_mask = np.maximum(mask, floor)
+    np.log(log_mask, out=log_mask)
     # One row per frame: the cepstrum on S to smooth with the true factors,
     # and the log mask and that cepstrum to smooth with beta_peak.
     true_track = log_mask @ forward

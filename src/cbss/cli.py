@@ -29,6 +29,7 @@ from .pipeline import (
     simulate_scene,
     sweep_report,
     sweep_row,
+    synthetic_sources,
 )
 from .signals import MultichannelRecording, Waveform, read_wav, write_wav
 
@@ -159,13 +160,14 @@ def cmd_evaluate(args: argparse.Namespace, config: PipelineConfig) -> int:
     return 0
 
 
-def _sweep_row(config: PipelineConfig, rt_dir: Path) -> dict:
-    """Simulate, separate, score and write the scene of a row's config; returns its row.
+def _sweep_row(config: PipelineConfig, sources: tuple[Waveform, Waveform], rt_dir: Path) -> dict:
+    """Simulate the scene of a row's config from `sources`, separate, score and write
+    it; returns its row.
 
     Its own function so that the row's scene, outputs and decompositions are
     released before the next row is simulated.
     """
-    scene = simulate_scene(config)
+    scene = simulate_scene(config, sources=sources)
     _write_scene(scene, rt_dir)
     result = separate_recording(scene.mixture, config)
     _write_mono(output_waves(result), rt_dir)
@@ -181,11 +183,13 @@ def run_sweep(
     seed: int | None = None,
 ) -> dict:
     """Simulate, separate, and evaluate one synthetic scene per RT60 value, each
-    under the config with that RT60 and with `seed`, when given, as its seed."""
+    under the config with that RT60 and with `seed`, when given, as its seed.
+    Every row convolves the same synthetic source pair, made once."""
     if seed is not None:
         config = config.with_settings(seed=seed)
+    sources = synthetic_sources(config)
     rows = [
-        _sweep_row(config.with_settings(rt60_ms=rt60), out_dir / _rt_dir_name(rt60))
+        _sweep_row(config.with_settings(rt60_ms=rt60), sources, out_dir / _rt_dir_name(rt60))
         for rt60 in rt60_values
     ]
     report = sweep_report(config, rows)

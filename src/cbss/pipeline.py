@@ -27,10 +27,14 @@ The covariance sums and the solve run on the calling thread alone.
 `separate_recording` allocates each half's scratch buffers (frames,
 channel and output spectra, magnitudes) once per call, and the kernels
 write into them; a half writes only its own buffers and reads the other's
-only after a join.  numpy's transforms and ufuncs and the BLAS release the
-interpreter lock, so on two cores the halves overlap.  Each half runs the
-operations one thread would run, in the same order, so the outputs keep
-their bits.
+only after a join.  They take 56 KiB per frame at K = 2048, so 3.5 MiB per
+half at 64 frames a block.  The block size sets those buffers and every
+block-sized temporary of masking and smoothing, in both threads' arenas.
+Against 128 frames, 64 cost about 6 % of a 60 s separation's time,
+measured in process, and 32 about 10 % more again.  numpy's transforms
+and ufuncs and the BLAS release the interpreter lock, so on two cores the
+halves overlap.  Each half runs the operations one thread would run, in
+the same order, so the outputs keep their bits.
 """
 
 from __future__ import annotations
@@ -91,7 +95,7 @@ from .stft import (  # noqa: F401
 )
 
 # STFT frames analyzed, unmixed, masked and resynthesized together.
-FRAMES_PER_BLOCK = 128
+FRAMES_PER_BLOCK = 64
 
 
 @dataclass(eq=False)
@@ -108,10 +112,13 @@ class SeparationResult:
 class _Half:
     """Channel i, then output i, of one separation: scratch buffers, carries, results.
 
-    The buffers hold `rows` frames; a block of n frames uses their first n.
+    The buffers hold `rows` frames; a block of n frames uses their first n:
+    3.5 MiB at K = 2048 and FRAMES_PER_BLOCK = 64, at which they and the
+    kernels' block temporaries no longer set a 10 s sweep row's peak.
     They are kept for memory, not speed: with the kernels allocating fresh
-    arrays instead, a 60 s separation on two cores took as long and peaked
-    about 7.5 MB (one half's buffers) higher, in the helper thread's arena.
+    arrays instead, a 60 s separation on two cores at 128-frame blocks took
+    as long and peaked about 7.5 MB (one half's buffers) higher, in the
+    helper thread's arena.
     """
 
     def __init__(self, rows: int, n_frames: int, stft: StftConfig) -> None:
@@ -236,19 +243,24 @@ class SimulatedScene:
     seed: int
 
 
+def synthetic_sources(config: PipelineConfig) -> tuple[Waveform, Waveform]:
+    """The two amplitude-modulated sources of the config's seed and synth settings."""
+    s = config.settings
+    return tuple(
+        gen_am_source(config.seed + offset, s["synth_duration_s"], s["synth_sample_rate"], mod)
+        for offset, mod in ((0, s["synth_mod_rate_1"]), (1, s["synth_mod_rate_2"]))
+    )
+
+
 def simulate_scene(
     config: PipelineConfig,
     rt60_ms: float | None = None,
     sources: tuple[Waveform, Waveform] | None = None,
 ) -> SimulatedScene:
-    """Convolve two sources (given, or synthetic from the config's seed) through an
+    """Convolve two sources (given, or else `synthetic_sources(config)`) through an
     image-method room at `rt60_ms`, or else at the config's RT60."""
     if sources is None:
-        s = config.settings
-        sources = tuple(
-            gen_am_source(config.seed + offset, s["synth_duration_s"], s["synth_sample_rate"], mod)
-            for offset, mod in ((0, s["synth_mod_rate_1"]), (1, s["synth_mod_rate_2"]))
-        )
+        sources = synthetic_sources(config)
     elif sources[0].sample_rate != sources[1].sample_rate:
         raise ValueError("source files must share one sample rate")
 
@@ -378,7 +390,7 @@ def score_separation(
 
 
 # What the reports hold; each is written with sorted keys.
-REPORT_FORMAT_VERSION = 5
+REPORT_FORMAT_VERSION = 6
 FINAL_OUTPUTS_FROM = "stage1_masked"
 SIR_CONVENTION = "10*log10 of an energy ratio"
 
@@ -485,7 +497,9 @@ def sweep_row(
 
 
 def sweep_report(config: PipelineConfig, rows: list[dict]) -> dict:
-    return {**base_report("sweep", config), "sir_convention": SIR_CONVENTION, "rows": rows}
+    """The sweep's rows; `parameters` echoes every setting but the RT60, which each row carries."""
+    keys = tuple(key for key in config.settings if key != "rt60_ms")
+    return {**base_report("sweep", config, keys), "sir_convention": SIR_CONVENTION, "rows": rows}
 
 
 def evaluation_report(

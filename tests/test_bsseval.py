@@ -378,6 +378,22 @@ def test_components_match_fftconvolve_property(seed, n, taps_kind, taps_fraction
                 assert np.array_equal(g, w)
 
 
+def test_projector_holds_its_two_factors_segment_spectra_and_correlations():
+    """Reference 0's factor is read in place from the joint one, not copied."""
+    rng = np.random.default_rng(7)
+    taps = 64
+    projector = ReferenceProjector(_noise_pair(rng, 5000), taps)
+    held = [
+        array
+        for value in vars(projector).values()
+        for array in (value if isinstance(value, tuple) else (value,))
+        if isinstance(array, np.ndarray)
+    ]
+    shapes = sorted(array.shape for array in held)
+    spectra = (2, projector._blocks, projector._nfft // 2 + 1)
+    assert shapes == sorted([(2 * taps, 2 * taps), (taps, taps), spectra, (2, 2, taps)])
+
+
 def test_component_waveforms_hold_little_beyond_their_outputs():
     """One 60 s decomposition at L = 512: the whole-signal form's
     temporaries peaked at about 3.7 times the three outputs' bytes."""

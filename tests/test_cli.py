@@ -11,7 +11,7 @@ import pytest
 from scipy.io import wavfile
 
 import cbss
-from cbss import cli
+from cbss import cli, pipeline
 from cbss.cli import main, run_sweep
 from cbss.config import DEFAULTS, SEPARATION_KEYS, ConfigError, load_config
 from cbss.jointdiag import TERMINATIONS
@@ -167,7 +167,7 @@ def test_separate_happy_path_is_deterministic(tmp_path, fast_cfg):
     report = json.loads((outs[0] / "report.json").read_text())
     assert report["kind"] == "separation"
     assert report["solver"]["final_cost"] <= report["solver"]["initial_cost"]
-    assert report["report_format_version"] == 5
+    assert report["report_format_version"] == 6
     assert set(report["parameters"]) == set(SEPARATION_KEYS)
     assert not {"rt60_ms", "room_height", "seed", "decomp_filter_taps"} & set(report["parameters"])
     assert report["solver"]["termination"] in TERMINATIONS
@@ -310,13 +310,27 @@ def test_run_sweep_checks_its_seed_as_a_config_seed(tmp_path, fast_cfg, monkeypa
     assert not out.exists()
 
 
+def test_sweep_makes_one_source_pair_for_all_rows(tmp_path, fast_cfg, monkeypatch):
+    made = []
+
+    def counted(*args, **kwargs):
+        made.append(args)
+        return gen_am_source(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "gen_am_source", counted)
+    report = run_sweep(load_config(fast_cfg), [100.0, 150.0], tmp_path / "sweep")
+    assert len(report["rows"]) == 2
+    assert len(made) == 2
+
+
 def test_sweep_reports_echo_the_seed_and_rt60_each_scene_was_built_with(tmp_path, fast_cfg):
     out = tmp_path / "sweep"
     argv = ["sweep", "--rt60", "100,150", "--seed", "5", "--config", fast_cfg, "--out", str(out)]
     assert _run(argv) == 0
     sweep = json.loads((out / "sweep_report.json").read_text())
     assert sweep["parameters"]["seed"] == 5
-    assert sweep["parameters"]["rt60_ms"] == DEFAULTS["rt60_ms"]
+    # No row ran at the config's RT60, so only the rows name one.
+    assert "rt60_ms" not in sweep["parameters"]
     assert [row["rt60_ms"] for row in sweep["rows"]] == [100.0, 150.0]
     for row in sweep["rows"]:
         rt_dir = out / f"rt{int(row['rt60_ms']):03d}"
@@ -400,10 +414,11 @@ def test_sweep_writes_report_and_outputs(tmp_path, fast_cfg):
     rt_dir = out / "rt150"
     for name in ("mixture.wav", "stage1_1.wav", "final_2.wav", "report.json"):
         assert (rt_dir / name).exists()
-    # A simulated scene's reports keep the settings that made it.
+    # A simulated scene's reports keep the settings that made it; the sweep's
+    # leaves the RT60 to its rows.
     rt_report = json.loads((rt_dir / "report.json").read_text())
-    for parameters in (report["parameters"], rt_report["parameters"]):
-        assert set(parameters) == set(DEFAULTS)
+    assert set(rt_report["parameters"]) == set(DEFAULTS)
+    assert set(report["parameters"]) == set(DEFAULTS) - {"rt60_ms"}
 
 
 @pytest.mark.parametrize(

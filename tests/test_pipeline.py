@@ -100,6 +100,22 @@ def test_separation_memory_grows_only_with_the_waveforms():
     assert per_sample <= 120, f"traced peak grows {per_sample:.0f} bytes per input sample"
 
 
+def test_sweep_row_separation_peaks_at_its_block_scratch():
+    # A 10 s row of the benchmark's sweep at 200 ms, whose outputs take
+    # 3.05 MiB.  It peaks at 14.8-18.1 MiB (the higher figure on a first
+    # call, which also builds the smoothing bases); both halves' scratch and
+    # the block temporaries of masking and smoothing at 128-frame blocks
+    # took it to 25.4-29.5 MiB.
+    settings = {"dft_length": 2048, "overlap_factor": 0.75, "filter_support": 512,
+                "block_count": 8, "max_iters": 200, "room_height": 3.0, "room_width": 3.0,
+                "room_depth": 3.0, "synth_duration_s": 10.0, "synth_sample_rate": 10000,
+                "seed": 1}
+    config = PipelineConfig(settings)
+    mixture = simulate_scene(config, rt60_ms=200.0).mixture
+    _, peak = _traced(separate_recording, mixture, config)
+    assert peak <= 20 * 2**20, f"traced peak {peak / 2**20:.1f} MiB"
+
+
 @contextlib.contextmanager
 def _inline_halves():
     """Both halves of every step on the calling thread, half 0 first."""
@@ -191,6 +207,6 @@ def test_separation_frees_its_scratch_before_cutting_the_outputs():
     separate_recording(MultichannelRecording(short), config)
     _, peak = _traced(separate_recording, mixture, config)
     # Four overlap-add buffers and both halves' block scratch peak in the loop
-    # at 42.3 MiB.  Cutting the outputs while the scratch and all four buffers
-    # were alive took 52.0 MiB.
-    assert peak < 45 * 2**20, f"traced peak {peak / 2**20:.1f} MiB"
+    # at 30.6 MiB.  Cutting the outputs while the scratch and all four buffers
+    # were alive took 44.9 MiB (52.0 MiB at 128-frame blocks).
+    assert peak < 36 * 2**20, f"traced peak {peak / 2**20:.1f} MiB"
