@@ -262,7 +262,7 @@ class ReferenceProjector:
     G = U'U with U upper triangular.  G is exactly symmetric, so G.T is
     the same matrix in Fortran order, and U is written over G's own memory.
     The target-only Gram of reference 0 is the leading block of G, so its
-    factor U_a is the leading block of U, read in place.  Reference 1's
+    factor U_a is the leading block of U, never copied out.  Reference 1's
     block is copied before the joint factorization and factored on its
     own, U_b.  A Gram that is not positive definite (degenerate
     references) is diagonally loaded, U'U = G + lam I, and every
@@ -286,7 +286,8 @@ class ReferenceProjector:
     and one 2-row inverse FFT of length M for its correlations rhs with
     the delayed references, and triangular solves: z = U'^-1 rhs and the joint
     coefficients c_j = U^-1 z; z_a = z[:L] (U_a' z_a = rhs_a, as U' is
-    lower block triangular) and c_a = U_a^-1 z_a; z_b = U_b'^-1 rhs_b and
+    lower block triangular) and c_a = U_a^-1 z_a, the first half of
+    U^-1 (z_a, 0), whose second half is zero; z_b = U_b'^-1 rhs_b and
     c_b = U_b^-1 z_b.  Since c' (G + lam I) c = ||U c||^2 and U c_j = z,
     every energy is a sum of squares, less the loading's share (lam = 0
     unless the Gram was loaded):
@@ -442,7 +443,9 @@ class ReferenceProjector:
         z = dtrsv(factor, rhs.ravel(), trans=1)
         coef_joint = dtrsv(factor, z)
         z_targets = (z[:taps], dtrsv(self._factor_b, rhs[1], trans=1))
-        coefs = (dtrsv(factor[:taps, :taps], z_targets[0]), dtrsv(self._factor_b, z_targets[1]))
+        # Solved with all of U: a strided U_a would be copied on every call.
+        c_a = dtrsv(factor, np.concatenate([z_targets[0], np.zeros(taps)]))[:taps]
+        coefs = (c_a, dtrsv(self._factor_b, z_targets[1]))
         loadings = (loading, self._loading_b)
         est_energy = float(est @ est)
         projected_energy = float(z @ z)

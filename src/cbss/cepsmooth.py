@@ -87,11 +87,15 @@ class SmoothingParams:
         cls, f_min: float, f_max: float, sample_rate: int, **kwargs
     ) -> "SmoothingParams":
         """Convert a pitch frequency range into quefrency search bounds."""
+        l_low, l_high = cls.pitch_bins(f_min, f_max, sample_rate)
+        return cls(l_low=l_low, l_high=l_high, **kwargs)
+
+    @staticmethod
+    def pitch_bins(f_min: float, f_max: float, sample_rate: int) -> tuple[int, int]:
+        """The quefrency bins (l_low, l_high) of pitches f_max and f_min at `sample_rate`."""
         if not 0 < f_min < f_max:
             raise ValueError("need 0 < f_min < f_max")
-        l_low = int(round(sample_rate / f_max))
-        l_high = int(round(sample_rate / f_min))
-        return cls(l_low=l_low, l_high=l_high, **kwargs)
+        return int(round(sample_rate / f_max)), int(round(sample_rate / f_min))
 
 
 def _dct1(x: np.ndarray) -> np.ndarray:

@@ -169,16 +169,29 @@ class PipelineConfig:
         return self.settings["decomp_filter_taps"]
 
     def smoothing_params(self, sample_rate: int) -> SmoothingParams:
-        """Resolve smoothing knobs; a positive Hz pitch range overrides bins."""
+        """Resolve smoothing knobs at `sample_rate`; a positive Hz pitch range overrides bins.
+
+        Bands that do not fit name the rate, the bins, K/2 and their keys.
+        """
         s = self.settings
         kwargs = {name: s[name] for name in _SMOOTHING_DEFAULTS}
         f_min, f_max = s["pitch_min_hz"], s["pitch_max_hz"]
+        origins = {"l_env": "l_env", "l_low": "l_low", "l_high": "l_high"}
         if f_min > 0 or f_max > 0:
-            del kwargs["l_low"], kwargs["l_high"]
             try:
-                return SmoothingParams.from_pitch_range_hz(f_min, f_max, sample_rate, **kwargs)
+                bins = SmoothingParams.pitch_bins(f_min, f_max, sample_rate)
             except (ValueError, OverflowError) as exc:  # a tiny f_min overflows l_high
                 raise ConfigError(f"pitch_min_hz/pitch_max_hz: {exc}") from exc
+            kwargs["l_low"], kwargs["l_high"] = bins
+            origins["l_low"] = f"{sample_rate} / pitch_max_hz {f_max:g}"
+            origins["l_high"] = f"{sample_rate} / pitch_min_hz {f_min:g}"
+        half = kwargs["dft_length"] // 2
+        if not 0 < kwargs["l_env"] < kwargs["l_low"] < kwargs["l_high"] < half:
+            bands = ", ".join(f"{k} = {kwargs[k]} (from {origin})" for k, origin in origins.items())
+            raise ConfigError(
+                f"smoothing bands at {sample_rate} Hz do not fit: {bands}; they must satisfy "
+                f"0 < l_env < l_low < l_high < K/2 = {half} (from dft_length)"
+            )
         return SmoothingParams(**kwargs)
 
     def room_spec(self, sample_rate: int, rt60_ms: float | None = None) -> RoomSpec:

@@ -14,6 +14,9 @@ permutation ambiguities: W has unit diagonal in every bin, and every entry
 of W, read across bins as the DFT of a real filter, must be supported on
 taps [0, Q].  That leaves the 2(Q+1) real taps of the two cross filters
 free, and the solver's gradient descent with step halving runs on them.
+An `UnmixingSystem` is those taps: W = [[1, w0], [w1, 1]] with w0 and w1
+the rffts of its two filters, so every system meets both constraints, and
+has real cross responses at DC and Nyquist, by construction.
 
 Each block covariance is PSD, so the diagonal of W R W^H is non-negative
 and is itself the optimal Lambda: only the off-diagonal entries are left in
@@ -34,7 +37,6 @@ from .stft import Spectrogram
 
 HERMITIAN_TOL = 1e-12
 PSD_EIG_TOL = 1e-9
-SUPPORT_TOL = 1e-10
 TERMINATIONS = ("tolerance", "max_iters", "line_search_stalled", "zero_cost")
 # Base step of the descent; each bin's covariances are normalized by their
 # mean trace, so one value fits every scene.
@@ -83,40 +85,45 @@ class CovarianceSet:
 
 @dataclass(frozen=True, eq=False)
 class UnmixingSystem:
-    """Per-bin 2x2 unmixing matrices satisfying both solver constraints."""
+    """Per-bin W = [[1, w0], [w1, 1]] held as the real taps of its two cross filters.
 
-    matrices: np.ndarray
-    filter_support: int
+    `taps` is (2, Q+1), Q < `dft_length`: row 0 is w0 = W01 and row 1 is
+    w1 = W10.  `cross` holds their rffts, one row per filter and one column
+    per bin, computed once and read-only: both separation threads read it.
+    """
+
+    taps: np.ndarray
     dft_length: int
 
     def __post_init__(self) -> None:
-        w = np.array(self.matrices, dtype=np.complex128)
         k = int(self.dft_length)
-        q = int(self.filter_support)
-        if w.ndim != 3 or w.shape[1:] != (2, 2):
-            raise ValueError("unmixing array must have shape (n_bins, 2, 2)")
-        if w.shape[0] != k // 2 + 1:
-            raise ValueError("bin count must equal dft_length // 2 + 1")
-        if not 0 <= q < k:
-            raise ValueError("filter_support must lie in [0, dft_length)")
-        if not np.all(np.isfinite(w)):
-            raise ValueError("unmixing matrices must be finite")
-        if not (np.all(w[:, 0, 0] == 1.0) and np.all(w[:, 1, 1] == 1.0)):
-            raise ValueError("diagonal entries must equal 1 exactly in every bin")
-        taps = np.fft.irfft(w, n=k, axis=0)
-        for i, j in ((0, 1), (1, 0)):
-            tail = float(np.sum(taps[q + 1 :, i, j] ** 2))
-            total = float(np.sum(taps[:, i, j] ** 2))
-            if tail > SUPPORT_TOL * total:
-                raise ValueError(f"entry ({i},{j}) has energy beyond tap {q}")
-        w.flags.writeable = False
-        object.__setattr__(self, "matrices", w)
-        object.__setattr__(self, "filter_support", q)
+        taps = np.asarray(self.taps)
+        if taps.ndim != 2 or taps.shape[0] != 2 or not 1 <= taps.shape[1] <= k:
+            raise ValueError("taps must have shape (2, Q + 1) with 0 <= Q < dft_length")
+        if np.iscomplexobj(taps) or not np.all(np.isfinite(taps)):
+            raise ValueError("cross-filter taps must be real and finite")
+        taps = np.array(taps, dtype=np.float64)
+        taps.flags.writeable = False
+        cross = np.fft.rfft(taps, n=k, axis=-1)
+        cross.flags.writeable = False
+        object.__setattr__(self, "taps", taps)
         object.__setattr__(self, "dft_length", k)
+        object.__setattr__(self, "cross", cross)
+
+    @property
+    def filter_support(self) -> int:
+        return self.taps.shape[1] - 1
 
     @property
     def n_bins(self) -> int:
-        return self.matrices.shape[0]
+        return self.cross.shape[1]
+
+    @property
+    def matrices(self) -> np.ndarray:
+        """The per-bin W, complex (n_bins, 2, 2), built anew on each call."""
+        w = np.ones((self.n_bins, 2, 2), dtype=np.complex128)
+        w[:, 0, 1], w[:, 1, 0] = self.cross
+        return w
 
 
 @dataclass(frozen=True)
@@ -151,7 +158,6 @@ class SolverState:
     """
 
     cost_trace: list[float]
-    iterations: int
     termination: str
     evaluations: int
 
@@ -164,6 +170,10 @@ class SolverState:
         if self.termination not in TERMINATIONS:
             raise ValueError(f"termination must be one of {TERMINATIONS}")
         self.cost_trace = trace
+
+    @property
+    def iterations(self) -> int:
+        return len(self.cost_trace) - 1  # the trace holds the starting cost
 
 
 class CovarianceSums:
@@ -290,20 +300,6 @@ def cost_gradient(w: np.ndarray, r: np.ndarray, lam: np.ndarray) -> np.ndarray:
     return 2.0 * np.stack([np.stack(top, axis=-1), np.stack(bottom, axis=-1)], axis=-2)
 
 
-def _unmixing_from_taps(taps: np.ndarray, dft_length: int) -> np.ndarray:
-    """Per-bin W with unit diagonal and cross filters rfft(taps), taps (2, Q+1)."""
-    off = np.fft.rfft(taps, n=dft_length, axis=-1)
-    w = np.ones((off.shape[-1], 2, 2), dtype=np.complex128)
-    w[:, 0, 1] = off[0]
-    w[:, 1, 0] = off[1]
-    return w
-
-
-def _cross_taps(cross: np.ndarray, dft_length: int, n_taps: int) -> np.ndarray:
-    """First taps of the real filters whose rffts are the rows of `cross`, (2, n_bins)."""
-    return np.fft.irfft(cross, n=dft_length, axis=-1)[:, :n_taps]
-
-
 def _moments(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-bin block sums M = sum_k v v^H and N = sum_k v v^T, each (4, 4, n_bins).
 
@@ -337,19 +333,17 @@ def _cost_and_step(
     # Each bin's form is a sum of squares; round-off must not take it below zero.
     per_bin = np.maximum(np.real(np.sum(u * m_u, axis=0)), 0.0)
     cross = 2.0 * np.stack([b * n_u[0] + n_u[2], m_u[1] + a * m_u[3]])
-    return 2.0 * float(np.sum(per_bin)), _cross_taps(cross, dft_length, taps.shape[-1])
+    step = np.fft.irfft(cross, n=dft_length, axis=-1)[:, : taps.shape[-1]]
+    return 2.0 * float(np.sum(per_bin)), step
 
 
 def constrain_filter_support(system: UnmixingSystem) -> UnmixingSystem:
-    """Re-apply the unit-diagonal and tap-support projection to a system.
+    """Project a system onto unit diagonal and tap support [0, Q]: rebuild it from its taps.
 
-    Idempotent up to round-off; a pure cross-channel delay longer than Q
-    is removed entirely, while a bin-constant entry (a tap-0 filter)
-    passes through unchanged.
+    Every W whose diagonal is 1 and whose cross entries are rffts of real
+    taps on 0..Q is its own projection, and a system holds only such taps.
     """
-    q, k = system.filter_support, system.dft_length
-    cross = np.stack([system.matrices[:, 0, 1], system.matrices[:, 1, 0]])
-    return UnmixingSystem(_unmixing_from_taps(_cross_taps(cross, k, q + 1), k), q, k)
+    return UnmixingSystem(system.taps, system.dft_length)
 
 
 def solve_unmixing(
@@ -430,14 +424,8 @@ def solve_unmixing(
             termination = "tolerance"
             break
 
-    system = UnmixingSystem(_unmixing_from_taps(taps, dft_length), q, dft_length)
-    state = SolverState(
-        cost_trace=trace,
-        iterations=len(trace) - 1,
-        termination=termination,
-        evaluations=evaluations,
-    )
-    return system, state
+    state = SolverState(cost_trace=trace, termination=termination, evaluations=evaluations)
+    return UnmixingSystem(taps, dft_length), state
 
 
 def unmix_output(
@@ -449,11 +437,12 @@ def unmix_output(
 ) -> np.ndarray:
     """Output i of frames-major spectra: y_i = x_i + w_i x_(1-i) in every bin.
 
-    `own` is channel i and `other` channel 1 - i; w_0 = W01 and w_1 = W10.
-    The system's diagonal is exactly 1, so each output needs only one cross
-    entry.  The result goes into `out` when given.
+    `own` is channel i and `other` channel 1 - i; w_i is row i of the
+    system's cross spectra, the rfft of its cross filter i (w_0 = W01 and
+    w_1 = W10).  W's diagonal is 1, so each output needs only that one
+    filter.  The result goes into `out` when given.
     """
-    out = np.multiply(system.matrices[:, i, 1 - i], other, out=out)
+    out = np.multiply(system.cross[i], other, out=out)
     out += own
     return out
 

@@ -281,17 +281,18 @@ def simulate_scene(
 
 @dataclass(eq=False)
 class PairEvaluation:
-    """Reference-based metrics for a pair of outputs, permutation resolved."""
+    """A pair of outputs decomposed under its resolved permutation.
+
+    Each metric is a pair of floats read from the two decompositions.
+    """
 
     permutation: tuple[int, int]
     decompositions: tuple[Decomposition, Decomposition]
-    sir: tuple[float, float]
-    sdr: tuple[float, float]
-    sar: tuple[float, float]
 
-    @property
-    def average_sir(self) -> float:
-        return 0.5 * (self.sir[0] + self.sir[1])
+    sir = property(lambda self: tuple(map(sir_db, self.decompositions)))
+    sdr = property(lambda self: tuple(map(sdr_db, self.decompositions)))
+    sar = property(lambda self: tuple(map(sar_db, self.decompositions)))
+    average_sir = property(lambda self: 0.5 * sum(self.sir))
 
 
 PERMUTATIONS = ((0, 1), (1, 0))
@@ -341,21 +342,8 @@ def resolve_permutation(
     Output j takes source permutation[j] as its target.  When no
     permutation is pinned, the assignment with the higher average SIR wins.
     """
-    candidates = _candidates(permutation)
-
-    def pair(perm: tuple[int, int]) -> tuple[Decomposition, Decomposition]:
-        return table[0][perm[0]], table[1][perm[1]]
-
-    permutation = max(candidates, key=lambda perm: sum(sir_db(d) for d in pair(perm)))
-    decomps = pair(permutation)
-
-    return PairEvaluation(
-        permutation=permutation,
-        decompositions=decomps,
-        sir=tuple(sir_db(d) for d in decomps),
-        sdr=tuple(sdr_db(d) for d in decomps),
-        sar=tuple(sar_db(d) for d in decomps),
-    )
+    pairs = (PairEvaluation(p, (table[0][p[0]], table[1][p[1]])) for p in _candidates(permutation))
+    return max(pairs, key=lambda evaluation: sum(evaluation.sir))
 
 
 def evaluate_outputs(

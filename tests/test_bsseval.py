@@ -394,6 +394,23 @@ def test_projector_holds_its_two_factors_segment_spectra_and_correlations():
     assert shapes == sorted([(2 * taps, 2 * taps), (taps, taps), spectra, (2, 2, taps)])
 
 
+def test_decompose_all_copies_no_block_of_the_factor():
+    """At L = 512 a copy of the factor's leading block, made for a solve
+    with it, is 2 MiB; the rest of one short decomposition is about 0.25 MiB."""
+    taps = 512
+    rng = np.random.default_rng(8)
+    refs = _noise_pair(rng, 4000)
+    est = _wave(refs[0].samples + 0.3 * refs[1].samples + 0.1 * rng.standard_normal(4000))
+    projector = ReferenceProjector(refs, taps)
+    tracemalloc.start()
+    try:
+        projector.decompose_all(est)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < taps * taps * 8 / 2
+
+
 def test_component_waveforms_hold_little_beyond_their_outputs():
     """One 60 s decomposition at L = 512: the whole-signal form's
     temporaries peaked at about 3.7 times the three outputs' bytes."""

@@ -675,6 +675,34 @@ def test_evaluate_rejects_mismatched_or_short_references(tmp_path, capsys, case,
     assert len(err) == 1 and message in err[0]
 
 
+@pytest.mark.parametrize(
+    ("rate", "settings", "fragments"),
+    [
+        (48000, "pitch_min_hz = 40\npitch_max_hz = 400\n",
+         ["48000 Hz", "l_high = 1200 (from 48000 / pitch_min_hz 40)", "K/2 = 1024"]),
+        (4000, "synth_sample_rate = 48000\npitch_min_hz = 100\npitch_max_hz = 3000\n",
+         ["4000 Hz", "l_env = 8 (from l_env)", "l_low = 1 (from 4000 / pitch_max_hz 3000)"]),
+    ],
+    ids=["pitch-floor-past-half-the-dft-at-48k", "pitch-ceiling-below-the-envelope-at-4k"],
+)
+def test_separate_names_the_rate_and_bins_of_smoothing_bands_that_do_not_fit(
+    tmp_path, capsys, rate, settings, fragments
+):
+    # Both configs are valid at their synthesis rate; only the file's rate breaks them.
+    cfg = tmp_path / "cfg"
+    cfg.write_text(settings)
+    left, right = _two_talkers(n=rate, rate=rate)
+    mixture = tmp_path / "mixture.wav"
+    _write_stereo(mixture, left, right, rate)
+    out = tmp_path / "out"
+    assert _run(["separate", str(mixture), "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: smoothing bands at ")
+    for fragment in fragments:
+        assert fragment in err[0]
+    assert not out.exists()
+
+
 def test_separate_keeps_literal_quefrency_bins_at_44k(tmp_path, capsys):
     cfg = tmp_path / "cfg"
     cfg.write_text(FAST_CONFIG + "pitch_min_hz = 0\npitch_max_hz = 0\n")

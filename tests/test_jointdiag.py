@@ -32,6 +32,7 @@ from oracles import (
     block_covariances_direct,
     cost_einsum,
     cost_gradient_einsum,
+    dft_direct,
     diag_target_direct,
     diag_target_einsum,
     jd_cost_direct,
@@ -233,71 +234,107 @@ def test_closed_form_kernels_match_einsum_oracles(
     assert _relative_error(cost_gradient(w, r, lam), cost_gradient_einsum(w, r, lam)) <= 1e-12
 
 
+def _direct_unmixing(taps, dft_length):
+    """Per-bin W = [[1, w0], [w1, 1]] from O(K^2) DFTs of the zero-padded taps."""
+    n_bins = dft_length // 2 + 1
+    w = np.ones((n_bins, 2, 2), dtype=complex)
+    for (i, j), row in zip(((0, 1), (1, 0)), taps):
+        w[:, i, j] = dft_direct(np.pad(row, (0, dft_length - len(row))))[:n_bins]
+    return w
+
+
 def test_unmixing_system_validates():
-    rng = np.random.default_rng(6)
     k = 32
-    n_bins = k // 2 + 1
-    w = np.eye(2, dtype=complex)[None].repeat(n_bins, axis=0)
-    UnmixingSystem(w, 8, k)
+    system = UnmixingSystem(np.zeros((2, 9)), k)
+    assert (system.filter_support, system.dft_length, system.n_bins) == (8, k, k // 2 + 1)
+    assert not system.taps.flags.writeable and not system.cross.flags.writeable
+    assert [f.name for f in dataclasses.fields(system)] == ["taps", "dft_length"]
 
-    bad_diag = w.copy()
-    bad_diag[0, 0, 0] = 0.5
-    with pytest.raises(ValueError):
-        UnmixingSystem(bad_diag, 8, k)
+    for bad in (np.zeros((3, 9)), np.zeros(9), np.zeros((2, 0)), np.zeros((2, 2, 9))):
+        with pytest.raises(ValueError, match="shape"):
+            UnmixingSystem(bad, k)
+    # Complex taps are rejected, so no W01 or W10 is complex at DC or Nyquist.
+    dc = np.zeros((2, 9), dtype=complex)
+    dc[0, 0] = 0.5j
+    with pytest.raises(ValueError, match="real"):
+        UnmixingSystem(dc, k)
 
-    dense = w.copy()
-    dense[:, 0, 1] = rng.standard_normal(n_bins) + 1j * rng.standard_normal(n_bins)
-    with pytest.raises(ValueError):
-        UnmixingSystem(dense, 2, k)
 
-    with pytest.raises(ValueError):
-        UnmixingSystem(w[:-1], 8, k)
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_unmixing_system_rejects_non_finite_taps(bad):
+    taps = np.zeros((2, 5))
+    taps[1, 3] = bad
+    with pytest.raises(ValueError, match="finite"):
+        UnmixingSystem(taps, 16)
+
+
+def test_unmixing_system_rejects_support_beyond_the_dft():
+    assert UnmixingSystem(np.zeros((2, 16)), 16).filter_support == 15
+    for n_taps in (17, 40):
+        with pytest.raises(ValueError, match="dft_length"):
+            UnmixingSystem(np.zeros((2, n_taps)), 16)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    half=st.integers(1, 64),
+    support_fraction=st.floats(0.0, 1.0, exclude_max=True),
+    exponent=st.floats(-6.0, 6.0),
+)
+def test_unmixing_system_meets_its_constraints_by_construction(
+    seed, half, support_fraction, exponent
+):
+    rng = np.random.default_rng(seed)
+    k = 2 * half
+    q = int(support_fraction * k)
+    system = UnmixingSystem(10.0**exponent * rng.standard_normal((2, q + 1)), k)
+    w = system.matrices
+
+    assert w.shape == (half + 1, 2, 2)
+    assert np.all(w[:, 0, 0] == 1.0) and np.all(w[:, 1, 1] == 1.0)
+    assert np.all(w[[0, -1], 0, 1].imag == 0.0) and np.all(w[[0, -1], 1, 0].imag == 0.0)
+    filters = np.fft.irfft(np.stack([w[:, 0, 1], w[:, 1, 0]]), n=k, axis=-1)
+    tail = np.sum(filters[:, q + 1 :] ** 2, axis=-1)
+    assert np.all(tail <= 1e-10 * np.sum(filters**2, axis=-1))
+    assert np.array_equal(constrain_filter_support(system).taps, system.taps)
 
 
 def test_constrain_filter_support_projects_and_is_idempotent():
     rng = np.random.default_rng(7)
     k, q = 64, 8
-    n_bins = k // 2 + 1
-    w = np.eye(2, dtype=complex)[None].repeat(n_bins, axis=0)
-    w[:, 0, 1] = rng.standard_normal(n_bins) + 1j * rng.standard_normal(n_bins)
-    w[:, 1, 0] = rng.standard_normal(n_bins) + 1j * rng.standard_normal(n_bins)
+    system = UnmixingSystem(rng.standard_normal((2, q + 1)), k)
 
-    loose = UnmixingSystem.__new__(UnmixingSystem)  # bypass validation on input
-    object.__setattr__(loose, "matrices", w)
-    object.__setattr__(loose, "filter_support", q)
-    object.__setattr__(loose, "dft_length", k)
-
-    once = constrain_filter_support(loose)
+    once = constrain_filter_support(system)
+    assert (once.filter_support, once.dft_length) == (q, k)
     assert np.all(once.matrices[:, 0, 0] == 1.0)
     assert np.all(once.matrices[:, 1, 1] == 1.0)
     taps = np.fft.irfft(once.matrices, n=k, axis=0)
     assert np.max(np.abs(taps[q + 1 :, 0, 1])) <= 1e-12
     assert np.max(np.abs(taps[q + 1 :, 1, 0])) <= 1e-12
+    assert np.allclose(taps[: q + 1, 0, 1], system.taps[0], atol=1e-12)
+    assert np.allclose(taps[: q + 1, 1, 0], system.taps[1], atol=1e-12)
 
     twice = constrain_filter_support(once)
-    assert np.allclose(twice.matrices, once.matrices, atol=1e-12)
+    assert np.array_equal(twice.taps, once.taps)
+    assert np.array_equal(twice.matrices, once.matrices)
 
 
 def test_apply_unmixing_cancels_and_matches_reference():
     rng = np.random.default_rng(8)
     specs = _spectrogram_pair(rng, k=32, n_frames=10)
     same = (specs[0], specs[0].with_values(specs[0].values))
-    n_bins = specs[0].n_bins
 
-    w = np.zeros((n_bins, 2, 2), dtype=complex)
-    w[:, 0, 0] = 1.0
-    w[:, 1, 1] = 1.0
-    w[:, 0, 1] = -1.0
-    system = UnmixingSystem(w, 31, 32)
-    y1, _ = apply_unmixing(system, same)
+    # A tap-0 filter of -1 is W01 = -1 in every bin: y_0 = x_0 - x_1.
+    cancel = np.zeros((2, 32))
+    cancel[0, 0] = -1.0
+    y1, _ = apply_unmixing(UnmixingSystem(cancel, 32), same)
     assert np.max(np.abs(y1.values)) == 0.0
 
-    w2 = _random_unmixing(rng, n_bins)
-    w2[:, 0, 0] = 1.0
-    w2[:, 1, 1] = 1.0
-    system2 = UnmixingSystem(w2, 31, 32)
-    out1, out2 = apply_unmixing(system2, specs)
-    ref1, ref2 = apply_unmixing_direct(w2, specs[0].values, specs[1].values)
+    taps = 0.3 * rng.standard_normal((2, 32))
+    out1, out2 = apply_unmixing(UnmixingSystem(taps, 32), specs)
+    w = _direct_unmixing(taps, 32)
+    ref1, ref2 = apply_unmixing_direct(w, specs[0].values, specs[1].values)
     assert np.allclose(out1.values, ref1, atol=1e-12)
     assert np.allclose(out2.values, ref2, atol=1e-12)
 
