@@ -36,8 +36,8 @@ pitch is picked by a tie rule: the lowest quefrency within
 `PITCH_TIE_TOLERANCE` times the frame's largest |floored log magnitude|
 of the band maximum.  All three products use one pair of DCT-I bases on
 S over bins 0..K/2, built once per parameter set: about 1.9 MB at the
-defaults (|S| = 114) and 8.4 MB at 48 kHz with an 80-500 Hz pitch range
-(|S| = 514).  The recursion across frames is the only loop.
+defaults (|S| = 114) and 8.4 MB at K = 2048 with l_low = 96 and
+l_high = 600 (|S| = 514).  The recursion across frames is the only loop.
 `magnitude_cepstrum` gives a whole cepstrum by the DCT, as the `rfft` of
 the even extension, and `estimate_pitch_quefrency` a plain arg-max over a
 band of cepstra.
@@ -54,9 +54,13 @@ from .masking import SpectralMask
 from .stft import Spectrogram, StftConfig
 
 
+class BandError(ValueError):
+    """Quefrency bands that break 0 < l_env < l_low < l_high < K/2."""
+
+
 @dataclass(frozen=True)
 class SmoothingParams:
-    """Per-quefrency smoothing factors and band edges for one DFT length."""
+    """Smoothing factors and band edges in quefrency bins for one DFT length; bands checked last."""
 
     dft_length: int = StftConfig.frame_length
     beta_env: float = 0.0
@@ -78,24 +82,10 @@ class SmoothingParams:
         if not 0.0 < self.mask_floor < 1.0:
             raise ValueError("mask_floor must lie in (0, 1)")
         if not 0 < self.l_env < self.l_low < self.l_high < k // 2:
-            raise ValueError(
-                "quefrency bands must satisfy 0 < l_env < l_low < l_high < K/2"
+            raise BandError(
+                f"quefrency bands l_env = {self.l_env}, l_low = {self.l_low}, "
+                f"l_high = {self.l_high} must satisfy 0 < l_env < l_low < l_high < K/2 = {k // 2}"
             )
-
-    @classmethod
-    def from_pitch_range_hz(
-        cls, f_min: float, f_max: float, sample_rate: int, **kwargs
-    ) -> "SmoothingParams":
-        """Convert a pitch frequency range into quefrency search bounds."""
-        l_low, l_high = cls.pitch_bins(f_min, f_max, sample_rate)
-        return cls(l_low=l_low, l_high=l_high, **kwargs)
-
-    @staticmethod
-    def pitch_bins(f_min: float, f_max: float, sample_rate: int) -> tuple[int, int]:
-        """The quefrency bins (l_low, l_high) of pitches f_max and f_min at `sample_rate`."""
-        if not 0 < f_min < f_max:
-            raise ValueError("need 0 < f_min < f_max")
-        return int(round(sample_rate / f_max)), int(round(sample_rate / f_min))
 
 
 def _dct1(x: np.ndarray) -> np.ndarray:
@@ -150,7 +140,7 @@ def _band_bases(params: SmoothingParams) -> tuple[np.ndarray, np.ndarray]:
     half-spectra, quefrency 0 weighing 1 and the others 2 (l_high < K/2).
     Both are read-only, since every caller shares them, the separation's
     two threads included: about 1.9 MB at the defaults (|S| = 114) and
-    8.4 MB at 48 kHz with an 80-500 Hz pitch range (|S| = 514).
+    8.4 MB at K = 2048 with l_low = 96 and l_high = 600 (|S| = 514).
     """
     k = params.dft_length
     bins = np.arange(k // 2 + 1)

@@ -184,9 +184,11 @@ def run_sweep(
 ) -> dict:
     """Simulate, separate, and evaluate one synthetic scene per RT60 value, each
     under the config with that RT60 and with `seed`, when given, as its seed.
-    Every row convolves the same synthetic source pair, made once."""
+    Every row convolves the same synthetic source pair, made once.  Smoothing bands
+    that do not fit at `synth_sample_rate` are refused before anything is written."""
     if seed is not None:
         config = config.with_settings(seed=seed)
+    config.smoothing_params(config.settings["synth_sample_rate"])
     sources = synthetic_sources(config)
     rows = [
         _sweep_row(config.with_settings(rt60_ms=rt60), sources, out_dir / _rt_dir_name(rt60))

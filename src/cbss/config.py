@@ -2,12 +2,14 @@
 
 Config files are plain text: one `key = value` per line, `#` comments,
 blank lines ignored.  Unknown keys and duplicates are rejected so a typo
-cannot silently fall back to a default.  `pitch_min_hz`/`pitch_max_hz` of
-0 mean "use the literal quefrency bins l_low/l_high"; positive values
-override those bins per sample rate at run time.  The STFT, solver,
-masking, smoothing and speed-of-sound defaults are the field defaults of
-the parameter classes those settings build; the evaluation filter taps
-default to `bsseval.FILTER_TAPS`.
+cannot silently fall back to a default.  `pitch_min_hz`/`pitch_max_hz` of 0
+mean "use the literal quefrency bins l_low/l_high"; positive values override
+those bins at each run's rate.  Loading checks the smoothing settings that
+hold at every rate: factors, floor, 0 < pitch_min_hz < pitch_max_hz and
+literal bins; `separate` checks bins from Hz at the file's rate, `sweep` at
+`synth_sample_rate`.  The STFT, solver, masking, smoothing and speed-of-sound
+defaults are the field defaults of the parameter classes those settings
+build; the evaluation filter taps default to `bsseval.FILTER_TAPS`.
 
 Config text and the dict given to `PipelineConfig` share one coercion rule,
 `_coerce`: a value takes the type of its key's default.  Integer keys take
@@ -23,7 +25,7 @@ import operator
 from dataclasses import dataclass, field, fields
 
 from .bsseval import FILTER_TAPS
-from .cepsmooth import SmoothingParams
+from .cepsmooth import BandError, SmoothingParams
 from .jointdiag import SolverParams
 from .masking import MaskThreshold
 from .roomsim import RoomSpec
@@ -140,12 +142,19 @@ class PipelineConfig:
         except ValueError as exc:  # name the config keys, not StftConfig's fields
             named = ", ".join(f"{key} = {settings[key]!r}" for key in _STFT_FIELDS)
             raise ConfigError(f"{named}: {exc}") from exc
+        f_min, f_max = settings["pitch_min_hz"], settings["pitch_max_hz"]
         try:
             solver = SolverParams(**{name: settings[name] for name in _SOLVER_DEFAULTS})
             threshold = MaskThreshold(settings["mask_threshold"])
             if settings["filter_support"] >= settings["dft_length"]:
                 raise ValueError("filter_support must be smaller than dft_length")
-            self.smoothing_params(settings["synth_sample_rate"])
+            if (f_min > 0 or f_max > 0) and not (0 < f_min < f_max and math.isfinite(1 / f_min)):
+                raise ValueError("need 0 < pitch_min_hz < pitch_max_hz, 1 / pitch_min_hz finite")
+            try:
+                SmoothingParams(**{name: settings[name] for name in _SMOOTHING_DEFAULTS})
+            except BandError:
+                if f_min <= 0:  # literal bins fit at every rate or at none
+                    raise
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         object.__setattr__(self, "stft", stft)
@@ -169,30 +178,27 @@ class PipelineConfig:
         return self.settings["decomp_filter_taps"]
 
     def smoothing_params(self, sample_rate: int) -> SmoothingParams:
-        """Resolve smoothing knobs at `sample_rate`; a positive Hz pitch range overrides bins.
-
-        Bands that do not fit name the rate, the bins, K/2 and their keys.
-        """
+        """Smoothing at `sample_rate`, where a pitch range in Hz sets l_low and l_high; bands
+        that do not fit raise a `ConfigError` naming the rate, each bin with its key, and K/2."""
         s = self.settings
         kwargs = {name: s[name] for name in _SMOOTHING_DEFAULTS}
         f_min, f_max = s["pitch_min_hz"], s["pitch_max_hz"]
         origins = {"l_env": "l_env", "l_low": "l_low", "l_high": "l_high"}
-        if f_min > 0 or f_max > 0:
-            try:
-                bins = SmoothingParams.pitch_bins(f_min, f_max, sample_rate)
-            except (ValueError, OverflowError) as exc:  # a tiny f_min overflows l_high
-                raise ConfigError(f"pitch_min_hz/pitch_max_hz: {exc}") from exc
-            kwargs["l_low"], kwargs["l_high"] = bins
+        if f_min > 0:  # loading checked 0 < f_min < f_max
+            # A quotient past the largest float stays inf, which no band admits.
+            kwargs["l_low"], kwargs["l_high"] = (
+                q if math.isinf(q) else round(q) for q in (sample_rate / f_max, sample_rate / f_min)
+            )
             origins["l_low"] = f"{sample_rate} / pitch_max_hz {f_max:g}"
             origins["l_high"] = f"{sample_rate} / pitch_min_hz {f_min:g}"
-        half = kwargs["dft_length"] // 2
-        if not 0 < kwargs["l_env"] < kwargs["l_low"] < kwargs["l_high"] < half:
+        try:
+            return SmoothingParams(**kwargs)
+        except BandError as exc:
             bands = ", ".join(f"{k} = {kwargs[k]} (from {origin})" for k, origin in origins.items())
             raise ConfigError(
                 f"smoothing bands at {sample_rate} Hz do not fit: {bands}; they must satisfy "
-                f"0 < l_env < l_low < l_high < K/2 = {half} (from dft_length)"
-            )
-        return SmoothingParams(**kwargs)
+                f"0 < l_env < l_low < l_high < K/2 = {kwargs['dft_length'] // 2} (from dft_length)"
+            ) from exc
 
     def room_spec(self, sample_rate: int, rt60_ms: float | None = None) -> RoomSpec:
         """Build the simulation geometry: mics at room center, sources at +/-angle."""

@@ -305,10 +305,12 @@ def _moments(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     v = (R01, R00, R11, R10) per block.  With W = [[1, a], [b, 1]], the
     (0, 1) entry of W R W^H is e = v^T u, u = (1, conj(b), a, a conj(b)), so
-    the sum of |e|^2 over a bin's blocks is u^T M conj(u).
+    the sum of |e|^2 over a bin's blocks is u^T M conj(u).  Each R is
+    Hermitian, so conj(v) is v with entries 0 and 3 swapped: N = M[:, (3, 1, 2, 0)].
     """
     v = np.stack([r[..., 0, 1], r[..., 0, 0], r[..., 1, 1], r[..., 1, 0]])
-    return np.einsum("ifk,jfk->ijf", v, v.conj()), np.einsum("ifk,jfk->ijf", v, v)
+    m = np.einsum("ifk,jfk->ijf", v, v.conj())
+    return m, m[:, [3, 1, 2, 0]]
 
 
 def _cost_and_step(

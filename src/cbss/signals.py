@@ -242,15 +242,14 @@ def gen_am_source(
     tens of dB over a modulation period, which is what the separation
     stage's non-stationarity assumption feeds on.
     """
-    if duration_s <= 0:
-        raise ValueError("duration_s must be positive")
     if not 0.5 <= mod_rate <= 16.0:
         raise ValueError("mod_rate must lie in [0.5, 16] Hz")
     if sample_rate <= 0:
         raise ValueError("sample_rate must be positive")
-
-    rng = np.random.default_rng(seed)
     n = int(round(duration_s * sample_rate))
+    if n < 1:
+        raise ValueError(f"duration_s = {duration_s:g} rounds to {n} samples at {sample_rate} Hz")
+    rng = np.random.default_rng(seed)
     noise = rng.standard_normal(n)
     phase = rng.uniform(0.0, 2.0 * np.pi)
     t = np.arange(n) / sample_rate

@@ -42,14 +42,6 @@ def test_params_validate_bands_and_betas():
         SmoothingParams(dft_length=32, l_env=5, l_low=4, l_high=10)  # bands out of order
 
 
-def test_params_from_pitch_range_hz():
-    p = SmoothingParams.from_pitch_range_hz(50.0, 500.0, 16000)
-    assert p.l_low == 32  # round(16000 / 500)
-    assert p.l_high == 320  # round(16000 / 50)
-    with pytest.raises(ValueError):
-        SmoothingParams.from_pitch_range_hz(500.0, 50.0, 16000)
-
-
 def test_mask_cepstrum_known_columns():
     ones = np.ones(17)
     cep = magnitude_cepstrum(ones, 1e-3)
@@ -118,13 +110,13 @@ def test_pitch_ties_within_tolerance_of_the_log_peak_pick_the_lowest():
 @pytest.mark.parametrize(
     "params",
     [SmoothingParams(dft_length=k, l_env=2, l_low=4, l_high=k // 2 - 2) for k in (18, 20, 30, 32)]
-    + [SmoothingParams.from_pitch_range_hz(80, 500, 48000)],
+    + [SmoothingParams(l_low=96, l_high=600)],
     ids=["18", "20", "30", "32", "48kHz-80-500Hz"],
 )
 def test_folded_bands_match_whole_dct_smoothing(params):
     # K/2 odd (18, 30) and even (20, 32) both exercise the DCT-I end weights
-    # of bins 0 and K/2; K = 2048 at 48 kHz with an 80-500 Hz pitch range
-    # puts 514 of 1025 quefrencies in the band.
+    # of bins 0 and K/2; K = 2048 with bins 96-600, an 80-500 Hz pitch range
+    # at 48 kHz, puts 514 of 1025 quefrencies in the band.
     k = params.dft_length
     rng = np.random.default_rng(k)
     mask = rng.uniform(0.0, 1.0, (9, k // 2 + 1))

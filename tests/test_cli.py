@@ -703,6 +703,56 @@ def test_separate_names_the_rate_and_bins_of_smoothing_bands_that_do_not_fit(
     assert not out.exists()
 
 
+# Bins 16 and 480 at 48 kHz, under K/2 = 1024; at 8 or 10 kHz l_low is 3 or 4, below l_env = 8.
+WIDE_PITCH_RANGE = "pitch_min_hz = 100\npitch_max_hz = 3000\n"
+
+
+def test_simulate_and_evaluate_take_a_pitch_range_that_fits_no_rate_they_use(tmp_path, capsys):
+    cfg = tmp_path / "cfg"
+    cfg.write_text(FAST_CONFIG + WIDE_PITCH_RANGE)
+    scene = tmp_path / "scene"
+    assert _run(["simulate", "--synthetic", "--config", str(cfg), "--out", str(scene)]) == 0
+    capsys.readouterr()
+    sources = [str(scene / f"source_{i}.wav") for i in (1, 2)]
+    argv = ["evaluate", *sources, "--segments", "0:100,100:200", "--config", str(cfg)]
+    assert _run(argv) == 0
+    assert json.loads(capsys.readouterr().out)["mode"] == "segment"
+
+
+def test_separate_takes_a_pitch_range_that_fits_the_file_but_not_the_synthesis_rate(tmp_path):
+    cfg = tmp_path / "cfg"
+    cfg.write_text("dft_length = 2048\nmax_iters = 40\n" + WIDE_PITCH_RANGE)
+    rate = 48000
+    left, right = _two_talkers(n=rate, rate=rate)
+    mixture = tmp_path / "mixture.wav"
+    _write_stereo(mixture, left, right, rate)
+    out = tmp_path / "out"
+    assert _run(["separate", str(mixture), "--config", str(cfg), "--out", str(out)]) == 0
+    assert (out / "final_2.wav").exists()
+
+
+def test_sweep_refuses_bands_that_do_not_fit_the_synthesis_rate_before_writing(tmp_path, capsys):
+    cfg = tmp_path / "cfg"
+    cfg.write_text(FAST_CONFIG + WIDE_PITCH_RANGE)
+    out = tmp_path / "sweep"
+    assert _run(["sweep", "--rt60", "100", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: smoothing bands at 8000 Hz do not fit")
+    assert not out.exists()
+
+
+def test_simulate_rejects_a_duration_of_zero_samples(tmp_path, capsys):
+    cfg = tmp_path / "cfg"
+    cfg.write_text(FAST_CONFIG.replace("synth_duration_s = 2.0", "synth_duration_s = 0.00001"))
+    out = tmp_path / "scene"
+    code = _run(["simulate", "--synthetic", "--config", str(cfg), "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert "duration_s = 1e-05" in err[0] and "8000 Hz" in err[0]
+    assert not out.exists()
+
+
 def test_separate_keeps_literal_quefrency_bins_at_44k(tmp_path, capsys):
     cfg = tmp_path / "cfg"
     cfg.write_text(FAST_CONFIG + "pitch_min_hz = 0\npitch_max_hz = 0\n")

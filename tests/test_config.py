@@ -98,8 +98,9 @@ def test_pipeline_config_validates_combinations():
         PipelineConfig({"pitch_min_hz": 500.0, "pitch_max_hz": 50.0})
     with pytest.raises(ConfigError):
         PipelineConfig({"pitch_max_hz": 500.0})  # f_min left at 0
-    with pytest.raises(ConfigError):
-        PipelineConfig({"pitch_min_hz": 5.0, "pitch_max_hz": 500.0})  # l_high >= K/2
+    # Bins 9 <= round(rate / 500) and round(rate / 5) <= 1023 fit from 4251 to 5117 Hz: no load error
+    with pytest.raises(ConfigError, match="10000 Hz"):
+        PipelineConfig({"pitch_min_hz": 5.0, "pitch_max_hz": 500.0}).smoothing_params(10000)
     with pytest.raises(ConfigError, match="pitch_min_hz"):
         PipelineConfig({"pitch_min_hz": 1e-310, "pitch_max_hz": 500.0})  # l_high overflows
     with pytest.raises(ConfigError):
@@ -226,3 +227,50 @@ def test_dict_and_text_share_one_coercion_property(key, value):
     assert type(from_dict) is type(from_text) is type(DEFAULTS[key])
     if not (isinstance(from_dict, float) and math.isnan(from_dict)):
         assert from_dict == from_text
+
+
+def _load_error(settings: dict) -> str | None:
+    try:
+        PipelineConfig(settings)
+    except ConfigError as exc:
+        return str(exc)
+    return None
+
+
+# Pitch ranges from well inside to far outside any band, tiny minima whose
+# quotients overflow at high rates, and zeros that keep the literal bins.
+_HZ = st.one_of(
+    st.just(0.0),
+    st.floats(1.0, 8000.0),
+    st.floats(1e-306, 1e-300),
+    st.floats(5e-324, 1e-307),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    f_min=_HZ,
+    f_max=_HZ,
+    dft_exponent=st.integers(5, 13),
+    synth_rates=st.lists(st.integers(1, 96000), min_size=2, max_size=2),
+    rate=st.integers(8000, 48000),
+)
+def test_smoothing_bands_are_checked_at_the_rate_of_the_run_property(
+    f_min, f_max, dft_exponent, synth_rates, rate
+):
+    k = 2**dft_exponent
+    settings = {"pitch_min_hz": f_min, "pitch_max_hz": f_max, "dft_length": k,
+                "filter_support": k // 4}
+    outcomes = {_load_error({**settings, "synth_sample_rate": r}) for r in synth_rates}
+    assert len(outcomes) == 1, f"loading depends on synth_sample_rate: {outcomes}"
+    if outcomes != {None}:
+        return
+    config = PipelineConfig({**settings, "synth_sample_rate": synth_rates[0]})
+    try:
+        params = config.smoothing_params(rate)
+    except ConfigError as exc:
+        assert f"{rate} Hz" in str(exc)
+        return
+    assert 0 < params.l_env < params.l_low < params.l_high < k // 2
+    if f_min > 0:
+        assert (params.l_low, params.l_high) == (round(rate / f_max), round(rate / f_min))

@@ -111,7 +111,7 @@ def test_round_off_in_the_magnitudes_moves_no_pitch_pick(scene):
 
 @pytest.mark.parametrize(
     "params",
-    [SmoothingParams(), SmoothingParams.from_pitch_range_hz(80.0, 500.0, 48000)],
+    [SmoothingParams(), SmoothingParams(l_low=96, l_high=600)],
     ids=["default", "48k_wide_band"],
 )
 def test_all_floor_frames_pick_l_low(params):
