@@ -2,14 +2,14 @@
 
 Config files are plain text: one `key = value` per line, `#` comments,
 blank lines ignored.  Unknown keys and duplicates are rejected so a typo
-cannot silently fall back to a default.  `pitch_min_hz`/`pitch_max_hz` of 0
-mean "use the literal quefrency bins l_low/l_high"; positive values override
-those bins at each run's rate.  Loading checks the smoothing settings that
-hold at every rate: factors, floor, 0 < pitch_min_hz < pitch_max_hz and
-literal bins; `separate` checks bins from Hz at the file's rate, `sweep` at
-`synth_sample_rate`.  The STFT, solver, masking, smoothing and speed-of-sound
-defaults are the field defaults of the parameter classes those settings
-build; the evaluation filter taps default to `bsseval.FILTER_TAPS`.
+cannot silently fall back to a default; a removed key names its replacement.
+The smoothing bands are three times in ms, rounded to quefrency bins at each
+run's rate.  Loading checks what holds at every rate: the smoothing factors,
+floor and 0 < envelope_ms < pitch_period_min_ms < pitch_period_max_ms;
+`separate` checks the bins at the file's rate, `sweep` at `synth_sample_rate`.
+The STFT, solver, masking, smoothing and speed-of-sound defaults are the
+field defaults of the parameter classes those settings build; the
+evaluation filter taps default to `bsseval.FILTER_TAPS`.
 
 Config text and the dict given to `PipelineConfig` share one coercion rule,
 `_coerce`: a value takes the type of its key's default.  Integer keys take
@@ -41,21 +41,28 @@ def _field_defaults(cls) -> dict[str, object]:
     return {f.name: f.default for f in fields(cls) if f.init}
 
 
-# Config key -> StftConfig field; the solver and smoothing keys are their
-# field names.  Smoothing takes its dft_length from the STFT key.
+# Config key -> StftConfig field; the solver and smoothing factor keys are
+# their field names.  Smoothing takes its dft_length from the STFT key.
 _STFT_FIELDS = {"dft_length": "frame_length", "overlap_factor": "overlap_fraction", "window": "window"}
 _SOLVER_DEFAULTS = _field_defaults(SolverParams)
+# Band time key in ms -> SmoothingParams bin; the default times are its bins at 10 kHz.
+_BAND_KEYS = {"envelope_ms": "l_env", "pitch_period_min_ms": "l_low", "pitch_period_max_ms": "l_high"}
 _SMOOTHING_DEFAULTS = _field_defaults(SmoothingParams)
+_SMOOTHING_FACTORS = ("beta_env", "beta_pitch", "beta_peak", "mask_floor")
+# Removed key -> what replaces it, for the unknown-key message.
+_RENAMED = {
+    **{name: f"{key} = 1000 * {name} / rate" for key, name in _BAND_KEYS.items()},
+    "pitch_min_hz": "pitch_period_max_ms = 1000 / pitch_min_hz",
+    "pitch_max_hz": "pitch_period_min_ms = 1000 / pitch_max_hz",
+}
 
 # The settings a separation reads; the rest configure simulation and scoring.
 _SEPARATION_DEFAULTS: dict[str, object] = {
     **{key: _field_defaults(StftConfig)[name] for key, name in _STFT_FIELDS.items()},
     **_SOLVER_DEFAULTS,
     "mask_threshold": _field_defaults(MaskThreshold)["value"],
-    **{key: value for key, value in _SMOOTHING_DEFAULTS.items() if key != "dft_length"},
-    # Pitch search range in Hz; 0 keeps l_low/l_high
-    "pitch_min_hz": 0.0,
-    "pitch_max_hz": 0.0,
+    **{name: _SMOOTHING_DEFAULTS[name] for name in _SMOOTHING_FACTORS},
+    **{key: _SMOOTHING_DEFAULTS[name] / 10.0 for key, name in _BAND_KEYS.items()},
 }
 SEPARATION_KEYS = tuple(_SEPARATION_DEFAULTS)
 
@@ -86,7 +93,8 @@ DEFAULTS: dict[str, object] = {
 def _coerce(key: str, value: object) -> object:
     """`value` as the type of `key`'s default, by the rule in the module docstring."""
     if key not in DEFAULTS:
-        raise ConfigError(f"unknown key {key!r}")
+        renamed = f"; use {_RENAMED[key]}" if key in _RENAMED else ""
+        raise ConfigError(f"unknown key {key!r}{renamed}")
     kind = type(DEFAULTS[key])
     try:
         if isinstance(value, bool) or (kind is str and not isinstance(value, str)):
@@ -142,19 +150,16 @@ class PipelineConfig:
         except ValueError as exc:  # name the config keys, not StftConfig's fields
             named = ", ".join(f"{key} = {settings[key]!r}" for key in _STFT_FIELDS)
             raise ConfigError(f"{named}: {exc}") from exc
-        f_min, f_max = settings["pitch_min_hz"], settings["pitch_max_hz"]
         try:
             solver = SolverParams(**{name: settings[name] for name in _SOLVER_DEFAULTS})
             threshold = MaskThreshold(settings["mask_threshold"])
             if settings["filter_support"] >= settings["dft_length"]:
                 raise ValueError("filter_support must be smaller than dft_length")
-            if (f_min > 0 or f_max > 0) and not (0 < f_min < f_max and math.isfinite(1 / f_min)):
-                raise ValueError("need 0 < pitch_min_hz < pitch_max_hz, 1 / pitch_min_hz finite")
-            try:
-                SmoothingParams(**{name: settings[name] for name in _SMOOTHING_DEFAULTS})
-            except BandError:
-                if f_min <= 0:  # literal bins fit at every rate or at none
-                    raise
+            # The factors and floor at SmoothingParams' own K and bins; the bins at each run's rate.
+            SmoothingParams(**{name: settings[name] for name in _SMOOTHING_FACTORS})
+            envelope, period_min, period_max = (settings[key] for key in _BAND_KEYS)
+            if not 0 < envelope < period_min < period_max:
+                raise ValueError("need 0 < envelope_ms < pitch_period_min_ms < pitch_period_max_ms")
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         object.__setattr__(self, "stft", stft)
@@ -178,26 +183,20 @@ class PipelineConfig:
         return self.settings["decomp_filter_taps"]
 
     def smoothing_params(self, sample_rate: int) -> SmoothingParams:
-        """Smoothing at `sample_rate`, where a pitch range in Hz sets l_low and l_high; bands
-        that do not fit raise a `ConfigError` naming the rate, each bin with its key, and K/2."""
+        """Smoothing at `sample_rate`, each band time rounded to bins there; bands that do
+        not fit raise a `ConfigError` naming the rate, each bin with its key, and K/2."""
         s = self.settings
-        kwargs = {name: s[name] for name in _SMOOTHING_DEFAULTS}
-        f_min, f_max = s["pitch_min_hz"], s["pitch_max_hz"]
-        origins = {"l_env": "l_env", "l_low": "l_low", "l_high": "l_high"}
-        if f_min > 0:  # loading checked 0 < f_min < f_max
-            # A quotient past the largest float stays inf, which no band admits.
-            kwargs["l_low"], kwargs["l_high"] = (
-                q if math.isinf(q) else round(q) for q in (sample_rate / f_max, sample_rate / f_min)
-            )
-            origins["l_low"] = f"{sample_rate} / pitch_max_hz {f_max:g}"
-            origins["l_high"] = f"{sample_rate} / pitch_min_hz {f_min:g}"
+        # A product past the largest float stays inf, which no band admits.
+        bins = {name: sample_rate * s[key] / 1000 for key, name in _BAND_KEYS.items()}
+        bins = {name: q if math.isinf(q) else round(q) for name, q in bins.items()}
         try:
-            return SmoothingParams(**kwargs)
+            factors = {name: s[name] for name in _SMOOTHING_FACTORS}
+            return SmoothingParams(dft_length=s["dft_length"], **factors, **bins)
         except BandError as exc:
-            bands = ", ".join(f"{k} = {kwargs[k]} (from {origin})" for k, origin in origins.items())
+            named = ", ".join(f"{n} = {bins[n]} (from {k} {s[k]:g})" for k, n in _BAND_KEYS.items())
             raise ConfigError(
-                f"smoothing bands at {sample_rate} Hz do not fit: {bands}; they must satisfy "
-                f"0 < l_env < l_low < l_high < K/2 = {kwargs['dft_length'] // 2} (from dft_length)"
+                f"smoothing bands at {sample_rate} Hz do not fit: {named}; they must satisfy "
+                f"0 < l_env < l_low < l_high < K/2 = {s['dft_length'] // 2} (from dft_length)"
             ) from exc
 
     def room_spec(self, sample_rate: int, rt60_ms: float | None = None) -> RoomSpec:

@@ -60,7 +60,7 @@ from .bsseval import (  # noqa: F401
 # The whole-signal analyze, synthesize, estimate_block_covariances, apply_unmixing,
 # estimate_binary_masks, apply_mask, isolated_unit_fraction and smooth_mask are
 # unused here but stay importable from pipeline: bench/tracer.py wraps them by name.
-from .cepsmooth import smooth_frames, smooth_mask  # noqa: F401
+from .cepsmooth import SmoothingParams, smooth_frames, smooth_mask  # noqa: F401
 from .config import SEPARATION_KEYS, PipelineConfig
 from .jointdiag import (  # noqa: F401
     CovarianceSums,
@@ -107,6 +107,7 @@ class SeparationResult:
     solver_state: SolverState
     isolated_fraction_binary: tuple[float, float]
     isolated_fraction_smoothed: tuple[float, float]
+    smoothing: SmoothingParams  # at the mixture's rate
 
 
 class _Half:
@@ -228,7 +229,7 @@ def separate_recording(recording: MultichannelRecording, config: PipelineConfig)
     buffers = [h.stage1 for h in halves] + [h.final for h in halves]
     del halves  # free the scratch and carries, then each buffer once its output is cut
     waves = [strip_padding(buffers.pop(0), stft, n, recording.sample_rate) for _ in range(4)]
-    return SeparationResult(tuple(waves[:2]), tuple(waves[2:]), state, binary, smoothed)
+    return SeparationResult(tuple(waves[:2]), tuple(waves[2:]), state, binary, smoothed, params)
 
 
 @dataclass(eq=False)
@@ -378,7 +379,7 @@ def score_separation(
 
 
 # What the reports hold; each is written with sorted keys.
-REPORT_FORMAT_VERSION = 6
+REPORT_FORMAT_VERSION = 7
 FINAL_OUTPUTS_FROM = "stage1_masked"
 SIR_CONVENTION = "10*log10 of an energy ratio"
 
@@ -411,6 +412,7 @@ def _separation_block(result: SeparationResult) -> dict:
         },
         "isolated_fraction_binary": list(result.isolated_fraction_binary),
         "isolated_fraction_smoothed": list(result.isolated_fraction_smoothed),
+        "smoothing_bins": {n: getattr(result.smoothing, n) for n in ("l_env", "l_low", "l_high")},
         "final_outputs_from": FINAL_OUTPUTS_FROM,
         "outputs": {"stage1": names[:2], "final": names[2:]},
     }

@@ -113,10 +113,13 @@ def _image_responses(room: RoomSpec, pairs: list[tuple[int, int]]) -> list[np.nd
     Every image at distance d with r wall reflections adds
     (1 - alpha)^(r/2) / (4 pi d) at tap round(d * fs / c).  Images farther
     than (L + 1) c / fs can only land past the last of L taps, so they are
-    culled on d^2; the exact `taps < L` test decides the rest.  Taps are
-    added in flattened octant order, so the sums keep their bits whatever
-    the cull keeps.  An anechoic room (alpha = 1) needs no case of its own:
-    0^0 = 1 keeps the direct image and every reflected image adds zero.
+    culled on d^2: first each (x, y) column of the lattice, on its x and y
+    terms alone, then each image of the columns left.  What the cull keeps
+    lands at most at tap L + 1, so it is added into a response two taps
+    longer, which is then cut to L.  Taps are added in flattened octant
+    order, so the sums keep their bits whatever the cull keeps.  An
+    anechoic room (alpha = 1) needs no case of its own: 0^0 = 1 keeps the
+    direct image and every reflected image adds zero.
     """
     dims = np.asarray(room.dimensions, dtype=np.float64)
     fs = room.sample_rate
@@ -135,35 +138,36 @@ def _image_responses(room: RoomSpec, pairs: list[tuple[int, int]]) -> list[np.nd
             "in this room; treating the room as anechoic"
         )
     beta = float(np.sqrt(1.0 - absorption["absorption_used"]))
-    responses = [np.zeros(length) for _ in pairs]
+    responses = [np.zeros(length + 2) for _ in pairs]
 
     max_distance = (length - 1) * c / fs
     limits = [int(np.ceil(max_distance / (2.0 * d))) + 1 for d in dims]
-    grids = np.meshgrid(
-        *[np.arange(-lim, lim + 1) for lim in limits], indexing="ij", sparse=True
-    )
+    grids = [np.arange(-lim, lim + 1) for lim in limits]
     cull = ((length + 1) * c / fs) ** 2
     # beta ** r for every reflection count the lattice holds, |g - q| + |g| <= 2 lim + 1.
     attenuation = beta ** np.arange(sum(2 * lim + 1 for lim in limits) + 1)
 
     for q in itertools.product((0, 1), repeat=3):
-        reflections = sum(np.abs(g - q_axis) + np.abs(g) for g, q_axis in zip(grids, q))
+        counts = [np.abs(g - q_axis) + np.abs(g) for g, q_axis in zip(grids, q)]
+        column_counts = counts[0][:, None] + counts[1]
         for h, (src, mic) in zip(responses, points):
-            image = [
-                (1 - 2 * q[axis]) * src[axis] + 2.0 * grids[axis] * dims[axis]
+            offsets = [
+                ((1 - 2 * q[axis]) * src[axis] + 2.0 * grids[axis] * dims[axis] - mic[axis]) ** 2
                 for axis in range(3)
             ]
-            squared = (
-                (image[0] - mic[0]) ** 2 + (image[1] - mic[1]) ** 2 + (image[2] - mic[2]) ** 2
-            )
+            # A column's z term only adds, so a column past the bound in x and y holds no image.
+            column_squared = offsets[0][:, None] + offsets[1]
+            columns = column_squared <= cull
+            squared = column_squared[columns][:, None] + offsets[2]
             near = squared <= cull
             dist = np.sqrt(squared[near])
-            amplitude = attenuation[reflections[near]] / (4.0 * np.pi * dist)
-            taps = np.round(dist * fs / c).astype(np.int64)
-            keep = taps < length
-            np.add.at(h, taps[keep], amplitude[keep])
+            amplitude = attenuation[(column_counts[columns][:, None] + counts[2])[near]]
+            amplitude /= np.multiply(dist, 4.0 * np.pi)
+            dist *= fs
+            dist /= c
+            np.add.at(h, np.rint(dist, out=dist).astype(np.intp), amplitude)
 
-    return responses
+    return [h[:length] for h in responses]
 
 
 def generate_rir(room: RoomSpec, source_index: int, mic_index: int) -> Waveform:

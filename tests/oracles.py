@@ -9,7 +9,9 @@ behind the block-by-block pipeline, `generate_rir_per_pair`, the
 per-pair image lattice behind the shared, culled one,
 `smooth_frames_dct`, the whole-spectrum DCT smoother behind the banded one,
 and the projector's whole-batch block transforms and whole-signal component
-waveforms behind its chunked block loops.
+waveforms behind its chunked block loops.  `gen_voiced_source` is a test
+source, not a reference: a harmonic comb for the smoothing's pitch band to
+keep, which the package's AM-noise sources lack.
 """
 
 from types import SimpleNamespace
@@ -18,6 +20,32 @@ import numpy as np
 from scipy.fft import dct, next_fast_len
 from scipy.linalg import toeplitz
 from scipy.signal import fftconvolve
+
+
+def gen_voiced_source(seed, duration_s, sample_rate, f0_range, mod_rate, glide_rate=0.3):
+    """A deterministic voiced source: harmonics of a gliding f0 in the AM envelope.
+
+    f0 glides over `f0_range` (Hz) and back as a raised cosine at
+    `glide_rate` Hz from a seed-derived phase.  Harmonic h has amplitude
+    1/h and is left out wherever h f0 reaches Nyquist.  White noise of 5 %
+    of the comb's RMS is added, and the sum takes `gen_am_source`'s
+    envelope at `mod_rate` Hz before the peak is normalized to 0.9.
+    """
+    from cbss.signals import Waveform
+
+    rng = np.random.default_rng(seed)
+    n = int(round(duration_s * sample_rate))
+    t = np.arange(n) / sample_rate
+    low, high = f0_range
+    glide_phase, envelope_phase = rng.uniform(0.0, 2.0 * np.pi, size=2)
+    f0 = low + (high - low) * 0.5 * (1.0 - np.cos(2.0 * np.pi * glide_rate * t + glide_phase))
+    phase = 2.0 * np.pi * np.cumsum(f0) / sample_rate
+    comb = np.zeros(n)
+    for h in range(1, int(sample_rate / (2.0 * low)) + 1):
+        comb += np.where(h * f0 < sample_rate / 2.0, np.sin(h * phase) / h, 0.0)
+    x = comb + 0.05 * np.sqrt(np.mean(comb**2)) * rng.standard_normal(n)
+    x *= 0.05 + 0.475 * (1.0 + np.sin(2.0 * np.pi * mod_rate * t + envelope_phase))
+    return Waveform(0.9 * x / np.max(np.abs(x)), sample_rate)
 
 
 def dft_direct(x: np.ndarray) -> np.ndarray:

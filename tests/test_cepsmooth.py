@@ -110,13 +110,14 @@ def test_pitch_ties_within_tolerance_of_the_log_peak_pick_the_lowest():
 @pytest.mark.parametrize(
     "params",
     [SmoothingParams(dft_length=k, l_env=2, l_low=4, l_high=k // 2 - 2) for k in (18, 20, 30, 32)]
-    + [SmoothingParams(l_low=96, l_high=600)],
-    ids=["18", "20", "30", "32", "48kHz-80-500Hz"],
+    + [SmoothingParams(l_low=96, l_high=600), SmoothingParams(l_env=38, l_low=77, l_high=576)],
+    ids=["18", "20", "30", "32", "48kHz-80-500Hz", "48kHz-default"],
 )
 def test_folded_bands_match_whole_dct_smoothing(params):
     # K/2 odd (18, 30) and even (20, 32) both exercise the DCT-I end weights
     # of bins 0 and K/2; K = 2048 with bins 96-600, an 80-500 Hz pitch range
-    # at 48 kHz, puts 514 of 1025 quefrencies in the band.
+    # at 48 kHz, puts 514 of 1025 quefrencies in the band, and the default
+    # band times at 48 kHz, bins 38, 77 and 576, put 539 there.
     k = params.dft_length
     rng = np.random.default_rng(k)
     mask = rng.uniform(0.0, 1.0, (9, k // 2 + 1))

@@ -167,8 +167,10 @@ def test_separate_happy_path_is_deterministic(tmp_path, fast_cfg):
     report = json.loads((outs[0] / "report.json").read_text())
     assert report["kind"] == "separation"
     assert report["solver"]["final_cost"] <= report["solver"]["initial_cost"]
-    assert report["report_format_version"] == 6
+    assert report["report_format_version"] == 7
     assert set(report["parameters"]) == set(SEPARATION_KEYS)
+    # FAST_CONFIG's 8 kHz: the default 0.8, 1.6 and 12 ms in bins
+    assert report["smoothing_bins"] == {"l_env": 6, "l_low": 13, "l_high": 96}
     assert not {"rt60_ms", "room_height", "seed", "decomp_filter_taps"} & set(report["parameters"])
     assert report["solver"]["termination"] in TERMINATIONS
     assert report["solver"]["evaluations"] >= report["solver"]["iterations"] + 1
@@ -459,6 +461,8 @@ def test_each_rt_report_is_the_base_report_plus_its_row(tmp_path, fast_cfg):
     assert len(sweep["rows"]) == 2
     for row in sweep["rows"]:
         assert sweep_only <= set(row)
+        # the default band times at FAST_CONFIG's synth_sample_rate, 8 kHz
+        assert row["smoothing_bins"] == {"l_env": 6, "l_low": 13, "l_high": 96}
         expected = {
             **base,
             # Each row's scene was built at the row's RT60, and its report says so.
@@ -678,10 +682,10 @@ def test_evaluate_rejects_mismatched_or_short_references(tmp_path, capsys, case,
 @pytest.mark.parametrize(
     ("rate", "settings", "fragments"),
     [
-        (48000, "pitch_min_hz = 40\npitch_max_hz = 400\n",
-         ["48000 Hz", "l_high = 1200 (from 48000 / pitch_min_hz 40)", "K/2 = 1024"]),
-        (4000, "synth_sample_rate = 48000\npitch_min_hz = 100\npitch_max_hz = 3000\n",
-         ["4000 Hz", "l_env = 8 (from l_env)", "l_low = 1 (from 4000 / pitch_max_hz 3000)"]),
+        (48000, "pitch_period_max_ms = 25\n",
+         ["48000 Hz", "l_high = 1200 (from pitch_period_max_ms 25)", "K/2 = 1024"]),
+        (4000, "synth_sample_rate = 48000\nenvelope_ms = 0.7\npitch_period_min_ms = 0.8\n",
+         ["4000 Hz", "l_env = 3 (from envelope_ms 0.7)", "l_low = 3 (from pitch_period_min_ms 0.8)"]),
     ],
     ids=["pitch-floor-past-half-the-dft-at-48k", "pitch-ceiling-below-the-envelope-at-4k"],
 )
@@ -703,13 +707,13 @@ def test_separate_names_the_rate_and_bins_of_smoothing_bands_that_do_not_fit(
     assert not out.exists()
 
 
-# Bins 16 and 480 at 48 kHz, under K/2 = 1024; at 8 or 10 kHz l_low is 3 or 4, below l_env = 8.
-WIDE_PITCH_RANGE = "pitch_min_hz = 100\npitch_max_hz = 3000\n"
+# Bins 5 and 6 at 48 kHz, under l_high = 576; at 8 or 10 kHz both round to bin 1.
+BANDS_FOR_HIGH_RATES = "envelope_ms = 0.1\npitch_period_min_ms = 0.12\n"
 
 
 def test_simulate_and_evaluate_take_a_pitch_range_that_fits_no_rate_they_use(tmp_path, capsys):
     cfg = tmp_path / "cfg"
-    cfg.write_text(FAST_CONFIG + WIDE_PITCH_RANGE)
+    cfg.write_text(FAST_CONFIG + BANDS_FOR_HIGH_RATES)
     scene = tmp_path / "scene"
     assert _run(["simulate", "--synthetic", "--config", str(cfg), "--out", str(scene)]) == 0
     capsys.readouterr()
@@ -721,7 +725,7 @@ def test_simulate_and_evaluate_take_a_pitch_range_that_fits_no_rate_they_use(tmp
 
 def test_separate_takes_a_pitch_range_that_fits_the_file_but_not_the_synthesis_rate(tmp_path):
     cfg = tmp_path / "cfg"
-    cfg.write_text("dft_length = 2048\nmax_iters = 40\n" + WIDE_PITCH_RANGE)
+    cfg.write_text("dft_length = 2048\nmax_iters = 40\n" + BANDS_FOR_HIGH_RATES)
     rate = 48000
     left, right = _two_talkers(n=rate, rate=rate)
     mixture = tmp_path / "mixture.wav"
@@ -733,7 +737,7 @@ def test_separate_takes_a_pitch_range_that_fits_the_file_but_not_the_synthesis_r
 
 def test_sweep_refuses_bands_that_do_not_fit_the_synthesis_rate_before_writing(tmp_path, capsys):
     cfg = tmp_path / "cfg"
-    cfg.write_text(FAST_CONFIG + WIDE_PITCH_RANGE)
+    cfg.write_text(FAST_CONFIG + BANDS_FOR_HIGH_RATES)
     out = tmp_path / "sweep"
     assert _run(["sweep", "--rt60", "100", "--config", str(cfg), "--out", str(out)]) == 1
     err = capsys.readouterr().err.strip().splitlines()
@@ -755,7 +759,9 @@ def test_simulate_rejects_a_duration_of_zero_samples(tmp_path, capsys):
 
 def test_separate_keeps_literal_quefrency_bins_at_44k(tmp_path, capsys):
     cfg = tmp_path / "cfg"
-    cfg.write_text(FAST_CONFIG + "pitch_min_hz = 0\npitch_max_hz = 0\n")
+    # 8, 16 and 120 bins at this rate, the bins of the defaults at 10 kHz
+    cfg.write_text(FAST_CONFIG + "envelope_ms = 0.18\npitch_period_min_ms = 0.36\n"
+                   "pitch_period_max_ms = 2.72\n")
     rate = 44100
     left, right = _two_talkers(n=2 * rate, rate=rate)
     mixture = tmp_path / "mixture.wav"
@@ -764,6 +770,7 @@ def test_separate_keeps_literal_quefrency_bins_at_44k(tmp_path, capsys):
     assert _run(["separate", str(mixture), "--config", str(cfg), "--out", str(out)]) == 0
     report = json.loads((out / "report.json").read_text())
     assert report["solver"]["termination"] == "tolerance"
+    assert report["smoothing_bins"] == {"l_env": 8, "l_low": 16, "l_high": 120}
     # bins 16..120 search pitches of 368-2756 Hz at this rate; smoothing still
     # thins the isolated mask units
     for binary, smoothed in zip(

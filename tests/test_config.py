@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 from dataclasses import fields
 
@@ -32,9 +33,9 @@ def test_defaults_mirror_reference_setup():
     assert s["beta_env"] == 0.0
     assert s["beta_pitch"] == 0.4
     assert s["beta_peak"] == 0.9
-    assert s["l_env"] == 8
-    assert s["l_low"] == 16
-    assert s["l_high"] == 120
+    assert s["envelope_ms"] == 0.8
+    assert s["pitch_period_min_ms"] == 1.6
+    assert s["pitch_period_max_ms"] == 12.0
     assert (s["room_height"], s["room_width"], s["room_depth"]) == (3.4, 3.8, 5.2)
 
 
@@ -51,8 +52,12 @@ def test_derived_defaults_equal_dataclass_defaults():
         **defaults(SolverParams),
         **defaults(SmoothingParams),
     }
+    bands = {"l_env": "envelope_ms", "l_low": "pitch_period_min_ms", "l_high": "pitch_period_max_ms"}
     assert len(expected) == 15
     for key, value in expected.items():
+        if key in bands:  # a band's default time is its default bin at 10 kHz
+            assert round(10000 * DEFAULTS[bands[key]] / 1000) == value, key
+            continue
         assert DEFAULTS[key] == value, key
         assert type(DEFAULTS[key]) is type(value), key
 
@@ -94,28 +99,51 @@ def test_pipeline_config_validates_combinations():
         PipelineConfig({"overlap_factor": 0.9})  # fractional hop
     with pytest.raises(ConfigError):
         PipelineConfig({"beta_peak": 2.0})
-    with pytest.raises(ConfigError):
-        PipelineConfig({"pitch_min_hz": 500.0, "pitch_max_hz": 50.0})
-    with pytest.raises(ConfigError):
-        PipelineConfig({"pitch_max_hz": 500.0})  # f_min left at 0
-    # Bins 9 <= round(rate / 500) and round(rate / 5) <= 1023 fit from 4251 to 5117 Hz: no load error
-    with pytest.raises(ConfigError, match="10000 Hz"):
-        PipelineConfig({"pitch_min_hz": 5.0, "pitch_max_hz": 500.0}).smoothing_params(10000)
-    with pytest.raises(ConfigError, match="pitch_min_hz"):
-        PipelineConfig({"pitch_min_hz": 1e-310, "pitch_max_hz": 500.0})  # l_high overflows
+    order = "need 0 < envelope_ms < pitch_period_min_ms < pitch_period_max_ms"
+    for bands in ((-0.8, 1.6, 12.0), (0.0, 1.6, 12.0), (0.8, 0.8, 12.0), (0.8, 12.0, 1.6),
+                  (2.0, 1.6, 12.0), (-12.0, -1.6, -0.8)):
+        settings = dict(zip(("envelope_ms", "pitch_period_min_ms", "pitch_period_max_ms"), bands))
+        with pytest.raises(ConfigError, match=order):
+            PipelineConfig(settings)
+    # 100 ms is 1000 bins at 10 kHz, under K/2 = 1024, and 4800 at 48 kHz: no load error
+    with pytest.raises(ConfigError, match="at 48000 Hz.*l_high = 4800 .from pitch_period_max_ms 100"):
+        PipelineConfig({"pitch_period_max_ms": 100.0}).smoothing_params(48000)
     with pytest.raises(ConfigError):
         PipelineConfig({"nonsense": 1})
 
 
-def test_smoothing_params_pitch_range_override():
-    cfg = PipelineConfig({"pitch_min_hz": 50.0, "pitch_max_hz": 500.0})
-    p = cfg.smoothing_params(16000)
-    assert p.l_low == 32
-    assert p.l_high == 320
+@pytest.mark.parametrize(
+    ("key", "replacement"),
+    [
+        ("l_env", "envelope_ms = 1000 * l_env / rate"),
+        ("l_low", "pitch_period_min_ms = 1000 * l_low / rate"),
+        ("l_high", "pitch_period_max_ms = 1000 * l_high / rate"),
+        ("pitch_min_hz", "pitch_period_max_ms = 1000 / pitch_min_hz"),
+        ("pitch_max_hz", "pitch_period_min_ms = 1000 / pitch_max_hz"),
+    ],
+)
+def test_each_removed_band_key_names_its_replacement(key, replacement):
+    message = f"unknown key '{key}'; use {replacement}"
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        PipelineConfig({key: 8})
+    with pytest.raises(ConfigError, match=re.escape(f"line 2: {message}")):
+        parse_config_text(f"seed = 1\n{key} = 8\n")
 
-    literal = default_config().smoothing_params(16000)
-    assert literal.l_low == 16
-    assert literal.l_high == 120
+
+def test_smoothing_params_resolve_the_band_times_at_each_rate():
+    bins = {rate: default_config().smoothing_params(rate) for rate in (8000, 10000, 48000)}
+    assert {rate: (p.l_env, p.l_low, p.l_high) for rate, p in bins.items()} == {
+        8000: (6, 13, 96),
+        10000: (8, 16, 120),
+        48000: (38, 77, 576),
+    }
+    assert bins[10000] == SmoothingParams()
+    # 12 ms is 1152 bins at 96 kHz, past K/2 = 1024
+    with pytest.raises(ConfigError, match="at 96000 Hz .*l_high = 1152 .*K/2 = 1024"):
+        default_config().smoothing_params(96000)
+    # the old pitch_min_hz = 50 and pitch_max_hz = 500, migrated
+    wide = PipelineConfig({"pitch_period_min_ms": 1000 / 500, "pitch_period_max_ms": 1000 / 50})
+    assert (wide.smoothing_params(16000).l_low, wide.smoothing_params(16000).l_high) == (32, 320)
 
 
 def test_room_spec_geometry_from_settings():
@@ -237,33 +265,37 @@ def _load_error(settings: dict) -> str | None:
     return None
 
 
-# Pitch ranges from well inside to far outside any band, tiny minima whose
-# quotients overflow at high rates, and zeros that keep the literal bins.
-_HZ = st.one_of(
-    st.just(0.0),
-    st.floats(1.0, 8000.0),
-    st.floats(1e-306, 1e-300),
-    st.floats(5e-324, 1e-307),
-)
+# Ordered band times from well inside to outside any band; in half of the
+# draws one of them becomes any time that size, a tiny one that rounds to
+# bin 0, a huge one whose product with the rate overflows, or a negative one.
+@st.composite
+def _band_times(draw):
+    times = sorted(draw(st.lists(st.floats(0.1, 15.0), min_size=3, max_size=3, unique=True)))
+    if draw(st.booleans()):
+        times[draw(st.integers(0, 2))] = draw(st.one_of(
+            st.floats(0.1, 15.0), st.floats(1e-300, 1e-3), st.floats(1e300, 1e308),
+            st.floats(-50.0, 0.0),
+        ))
+    return times
 
 
 @settings(max_examples=300, deadline=None)
 @given(
-    f_min=_HZ,
-    f_max=_HZ,
-    dft_exponent=st.integers(5, 13),
+    times=_band_times(),
+    dft_exponent=st.integers(9, 13),
     synth_rates=st.lists(st.integers(1, 96000), min_size=2, max_size=2),
     rate=st.integers(8000, 48000),
 )
 def test_smoothing_bands_are_checked_at_the_rate_of_the_run_property(
-    f_min, f_max, dft_exponent, synth_rates, rate
+    times, dft_exponent, synth_rates, rate
 ):
     k = 2**dft_exponent
-    settings = {"pitch_min_hz": f_min, "pitch_max_hz": f_max, "dft_length": k,
-                "filter_support": k // 4}
+    settings = {"envelope_ms": times[0], "pitch_period_min_ms": times[1],
+                "pitch_period_max_ms": times[2], "dft_length": k, "filter_support": k // 4}
     outcomes = {_load_error({**settings, "synth_sample_rate": r}) for r in synth_rates}
     assert len(outcomes) == 1, f"loading depends on synth_sample_rate: {outcomes}"
     if outcomes != {None}:
+        assert not 0 < times[0] < times[1] < times[2]
         return
     config = PipelineConfig({**settings, "synth_sample_rate": synth_rates[0]})
     try:
@@ -272,5 +304,4 @@ def test_smoothing_bands_are_checked_at_the_rate_of_the_run_property(
         assert f"{rate} Hz" in str(exc)
         return
     assert 0 < params.l_env < params.l_low < params.l_high < k // 2
-    if f_min > 0:
-        assert (params.l_low, params.l_high) == (round(rate / f_max), round(rate / f_min))
+    assert [params.l_env, params.l_low, params.l_high] == [round(rate * t / 1000) for t in times]

@@ -24,9 +24,9 @@ SMALL = {
     "filter_support": 64,
     "block_count": 4,
     "max_iters": 40,
-    "l_low": 8,
-    "l_env": 4,
-    "l_high": 100,
+    "envelope_ms": 0.5,  # 4, 8 and 100 bins at 8 kHz
+    "pitch_period_min_ms": 1.0,
+    "pitch_period_max_ms": 12.5,
     "room_height": 3.0,
     "room_width": 3.0,
     "room_depth": 3.0,
