@@ -4,8 +4,9 @@ Config files are plain text: one `key = value` per line, `#` comments,
 blank lines ignored.  Unknown keys and duplicates are rejected so a typo
 cannot silently fall back to a default; a removed key names its replacement.
 The smoothing bands are three times in ms, rounded to quefrency bins at each
-run's rate.  Loading checks what holds at every rate: the smoothing factors,
-floor and 0 < envelope_ms < pitch_period_min_ms < pitch_period_max_ms;
+run's rate.  Loading checks what holds at every rate and length: the smoothing
+factors, floor, 0 < envelope_ms < pitch_period_min_ms < pitch_period_max_ms
+and decomp_filter_taps >= 1 (`evaluate` checks that it fits its references);
 `separate` checks the bins at the file's rate, `sweep` at `synth_sample_rate`.
 The STFT, solver, masking, smoothing and speed-of-sound defaults are the
 field defaults of the parameter classes those settings build; the
@@ -155,6 +156,9 @@ class PipelineConfig:
             threshold = MaskThreshold(settings["mask_threshold"])
             if settings["filter_support"] >= settings["dft_length"]:
                 raise ValueError("filter_support must be smaller than dft_length")
+            taps = settings["decomp_filter_taps"]
+            if taps < 1:
+                raise ValueError(f"decomp_filter_taps = {taps} must be at least 1")
             # The factors and floor at SmoothingParams' own K and bins; the bins at each run's rate.
             SmoothingParams(**{name: settings[name] for name in _SMOOTHING_FACTORS})
             envelope, period_min, period_max = (settings[key] for key in _BAND_KEYS)

@@ -45,54 +45,39 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# project_decompose is unused here but stays importable as
-# pipeline.project_decompose: bench/tracer.py wraps it by that name.
-from .bsseval import (  # noqa: F401
+from .bsseval import (
     Decomposition,
     ReferenceProjector,
     SegmentAnnotation,
-    project_decompose,
     sar_db,
     sdr_db,
     segment_sir,
     sir_db,
 )
-# The whole-signal analyze, synthesize, estimate_block_covariances, apply_unmixing,
-# estimate_binary_masks, apply_mask, isolated_unit_fraction and smooth_mask are
-# unused here but stay importable from pipeline: bench/tracer.py wraps them by name.
-from .cepsmooth import SmoothingParams, smooth_frames, smooth_mask  # noqa: F401
+from .cepsmooth import SmoothingParams, smooth_frames
 from .config import SEPARATION_KEYS, PipelineConfig
-from .jointdiag import (  # noqa: F401
-    CovarianceSums,
-    SolverState,
-    apply_unmixing,
-    estimate_block_covariances,
-    solve_unmixing,
-    unmix_output,
-)
-from .masking import (  # noqa: F401
-    IsolatedUnitCount,
-    apply_mask,
-    dominance_mask,
-    estimate_binary_masks,
-    isolated_unit_fraction,
-)
+from .jointdiag import CovarianceSums, SolverState, solve_unmixing, unmix_output
+from .masking import IsolatedUnitCount, dominance_mask
 from .roomsim import ImpulseResponseBank, RoomSpec, mix_images, source_images
-# convolve_mix is unused here but stays importable as pipeline.convolve_mix:
-# bench/tracer.py wraps it by that name.
-from .roomsim import convolve_mix  # noqa: F401
 from .signals import MultichannelRecording, Waveform, gen_am_source
-from .stft import (  # noqa: F401
+from .stft import (
     StftConfig,
-    analyze,
     frame_blocks,
     frame_count,
     frame_spectra,
     overlap_add,
     padded_length,
     strip_padding,
-    synthesize,
 )
+
+# Unused here, but bench/tracer.py wraps each of these by its name in this
+# module's namespace, so they stay importable from pipeline.
+from .bsseval import project_decompose  # noqa: F401
+from .cepsmooth import smooth_mask  # noqa: F401
+from .jointdiag import apply_unmixing, estimate_block_covariances  # noqa: F401
+from .masking import apply_mask, estimate_binary_masks, isolated_unit_fraction  # noqa: F401
+from .roomsim import convolve_mix  # noqa: F401
+from .stft import analyze, synthesize  # noqa: F401
 
 # STFT frames analyzed, unmixed, masked and resynthesized together.
 FRAMES_PER_BLOCK = 64

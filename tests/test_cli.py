@@ -18,6 +18,8 @@ from cbss.jointdiag import TERMINATIONS
 from cbss.pipeline import simulate_scene
 from cbss.signals import MultichannelRecording, Waveform, gen_am_source, read_wav, write_wav
 
+from oracles import gen_voiced_source
+
 FAST_CONFIG = """
 dft_length = 512
 overlap_factor = 0.75
@@ -64,6 +66,19 @@ def test_package_imports_without_scipy():
     # start of the command line would pay for them.
     prefixes = ("scipy", "logging", "concurrent")
     assert _modules_after("import cbss, cbss.cli", prefixes) == []
+
+
+MODULES = sorted(path.stem for path in Path(cbss.__file__).parent.glob("[!_]*.py"))
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_each_module_imports_alone(module):
+    assert f"cbss.{module}" in _modules_after(f"import cbss.{module}", ("cbss.",))
+
+
+def test_package_import_loads_no_module_and_no_numpy():
+    # Each public name is imported from its module; the package holds none.
+    assert _modules_after("import cbss", ("cbss.", "numpy")) == []
 
 
 def test_simulate_and_separate_load_no_scipy(tmp_path, fast_cfg):
@@ -745,6 +760,16 @@ def test_sweep_refuses_bands_that_do_not_fit_the_synthesis_rate_before_writing(t
     assert not out.exists()
 
 
+def test_sweep_refuses_filter_taps_below_one_before_writing(tmp_path, capsys):
+    cfg = tmp_path / "cfg"
+    cfg.write_text(FAST_CONFIG + "decomp_filter_taps = 0\n")
+    out = tmp_path / "sweep"
+    assert _run(["sweep", "--rt60", "150", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["error: decomp_filter_taps = 0 must be at least 1"]
+    assert not out.exists()
+
+
 def test_simulate_rejects_a_duration_of_zero_samples(tmp_path, capsys):
     cfg = tmp_path / "cfg"
     cfg.write_text(FAST_CONFIG.replace("synth_duration_s = 2.0", "synth_duration_s = 0.00001"))
@@ -808,3 +833,48 @@ def test_separate_sixty_seconds_stays_within_block_memory(tmp_path, fast_cfg):
         wave = read_wav(out / name)
         assert len(wave.channels[0]) == n
         assert np.all(np.isfinite(wave.channels[0].samples))
+
+
+# The sweep's solver settings and 3 m room.
+VOICED_CONFIG = """
+dft_length = 2048
+overlap_factor = 0.75
+filter_support = 512
+block_count = 8
+max_iters = 200
+room_height = 3.0
+room_width = 3.0
+room_depth = 3.0
+"""
+
+
+# Two voiced talkers, 3 s at 10 kHz, as WAV files through simulate, separate and
+# evaluate in the sweep room at 200 ms.  evaluate pins estimate i to reference i,
+# so stage 1 is scored in both orders, as the sweep scores it, and the final pair
+# in stage 1's order.  The final output beat stage 1 by 3.6 dB (seed 1) and
+# 9.0 dB (seed 2), and by 4.7-11.0 dB on seeds 3-6.
+@pytest.mark.parametrize("seed", [1, 2])
+def test_voiced_talkers_gain_from_masking_through_the_commands(tmp_path, seed):
+    talkers = []
+    for i, (f0_range, mod_rate) in enumerate((((100, 160), 0.8), ((170, 260), 1.7))):
+        talkers.append(str(tmp_path / f"talker_{i + 1}.wav"))
+        source = gen_voiced_source(seed + i, 3.0, 10000, f0_range, mod_rate)
+        write_wav(MultichannelRecording((source,)), talkers[-1])
+    cfg = tmp_path / "voiced.cfg"
+    cfg.write_text(VOICED_CONFIG)
+    scene, out = tmp_path / "scene", tmp_path / "out"
+    argv = ["simulate", *talkers, "--rt60", "200", "--config", str(cfg), "--out", str(scene)]
+    assert _run(argv) == 0
+    argv = ["separate", str(scene / "mixture.wav"), "--config", str(cfg), "--out", str(out)]
+    assert _run(argv) == 0
+
+    def average_sir(stage, order):
+        report = tmp_path / f"{stage}_{order[0]}{order[1]}"
+        estimates = [str(out / f"{stage}_{i}.wav") for i in (1, 2)]
+        references = [str(scene / f"image_m1_s{s}.wav") for s in order]
+        argv = ["evaluate", *estimates, "--references", *references, "--config", str(cfg)]
+        assert _run([*argv, "--out", str(report)]) == 0
+        return np.mean(json.loads((report / "report.json").read_text())["sir_db"])
+
+    stage1, order = max((average_sir("stage1", order), order) for order in ((1, 2), (2, 1)))
+    assert average_sir("final", order) >= stage1 + 1.0

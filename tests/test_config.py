@@ -108,6 +108,11 @@ def test_pipeline_config_validates_combinations():
     # 100 ms is 1000 bins at 10 kHz, under K/2 = 1024, and 4800 at 48 kHz: no load error
     with pytest.raises(ConfigError, match="at 48000 Hz.*l_high = 4800 .from pitch_period_max_ms 100"):
         PipelineConfig({"pitch_period_max_ms": 100.0}).smoothing_params(48000)
+    # Evaluation filter taps below 1 fit no signal; the upper bound is the references' length.
+    PipelineConfig({"decomp_filter_taps": 1})
+    for taps in (0, -5):
+        with pytest.raises(ConfigError, match=f"decomp_filter_taps = {taps} must be at least 1"):
+            PipelineConfig({"decomp_filter_taps": taps})
     with pytest.raises(ConfigError):
         PipelineConfig({"nonsense": 1})
 
