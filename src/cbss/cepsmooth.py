@@ -54,10 +54,6 @@ from .masking import SpectralMask
 from .stft import Spectrogram, StftConfig
 
 
-class BandError(ValueError):
-    """Quefrency bands that break 0 < l_env < l_low < l_high < K/2."""
-
-
 @dataclass(frozen=True)
 class SmoothingParams:
     """Smoothing factors and band edges in quefrency bins for one DFT length; bands checked last."""
@@ -82,7 +78,7 @@ class SmoothingParams:
         if not 0.0 < self.mask_floor < 1.0:
             raise ValueError("mask_floor must lie in (0, 1)")
         if not 0 < self.l_env < self.l_low < self.l_high < k // 2:
-            raise BandError(
+            raise ValueError(
                 f"quefrency bands l_env = {self.l_env}, l_low = {self.l_low}, "
                 f"l_high = {self.l_high} must satisfy 0 < l_env < l_low < l_high < K/2 = {k // 2}"
             )

@@ -133,6 +133,18 @@ def _parse_rt60_list(raw: str) -> list[float]:
     return values
 
 
+def _check_taps(config: PipelineConfig, length: int, signals: str) -> int:
+    """The config's evaluation filter taps, refused if longer than the `length` samples
+    of the scored `signals`."""
+    taps = config.decomp_filter_taps
+    if taps > length:  # the config's load refused taps below 1
+        raise ValueError(
+            f"decomp_filter_taps = {taps} must lie in [1, {length}], "
+            f"the length of {signals} in samples"
+        )
+    return taps
+
+
 def cmd_evaluate(args: argparse.Namespace, config: PipelineConfig) -> int:
     estimates = tuple(_read_mono(path, "estimate") for path in args.estimates)
     if estimates[0].sample_rate != estimates[1].sample_rate:  # the scorers check lengths
@@ -141,12 +153,7 @@ def cmd_evaluate(args: argparse.Namespace, config: PipelineConfig) -> int:
     evaluation = None
     if args.references is not None:
         refs = tuple(_read_mono(path, "reference") for path in args.references)
-        taps = config.decomp_filter_taps
-        if taps > len(refs[0]):  # the config's load refused taps below 1
-            raise ValueError(
-                f"decomp_filter_taps = {taps} must lie in [1, {len(refs[0])}], "
-                "the length of the references in samples"
-            )
+        taps = _check_taps(config, len(refs[0]), "the references")
         # Estimate i is scored against the references with reference i as its target.
         evaluation = evaluate_outputs(estimates, (refs, refs), taps, permutation=(0, 1))
         if any(d.regularized for d in evaluation.decompositions):
@@ -187,15 +194,17 @@ def run_sweep(
     """Simulate, separate, and evaluate one synthetic scene per RT60 value, each
     under the config with that RT60 and with `seed`, when given, as its seed.
     Every row convolves the same synthetic source pair, made once.  Smoothing bands
-    that do not fit at `synth_sample_rate` are refused before anything is written."""
+    that do not fit at `synth_sample_rate`, and filter taps longer than a row's
+    scored signals, are refused before anything is written."""
     if seed is not None:
         config = config.with_settings(seed=seed)
     config.smoothing_params(config.settings["synth_sample_rate"])
     sources = synthetic_sources(config)
-    rows = [
-        _sweep_row(config.with_settings(rt60_ms=rt60), sources, out_dir / _rt_dir_name(rt60))
-        for rt60 in rt60_values
-    ]
+    row_configs = [config.with_settings(rt60_ms=rt60) for rt60 in rt60_values]
+    for c in row_configs:  # a row scores its images: the sources through the row's RIRs
+        length = len(sources[0]) + c.room_spec(sources[0].sample_rate).rir_length - 1
+        _check_taps(config, length, f"the scored signals at rt60 {c.rt60_ms:g} ms")
+    rows = [_sweep_row(c, sources, out_dir / _rt_dir_name(c.rt60_ms)) for c in row_configs]
     report = sweep_report(config, rows)
     _write_report(report, out_dir / "sweep_report.json")
     return report

@@ -6,7 +6,7 @@ cannot silently fall back to a default; a removed key names its replacement.
 The smoothing bands are three times in ms, rounded to quefrency bins at each
 run's rate.  Loading checks what holds at every rate and length: the smoothing
 factors, floor, 0 < envelope_ms < pitch_period_min_ms < pitch_period_max_ms
-and decomp_filter_taps >= 1 (`evaluate` checks that it fits its references);
+and decomp_filter_taps >= 1 (`evaluate` and `sweep` check that it fits what they score);
 `separate` checks the bins at the file's rate, `sweep` at `synth_sample_rate`.
 The STFT, solver, masking, smoothing and speed-of-sound defaults are the
 field defaults of the parameter classes those settings build; the
@@ -26,7 +26,7 @@ import operator
 from dataclasses import dataclass, field, fields
 
 from .bsseval import FILTER_TAPS
-from .cepsmooth import BandError, SmoothingParams
+from .cepsmooth import SmoothingParams
 from .jointdiag import SolverParams
 from .masking import MaskThreshold
 from .roomsim import RoomSpec
@@ -55,6 +55,7 @@ _RENAMED = {
     **{name: f"{key} = 1000 * {name} / rate" for key, name in _BAND_KEYS.items()},
     "pitch_min_hz": "pitch_period_max_ms = 1000 / pitch_min_hz",
     "pitch_max_hz": "pitch_period_min_ms = 1000 / pitch_max_hz",
+    "max_rir_ms": "rt60_ms, which with the room sets the RIR length",
 }
 
 # The settings a separation reads; the rest configure simulation and scoring.
@@ -77,7 +78,6 @@ DEFAULTS: dict[str, object] = {
     "source_distance": 1.0,
     "source_angle_deg": 45.0,
     "speed_of_sound": _field_defaults(RoomSpec)["speed_of_sound"],
-    "max_rir_ms": 0.0,
     "rt60_ms": 200.0,
     # Evaluation
     "decomp_filter_taps": FILTER_TAPS,
@@ -151,9 +151,12 @@ class PipelineConfig:
         except ValueError as exc:  # name the config keys, not StftConfig's fields
             named = ", ".join(f"{key} = {settings[key]!r}" for key in _STFT_FIELDS)
             raise ConfigError(f"{named}: {exc}") from exc
+        try:  # name the config key, not MaskThreshold's field
+            threshold = MaskThreshold(settings["mask_threshold"])
+        except ValueError as exc:
+            raise ConfigError(f"mask_threshold = {settings['mask_threshold']!r}: {exc}") from exc
         try:
             solver = SolverParams(**{name: settings[name] for name in _SOLVER_DEFAULTS})
-            threshold = MaskThreshold(settings["mask_threshold"])
             if settings["filter_support"] >= settings["dft_length"]:
                 raise ValueError("filter_support must be smaller than dft_length")
             taps = settings["decomp_filter_taps"]
@@ -196,7 +199,7 @@ class PipelineConfig:
         try:
             factors = {name: s[name] for name in _SMOOTHING_FACTORS}
             return SmoothingParams(dft_length=s["dft_length"], **factors, **bins)
-        except BandError as exc:
+        except ValueError as exc:  # the load checked K and the factors: only the bands fail here
             named = ", ".join(f"{n} = {bins[n]} (from {k} {s[k]:g})" for k, n in _BAND_KEYS.items())
             raise ConfigError(
                 f"smoothing bands at {sample_rate} Hz do not fit: {named}; they must satisfy "
@@ -215,7 +218,6 @@ class PipelineConfig:
         dist = s["source_distance"]
         src1 = (center[0], center[1] + dist * math.sin(angle), center[2] + dist * math.cos(angle))
         src2 = (center[0], center[1] - dist * math.sin(angle), center[2] + dist * math.cos(angle))
-        max_rir = round(s["max_rir_ms"] * sample_rate / 1000.0) if s["max_rir_ms"] > 0 else None
         return RoomSpec(
             dimensions=dims,
             source_positions=(src1, src2),
@@ -223,7 +225,6 @@ class PipelineConfig:
             rt60_ms=self.rt60_ms if rt60_ms is None else float(rt60_ms),
             sample_rate=sample_rate,
             speed_of_sound=s["speed_of_sound"],
-            max_rir_length=max_rir,
         )
 
     def flat(self, keys: tuple[str, ...] | None = None) -> dict[str, object]:

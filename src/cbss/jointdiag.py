@@ -78,10 +78,6 @@ class CovarianceSet:
     def n_bins(self) -> int:
         return self.matrices.shape[0]
 
-    @property
-    def n_blocks(self) -> int:
-        return self.matrices.shape[1]
-
 
 @dataclass(frozen=True, eq=False)
 class UnmixingSystem:

@@ -44,10 +44,6 @@ class SpectralMask:
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.values.shape
-
 
 def estimate_binary_masks(
     s1: Spectrogram,

@@ -364,7 +364,7 @@ def score_separation(
 
 
 # What the reports hold; each is written with sorted keys.
-REPORT_FORMAT_VERSION = 7
+REPORT_FORMAT_VERSION = 8
 FINAL_OUTPUTS_FROM = "stage1_masked"
 SIR_CONVENTION = "10*log10 of an energy ratio"
 

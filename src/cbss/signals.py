@@ -6,11 +6,10 @@ samples, one or two channels.  The reader takes the first `fmt ` and
 `data` chunks, also in the extensible form, and skips every other chunk
 (`LIST`, `fact`, ...) with the pad byte of an odd-sized one.  A `data`
 chunk shorter than its header says raises `UnsupportedWavError`: the file
-was cut off.  The writer lays out its header as SciPy's `wavfile.write`
-does (a `fact` chunk after an 18-byte `fmt ` chunk for float32, a 16-byte
-`fmt ` chunk for PCM), so its files keep the same bytes.  Everything is
-normalized to float64 in [-1, 1] on read so the rest of the toolkit never
-sees integer codes.
+was cut off.  The writer writes float32 only, and lays out its header as
+SciPy's `wavfile.write` does (a `fact` chunk after an 18-byte `fmt `
+chunk), so its files keep the same bytes.  Everything is normalized to
+float64 on read so the rest of the toolkit never sees integer codes.
 """
 
 from __future__ import annotations
@@ -20,8 +19,6 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
-
-PCM16_SCALE = 32768.0
 
 _RIFF_HEADER = struct.Struct("<4sI4s")
 _CHUNK_HEADER = struct.Struct("<4sI")
@@ -71,11 +68,6 @@ class Waveform:
 
     def __len__(self) -> int:
         return self.samples.shape[0]
-
-    @property
-    def duration(self) -> float:
-        """Length in seconds."""
-        return len(self) / self.sample_rate
 
 
 @dataclass(frozen=True, eq=False)
@@ -189,37 +181,22 @@ def read_wav(path) -> MultichannelRecording:
         sample, channel = np.unravel_index(np.argmin(finite), finite.shape)
         value = data[sample, channel]
         raise _corrupt(path, f"sample {sample} of channel {channel + 1} is {value}, not finite")
-    scaled = data / PCM16_SCALE if tag == _PCM else data.astype(np.float64)
+    scaled = data / 32768.0 if tag == _PCM else data.astype(np.float64)
     channels = tuple(Waveform(scaled[:, c], rate) for c in range(n_channels))
     return MultichannelRecording(channels)
 
 
-def write_wav(recording: MultichannelRecording, path, encoding: str = "float32") -> None:
-    """Write a recording as float32 (default) or 16-bit PCM.
-
-    PCM output clips samples to [-1, 1] first, then quantizes with scale
-    32768 so a round trip stays within one LSB.
-    """
-    data = recording.to_array().T  # frames x channels
+def write_wav(recording: MultichannelRecording, path) -> None:
+    """Write a recording as IEEE float32."""
     # C order interleaves the channels, as the data chunk stores them.
-    if encoding == "float32":
-        tag, out = _IEEE_FLOAT, data.astype("<f4", order="C")
-    elif encoding == "pcm16":
-        clipped = np.clip(data, -1.0, 1.0)
-        codes = np.round(clipped * PCM16_SCALE)
-        tag, out = _PCM, np.clip(codes, -32768, 32767).astype("<i2", order="C")
-    else:
-        raise ValueError(f"unknown encoding {encoding!r}; use 'float32' or 'pcm16'")
+    out = recording.to_array().T.astype("<f4", order="C")
     n_frames, n_channels = out.shape
     block_align = n_channels * out.dtype.itemsize
     rate = recording.sample_rate
-    fmt = _FMT.pack(tag, n_channels, rate, rate * block_align, block_align, 8 * out.dtype.itemsize)
-    fact = b""
-    if tag != _PCM:
-        # A non-PCM fmt chunk ends in a zero extension size and is followed
-        # by a fact chunk holding the frame count.
-        fmt += b"\x00\x00"
-        fact = _CHUNK_HEADER.pack(b"fact", 4) + struct.pack("<I", n_frames)
+    # A non-PCM fmt chunk ends in a zero extension size and is followed by a
+    # fact chunk holding the frame count.
+    fmt = _FMT.pack(_IEEE_FLOAT, n_channels, rate, rate * block_align, block_align, 32) + b"\0\0"
+    fact = _CHUNK_HEADER.pack(b"fact", 4) + struct.pack("<I", n_frames)
     header = _CHUNK_HEADER.pack(b"fmt ", len(fmt)) + fmt + fact
     header += _CHUNK_HEADER.pack(b"data", out.nbytes)
     with open(path, "wb") as f:

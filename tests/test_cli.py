@@ -182,7 +182,7 @@ def test_separate_happy_path_is_deterministic(tmp_path, fast_cfg):
     report = json.loads((outs[0] / "report.json").read_text())
     assert report["kind"] == "separation"
     assert report["solver"]["final_cost"] <= report["solver"]["initial_cost"]
-    assert report["report_format_version"] == 7
+    assert report["report_format_version"] == 8
     assert set(report["parameters"]) == set(SEPARATION_KEYS)
     # FAST_CONFIG's 8 kHz: the default 0.8, 1.6 and 12 ms in bins
     assert report["smoothing_bins"] == {"l_env": 6, "l_low": 13, "l_high": 96}
@@ -768,6 +768,19 @@ def test_sweep_refuses_filter_taps_below_one_before_writing(tmp_path, capsys):
     err = capsys.readouterr().err.strip().splitlines()
     assert err == ["error: decomp_filter_taps = 0 must be at least 1"]
     assert not out.exists()
+
+
+def test_sweep_refuses_filter_taps_longer_than_a_row_before_writing(tmp_path, capsys):
+    # Far past a row's length, 2 s at 8 kHz plus its RIR. Taps just under it would pass
+    # and build a Gram of (2 taps)^2 floats, so no case tests that edge.
+    cfg = tmp_path / "cfg"
+    cfg.write_text(FAST_CONFIG + "decomp_filter_taps = 100000\n")
+    out = tmp_path / "sweep"
+    assert _run(["sweep", "--rt60", "150", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: decomp_filter_taps = 100000 must lie in [1, ")
+    assert "at rt60 150 ms" in err[0]
+    assert not (out / "rt150").exists()
 
 
 def test_simulate_rejects_a_duration_of_zero_samples(tmp_path, capsys):

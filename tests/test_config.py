@@ -108,6 +108,9 @@ def test_pipeline_config_validates_combinations():
     # 100 ms is 1000 bins at 10 kHz, under K/2 = 1024, and 4800 at 48 kHz: no load error
     with pytest.raises(ConfigError, match="at 48000 Hz.*l_high = 4800 .from pitch_period_max_ms 100"):
         PipelineConfig({"pitch_period_max_ms": 100.0}).smoothing_params(48000)
+    for threshold in (0, -1.5):
+        with pytest.raises(ConfigError, match=f"mask_threshold = {float(threshold)}: .*positive"):
+            PipelineConfig({"mask_threshold": threshold})
     # Evaluation filter taps below 1 fit no signal; the upper bound is the references' length.
     PipelineConfig({"decomp_filter_taps": 1})
     for taps in (0, -5):
@@ -133,6 +136,12 @@ def test_each_removed_band_key_names_its_replacement(key, replacement):
         PipelineConfig({key: 8})
     with pytest.raises(ConfigError, match=re.escape(f"line 2: {message}")):
         parse_config_text(f"seed = 1\n{key} = 8\n")
+
+
+def test_removed_max_rir_ms_names_rt60_ms():
+    message = "unknown key 'max_rir_ms'; use rt60_ms, which with the room sets the RIR length"
+    with pytest.raises(ConfigError, match=re.escape(f"line 1: {message}")):
+        parse_config_text("max_rir_ms = 50\n")
 
 
 def test_smoothing_params_resolve_the_band_times_at_each_rate():

@@ -496,6 +496,22 @@ def test_solver_stops_at_zero_cost_and_validates_termination():
         SolverState(**{**fields, "termination": "diverged"})
 
 
+def test_solver_stops_when_no_step_lowers_the_cost(monkeypatch):
+    # A cost of 1 at the identity and 2 at any other taps: every halved step raises it.
+    def stub(taps, moments, dft_length):
+        return (1.0 if not np.any(taps) else 2.0), np.ones_like(taps)
+
+    monkeypatch.setattr("cbss.jointdiag._cost_and_step", stub)
+    r = np.zeros((9, 4, 2, 2), dtype=complex)
+    r[..., 0, 0] = r[..., 1, 1] = 1.0
+    system, state = solve_unmixing(CovarianceSet(r, (3,) * 4), SolverParams(filter_support=4))
+    assert state.termination == "line_search_stalled"
+    assert state.iterations == 0
+    assert state.evaluations == 61  # the start, then sixty halvings
+    assert state.cost_trace == [1.0]
+    assert not np.any(system.taps)
+
+
 @pytest.mark.parametrize("seed", range(10))
 def test_solver_survives_exactly_diagonalizable_sets(seed):
     # R_k = A D_k A^T with a unit-diagonal, bin-constant A: the tap-0 filters
